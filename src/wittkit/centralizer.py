@@ -11,23 +11,29 @@ The two verifiers here check the centralizer statements: the centralizer
 of the power-sum element (t_1^k + ... + t_n^k) d_mu is a single line in
 W_n, and acquires the predicted shift and h' families when the ambient
 algebra has extra variables beyond the first n.  Both prefer a cheap
-exact certificate: rank at a rational mu point bounds the generic rank
-from below, and together with symbolically verified kernel members that
-pins the kernel; full symbolic elimination stays as the fallback.
+exact certificate: rank at a rational mu point, reduced mod a prime,
+bounds the generic rank from below, and together with symbolically
+verified kernel members that pins the kernel.  The certificate's matrix
+is built over F_p directly from the bracket's structure constants
+(`ad_rows_mod_p`); the symbolic `ad_matrix` is built only when no point
+certifies and the verifier falls back to full symbolic elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, BadArity, BadK, DenominatorVanishes, PairOutsideBox
 from .linalg import (
+    MODULUS,
     ScalarMatrix,
     kernel as matrix_kernel,
-    modular_rank,
     rank as matrix_rank,
+    rank_mod_p,
+    scalar_mod_p,
     specialization_points,
 )
 from .scalars import Scalar
@@ -136,6 +142,43 @@ def ad_matrix(z: WittElement, space: TruncatedSpace) -> Tuple[ScalarMatrix, List
     return matrix, ordered_keys
 
 
+def ad_rows_mod_p(z: WittElement, space: TruncatedSpace,
+                  point: Sequence[Fraction]) -> Dict[RowKey, Dict[int, int]]:
+    """Rows of `ad_matrix(z, space)` evaluated at `point` and reduced mod MODULUS.
+
+    Built from the structure constants of the bracket: for the column
+    t^alpha d_a and a term t^beta d_b of z, the entry at row
+    (alpha + beta, j) is (a, beta) b_j - (b, alpha) a_j, where a is the
+    unit e_i, or d_mu at the point for wnmu.  Only the Cartan
+    coefficients of z and d_mu are evaluated, once each; no Scalar is
+    created.  Zero residues are dropped, so the result is the symbolic
+    matrix specialized and reduced entry for entry, without its rows
+    that vanish there.  Raises DenominatorVanishes when a coefficient of
+    z has a pole at the point and ValueError when the modulus divides
+    its value's denominator.
+    """
+    algebra = space.algebra
+    if z.m != algebra.m:
+        raise ArityMismatch(f"element rank {z.m} != ambient {algebra.m}")
+    m = algebra.m
+    terms = [(beta, [scalar_mod_p(c, point, MODULUS) for c in cartan.coeffs])
+             for beta, cartan in z.support.items()]
+    units = [[1 if j == i else 0 for j in range(m)] for i in range(m)]
+    dmu = [scalar_mod_p(c, point, MODULUS) for c in algebra.dmu_cartan().coeffs]
+    rows: Dict[RowKey, Dict[int, int]] = {}
+    for col, (alpha, direction) in enumerate(space.basis):
+        a = dmu if direction == MU_DIRECTION else units[direction]
+        for beta, b in terms:
+            a_beta = sum(x * y for x, y in zip(a, beta))
+            b_alpha = sum(x * y for x, y in zip(b, alpha))
+            gamma = tuple(x + y for x, y in zip(alpha, beta))
+            for j in range(m):
+                value = (a_beta * b[j] - b_alpha * a[j]) % MODULUS
+                if value:
+                    rows.setdefault((gamma, j), {})[col] = value
+    return rows
+
+
 @dataclass
 class CentralizerResult:
     """Kernel of ad(z) on a truncated space, as elements."""
@@ -215,20 +258,36 @@ class VerificationReport:
         return out
 
 
-def _certified_corank(matrix: ScalarMatrix, corank: int, arity: int,
+# Why a match certifies the kernel.  Let A be the ad-matrix over Q(mu),
+# of rank r.  Evaluating at a point where no coefficient of z has a pole
+# is a ring map, so each minor of A at the point is the value of that
+# minor of A: a minor that is zero over Q(mu) stays zero, and the rank
+# can only drop.  Reducing mod p is again a ring map on the values, whose
+# denominators are prime to p, and can again only drop the rank.  The
+# F_p rows are the images of A's entries under these two maps (an entry
+# is an integer polynomial in the coefficients of z and d_mu, which are
+# mapped first), so their rank r0 satisfies r0 <= r.  A match r0 = ncols - corank
+# gives dim ker A = ncols - r <= corank.  The caller has verified
+# `corank` linearly independent kernel members exactly, so
+# dim ker A >= corank, and the kernel is their span.  A point where the
+# rank falls short proves nothing and the next one is tried; when none
+# matches the caller falls back to the symbolic kernel.
+def _certified_corank(z: WittElement, space: TruncatedSpace, corank: int,
                       bound: int) -> Optional[int]:
     """Specialized rank matching ncols - corank, or None if no point certifies.
 
-    A match proves the generic kernel has dimension at most `corank`;
-    callers must supply that many independent kernel members themselves.
-    `bound` caps the exponent entries feeding the matrix's linear forms.
+    A match proves the generic kernel of ad(z) on the space has dimension
+    at most `corank`; callers must supply that many independent kernel
+    members themselves.  `bound` caps the exponent entries feeding the
+    matrix's linear forms.
     """
-    for point in specialization_points(arity, bound):
+    for point in specialization_points(space.algebra.field.arity, bound):
         try:
-            r0 = modular_rank(matrix, point)
+            rows = ad_rows_mod_p(z, space, point)
         except (DenominatorVanishes, ValueError):
             continue
-        if r0 == matrix.ncols - corank:
+        r0 = rank_mod_p(list(rows.values()), len(space))
+        if r0 == len(space) - corank:
             return r0
     return None
 
@@ -239,13 +298,15 @@ def verify_lemma_2_2(n: int, k: int, box: Optional[int] = None) -> VerificationR
         raise BadK("k must be nonzero")
     if box is None:
         box = abs(k) + 2
+    if box < abs(k):
+        raise BadK(f"lemma 2.2 needs box >= |k|: the power sum with k = {k} "
+                   f"lies outside the box {box}")
     algebra = WittAlgebra(AlgebraVariant.wn(n))
     z = algebra.power_sum_dmu(k)
     space = TruncatedSpace(algebra, box)
-    matrix, _ = ad_matrix(z, space)
     parameters = {"n": n, "k": k, "box": box}
     member = bracket(z, z).is_zero and bool(space.coordinates_of(z))
-    certified = _certified_corank(matrix, 1, algebra.field.arity, box) if member else None
+    certified = _certified_corank(z, space, 1, box) if member else None
     if certified is not None:
         data: Dict[str, object] = {
             "dimension": 1,
@@ -256,6 +317,7 @@ def verify_lemma_2_2(n: int, k: int, box: Optional[int] = None) -> VerificationR
             "columns": len(space),
         }
         return VerificationReport("2.2", parameters, True, data)
+    matrix, _ = ad_matrix(z, space)
     vectors = matrix_kernel(matrix)
     elements = [space.element_from_vector(v) for v in vectors]
     witness = proportional(elements[0], z) if len(elements) == 1 else None
@@ -282,14 +344,13 @@ def verify_lemma_4_1(n: int, m: int, k: int, box: Optional[int] = None) -> Verif
     algebra = WittAlgebra(AlgebraVariant.winf(n, m))
     z = algebra.power_sum_dmu(k)
     space = TruncatedSpace(algebra, box)
-    matrix, _ = ad_matrix(z, space)
     predicted = predicted_centralizer_4_1(algebra, k, box)
     parameters = {"n": n, "m": m, "k": k, "box": box}
     members = all(bracket(e, z).is_zero for e in predicted)
     rank_predicted = span_rank(space, predicted)
     certified = None
     if members and rank_predicted == len(predicted):
-        certified = _certified_corank(matrix, len(predicted), algebra.field.arity, box)
+        certified = _certified_corank(z, space, len(predicted), box)
     data: Dict[str, object] = {
         "predicted_dimension": len(predicted),
         "rank_predicted": rank_predicted,
@@ -305,6 +366,7 @@ def verify_lemma_4_1(n: int, m: int, k: int, box: Optional[int] = None) -> Verif
             "specialized_rank": certified,
         })
         return VerificationReport("4.1", parameters, True, data)
+    matrix, _ = ad_matrix(z, space)
     vectors = matrix_kernel(matrix)
     elements = [space.element_from_vector(v) for v in vectors]
     rank_stacked = span_rank(space, predicted + elements)

@@ -41,6 +41,22 @@ from .witt import (
 _LEMMAS = ("lemma2.2", "lemma3.2", "lemma3.3", "lemma3.4",
            "lemma4.1", "lemma4.3", "lemma4.4")
 _LAWS = ("antisymmetry", "bilinearity", "jacobi", "closure", "monomial")
+# Lemmas stated for W_n only; their verifiers build their own algebra.
+_WN_ONLY_LEMMAS = ("lemma2.2", "lemma3.3")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _variant_kind(text: str) -> str:
+    return text.lower().replace("_", "").replace("-", "")
 
 
 def _add_common_flags(sub: argparse.ArgumentParser, box_default: Optional[int] = 2) -> None:
@@ -57,7 +73,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, box_default: Optional[int] =
 
 
 def _algebra_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> WittAlgebra:
-    kind = args.variant.lower().replace("_", "").replace("-", "")
+    kind = _variant_kind(args.variant)
     m = args.arity
     n = args.prefix
     try:
@@ -169,6 +185,9 @@ def _verify_report(args: argparse.Namespace, parser: argparse.ArgumentParser):
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.lemma in _WN_ONLY_LEMMAS and _variant_kind(args.variant) != "wn":
+        parser.error(f"{args.lemma} is stated for W_n only; --variant {args.variant} "
+                     "is not supported")
     if args.lemma in ("lemma4.1", "lemma4.3", "lemma4.4") and args.prefix is not None:
         # winf geometry is implied; the flag only carries n here.
         args.variant = "winf"
@@ -296,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="randomized law checking")
     _add_common_flags(p_fuzz)
     p_fuzz.add_argument("law", choices=_LAWS)
-    p_fuzz.add_argument("--count", type=int, default=100)
+    p_fuzz.add_argument("--count", type=_positive_int, default=100)
     p_fuzz.set_defaults(handler=cmd_fuzz)
 
     return parser

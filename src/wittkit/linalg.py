@@ -21,10 +21,14 @@ ordered by free column index.
 Inconsistent systems come back with a certificate: a left combination u
 of the original rows with u A = 0 but u . b != 0.
 
-Specializing the mu parameters at a rational point can only lower the
-rank, so `rank(specialize(A, point))` is a certified lower bound for the
-generic rank; callers combine it with explicitly verified kernel members
-to pin kernels exactly without symbolic elimination.
+Specializing the mu parameters at a rational point and reducing mod a
+prime can only lower the rank, so the rank over F_p is a certified lower
+bound for the generic rank; callers combine it with explicitly verified
+kernel members to pin kernels exactly without symbolic elimination.
+`rank_mod_p` is that rank on rows already reduced to residues, split
+into connected components; `modular_rank` feeds it a ScalarMatrix
+evaluated entry by entry, and the centralizer verifiers feed it rows
+built over F_p directly from structure constants.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .errors import LengthMismatch
 from .scalars import MuPolynomial, Scalar, _frac_gcd, poly_gcd
 
 KernelVector = Dict[int, Scalar]
+
+# The word-size prime of the specialized-rank certificates.
+MODULUS = (1 << 31) - 1
 
 # Components with at most this many columns are eliminated directly over
 # the fraction field; larger ones go through the fraction-free path.
@@ -138,6 +145,19 @@ def specialize(matrix: ScalarMatrix, values: Sequence[Fraction]) -> ScalarMatrix
     return out
 
 
+def scalar_mod_p(value: Scalar, values: Sequence[Fraction], prime: int) -> int:
+    """Residue mod `prime` of a scalar evaluated at a rational point.
+
+    Raises DenominatorVanishes at a pole and ValueError when the value's
+    denominator is divisible by the modulus.
+    """
+    v = Fraction(value.evaluate(values))
+    den = v.denominator % prime
+    if den == 0:
+        raise ValueError("denominator divisible by the modulus")
+    return v.numerator * pow(den, -1, prime) % prime
+
+
 def _modular_rank_block(rows: List[Dict[int, int]], prime: int) -> int:
     """Forward elimination over F_prime, sparsest pivot column first."""
     col_rows: Dict[int, set] = {}
@@ -174,8 +194,19 @@ def _modular_rank_block(rows: List[Dict[int, int]], prime: int) -> int:
         count += 1
 
 
+def rank_mod_p(rows: Sequence[Dict[int, int]], ncols: int, prime: int = MODULUS) -> int:
+    """Rank over F_prime of sparse rows of nonzero residues, column indices < ncols.
+
+    The rows are split into connected components and each is eliminated
+    on its own; the input rows are not modified.
+    """
+    components, _ = _split_components(rows, ncols)
+    return sum(_modular_rank_block([dict(rows[r]) for r in row_idx], prime)
+               for row_idx, _ in components)
+
+
 def modular_rank(matrix: ScalarMatrix, values: Sequence[Fraction],
-                 prime: int = (1 << 31) - 1) -> int:
+                 prime: int = MODULUS) -> int:
     """Rank of the specialization reduced mod `prime`.
 
     Specializing mu and reducing mod p are both rank-nonincreasing, so
@@ -187,20 +218,11 @@ def modular_rank(matrix: ScalarMatrix, values: Sequence[Fraction],
     for row in matrix.rows:
         out: Dict[int, int] = {}
         for c, s in row.items():
-            v = Fraction(s.evaluate(values))
-            den = v.denominator % prime
-            if den == 0:
-                raise ValueError("denominator divisible by the modulus")
-            num = v.numerator % prime
-            if num:
-                out[c] = num * pow(den, -1, prime) % prime
+            v = scalar_mod_p(s, values, prime)
+            if v:
+                out[c] = v
         reduced.append(out)
-    components, _ = _split_components(matrix)
-    total = 0
-    for row_idx, _cols in components:
-        block = [dict(reduced[r]) for r in row_idx if reduced[r]]
-        total += _modular_rank_block(block, prime)
-    return total
+    return rank_mod_p(reduced, matrix.ncols, prime)
 
 
 # ----------------------------------------------------------------------
@@ -226,11 +248,12 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def _split_components(matrix: ScalarMatrix) -> Tuple[List[Tuple[List[int], List[int]]], List[int]]:
+def _split_components(rows: Sequence[Dict], ncols: int
+                      ) -> Tuple[List[Tuple[List[int], List[int]]], List[int]]:
     """(components, zero_columns); a component is (row_indices, col_indices)."""
-    uf = _UnionFind(matrix.ncols)
+    uf = _UnionFind(ncols)
     seen_cols = set()
-    for row in matrix.rows:
+    for row in rows:
         cols = list(row)
         seen_cols.update(cols)
         for c in cols[1:]:
@@ -243,11 +266,11 @@ def _split_components(matrix: ScalarMatrix) -> Tuple[List[Tuple[List[int], List[
         for c in cols:
             comp_of_col[c] = root
     rows_by_comp: Dict[int, List[int]] = {root: [] for root in groups}
-    for r, row in enumerate(matrix.rows):
+    for r, row in enumerate(rows):
         if row:
             rows_by_comp[comp_of_col[next(iter(row))]].append(r)
     components = [(rows_by_comp[root], groups[root]) for root in sorted(groups)]
-    zero_cols = [c for c in range(matrix.ncols) if c not in seen_cols]
+    zero_cols = [c for c in range(ncols) if c not in seen_cols]
     return components, zero_cols
 
 
@@ -486,7 +509,7 @@ def _reduce_component(matrix: ScalarMatrix, row_idx: List[int],
 
 def kernel(matrix: ScalarMatrix) -> List[KernelVector]:
     """Canonical kernel basis: one vector per free column, unit there."""
-    components, zero_cols = _split_components(matrix)
+    components, zero_cols = _split_components(matrix.rows, matrix.ncols)
     one = Scalar.one(matrix.arity)
     tagged: List[Tuple[int, KernelVector]] = [(c, {c: one}) for c in zero_cols]
     for row_idx, cols in components:
@@ -497,7 +520,7 @@ def kernel(matrix: ScalarMatrix) -> List[KernelVector]:
 
 
 def rank(matrix: ScalarMatrix) -> int:
-    components, _ = _split_components(matrix)
+    components, _ = _split_components(matrix.rows, matrix.ncols)
     total = 0
     for row_idx, cols in components:
         total += len(_reduce_component(matrix, row_idx, cols))

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+
+import pytest
 
 from wittkit import (
     AlgebraVariant,
@@ -12,12 +15,19 @@ from wittkit import (
     bracket,
     centralizer_basis,
     lemma_4_1_families,
+    modular_rank,
+    parse_element,
     predicted_centralizer_4_1,
     proportional,
     span_rank,
+    specialization_points,
     verify_lemma_2_2,
     verify_lemma_4_1,
 )
+from wittkit import centralizer
+from wittkit.errors import BadK
+from wittkit.centralizer import ad_rows_mod_p
+from wittkit.linalg import MODULUS, rank_mod_p
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
 
@@ -140,3 +150,66 @@ def test_collapsed_families_match_2_2():
     predicted = predicted_centralizer_4_1(W2, k=2, box=3)
     assert len(predicted) == 1
     assert proportional(predicted[0], W2.power_sum_dmu(2)) is not None
+
+
+def _rational_coefficient(rng: random.Random, field):
+    """A random element of Q(mu) with a denominator positive at every geometric point."""
+    mu = [field.mu(i + 1) for i in range(field.n_mu)]
+    num = (field.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+           + mu[rng.randrange(len(mu))] * field.from_int(rng.randint(-3, 3)))
+    if num.is_zero:
+        num = field.one()
+    return num / (mu[rng.randrange(len(mu))] + field.from_int(rng.randint(1, 4)))
+
+
+def _residue(value: Fraction) -> int:
+    value = Fraction(value)
+    return value.numerator * pow(value.denominator, -1, MODULUS) % MODULUS
+
+
+@pytest.mark.parametrize("variant", [
+    AlgebraVariant.wn(2), AlgebraVariant.winf(1, 2), AlgebraVariant.wnplus(2),
+    AlgebraVariant.wnplusplus(2), AlgebraVariant.wnmu(2)])
+def test_ad_rows_mod_p_match_symbolic_matrix(variant):
+    # the F_p builder is the symbolic ad-matrix evaluated and reduced entry by entry
+    algebra = WittAlgebra(variant)
+    space = TruncatedSpace(algebra, box=2)
+    pairs = algebra._basis_pair_list(1)
+    rng = random.Random(11)
+    for _ in range(3):
+        z = algebra.zero()
+        for alpha, direction in rng.sample(pairs, 3):
+            coeff = _rational_coefficient(rng, algebra.field)
+            z = z + algebra.pair_element(alpha, direction).scale(coeff)
+        matrix, keys = ad_matrix(z, space)
+        for point in specialization_points(algebra.field.arity, space.box):
+            expected = {}
+            for key, row in zip(keys, matrix.rows):
+                residues = {c: _residue(s.evaluate(point)) for c, s in row.items()}
+                residues = {c: v for c, v in residues.items() if v}
+                if residues:
+                    expected[key] = residues
+            rows = ad_rows_mod_p(z, space, point)
+            assert rows == expected
+            r0 = rank_mod_p(list(rows.values()), len(space))
+            assert r0 == modular_rank(matrix, point) > 0
+
+
+def test_verify_falls_back_when_no_point_certifies(monkeypatch):
+    # mu = 0 kills every entry, so no point certifies and the symbolic kernel decides
+    monkeypatch.setattr(centralizer, "specialization_points",
+                        lambda arity, bound: [(0,) * arity])
+    report = verify_lemma_2_2(2, 2)
+    assert report.passed
+    assert report.data["method"] == "symbolic-kernel"
+    basis = parse_element(report.data["basis"][0], W2)
+    assert proportional(basis, W2.power_sum_dmu(2)) is not None
+    report = verify_lemma_4_1(1, 2, 1, box=1)
+    assert report.passed
+    assert report.data["method"] == "symbolic-kernel"
+    assert report.data["dimension"] == report.data["predicted_dimension"] == 6
+
+
+def test_verify_lemma_2_2_rejects_box_below_k():
+    with pytest.raises(BadK):
+        verify_lemma_2_2(2, 4, box=2)

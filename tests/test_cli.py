@@ -97,6 +97,30 @@ def test_verify_missing_k_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_lemma_2_2_box_below_k_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, [
+        "verify", "--arity", "2", "--k", "4", "--box", "2", "lemma2.2"])
+    assert code == 2
+    assert out == ""
+    assert "box" in err and "outside the box 2" in err
+
+
+@pytest.mark.parametrize("lemma", ["lemma2.2", "lemma3.3"])
+def test_verify_wn_only_lemma_rejects_variant(capsys, lemma):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--arity", "2", "--k", "2", "--variant", "wnplusplus", lemma])
+    assert exc.value.code == 2
+    assert "wnplusplus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["-5", "0"])
+def test_fuzz_rejects_nonpositive_count(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--arity", "2", "--count", count, "jacobi"])
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, ["parse", "--arity", "2", "t9*d1"])
     assert code == 2
