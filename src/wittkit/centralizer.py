@@ -42,6 +42,7 @@ from .witt import (
     AlgebraVariant,
     CartanElement,
     Exponent,
+    VariantKind,
     WittAlgebra,
     WittElement,
     bracket,
@@ -88,8 +89,9 @@ class TruncatedSpace:
         if x.m != self.algebra.m:
             raise ArityMismatch(f"element rank {x.m} != ambient {self.algebra.m}")
         coords: Dict[int, Scalar] = {}
+        on_dmu_line = self.algebra.variant.kind is VariantKind.WN_MU
         for alpha, cartan in x.support.items():
-            if self.algebra.variant.kind.value == "wnmu":
+            if on_dmu_line:
                 lam = proportional(
                     WittElement(x.m, {alpha: cartan}),
                     WittElement(x.m, {alpha: self.algebra.dmu_cartan()}),

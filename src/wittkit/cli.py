@@ -2,13 +2,15 @@
 
 One logical command per invocation; every command is deterministic given
 its flags and seed.  Exit codes: 0 all checks pass, 1 a check failed,
-2 usage or parse error.  JSON output is printed with sorted keys so
+2 usage or parse error, or any other `WittkitError`, a failed self-check
+(`SelfCheckFailed`) included.  JSON output is printed with sorted keys so
 identical invocations produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -272,7 +274,9 @@ def cmd_fuzz(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0 if not failures else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="wittkit",
         description="Exact Witt-algebra computations: brackets, centralizers, "

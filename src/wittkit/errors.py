@@ -52,5 +52,13 @@ class ParseError(WittkitError):
         super().__init__(detail)
 
 
+class SelfCheckFailed(WittkitError):
+    """A result failed its own exact re-check before it was returned.
+
+    This is a defect of the program, never a property of the input, so
+    it is raised rather than reported as a verdict.
+    """
+
+
 class ExactDivisionError(WittkitError):
     """Internal: a polynomial division that must be exact was not."""

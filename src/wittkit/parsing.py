@@ -33,6 +33,11 @@ class _Token(NamedTuple):
 
 _OPS = "*^()+-/"
 
+# Deepest nesting of parentheses accepted; each level costs a few
+# interpreter frames, so this keeps deep input a ParseError rather than
+# a RecursionError.
+MAX_NESTING = 100
+
 # A term under construction: distributed summands (coefficient, exponent).
 _Parts = List[Tuple[Scalar, Exponent]]
 
@@ -108,6 +113,7 @@ class _Parser:
         self.field = field
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -120,6 +126,17 @@ class _Parser:
     def at_op(self, chars: str) -> bool:
         tok = self.peek()
         return tok.kind == "op" and tok.text in chars
+
+    def open_group(self) -> None:
+        """Consume '(' and enter one nesting level."""
+        tok = self.advance()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
+
+    def close_group(self) -> None:
+        self.expect_op(")")
+        self.depth -= 1
 
     def expect_op(self, op: str) -> None:
         tok = self.peek()
@@ -150,10 +167,12 @@ class _Parser:
         return value
 
     def scalar_unary(self) -> Scalar:
-        if self.at_op("-"):
+        negative = False
+        while self.at_op("-"):
             self.advance()
-            return -self.scalar_unary()
-        return self.scalar_product()
+            negative = not negative
+        value = self.scalar_product()
+        return -value if negative else value
 
     def scalar_product(self) -> Scalar:
         value = self.scalar_atom()
@@ -171,9 +190,9 @@ class _Parser:
         if tok.kind == "ident":
             return self.scalar_var()
         if tok.kind == "op" and tok.text == "(":
-            self.advance()
+            self.open_group()
             value = self.scalar_expr()
-            self.expect_op(")")
+            self.close_group()
             return value
         shown = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ParseError(f"expected a scalar, found {shown}", tok.pos,
@@ -257,9 +276,9 @@ class _Parser:
             exponent = tuple(e if j == idx - 1 else 0 for j in range(algebra.m))
             return [(self.field.one(), exponent)]
         if tok.kind == "op" and tok.text == "(":
-            self.advance()
+            self.open_group()
             parts = self.group_sum(algebra)
-            self.expect_op(")")
+            self.close_group()
             return parts
         shown = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ParseError(f"expected a factor, found {shown}", tok.pos,

@@ -19,6 +19,7 @@ rank statement about the out-of-span linear forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .centralizer import TruncatedSpace, VerificationReport, lemma_4_1_families
@@ -29,11 +30,13 @@ from .errors import (
     LengthMismatch,
     MissingProbe,
     PairOutsideBox,
+    SelfCheckFailed,
     WittkitError,
 )
 from .linalg import ScalarMatrix, rank as matrix_rank, solve as matrix_solve
 from .scalars import MuPolynomial, Scalar, ScalarField
 from .witt import (
+    MU_DIRECTION,
     AlgebraVariant,
     Exponent,
     WittAlgebra,
@@ -157,16 +160,92 @@ def leibniz_check(D: BoxLinearMap, pairs: Sequence[Tuple[WittElement, WittElemen
     return LeibnizReport(checked, skipped, failures)
 
 
+def _keyed_rows(w: WittElement, q: int) -> Dict[ConstraintRow, Scalar]:
+    """w's nonzero coefficients keyed as rows (q, exponent, direction)."""
+    return {(q, gamma, j): coeff for gamma, j, coeff in _support_rows(w)}
+
+
+def _keyed_system(arity: int, columns: Sequence[Dict[ConstraintRow, Scalar]],
+                  rhs: Dict[ConstraintRow, Scalar]
+                  ) -> Tuple[ScalarMatrix, Dict[int, Scalar], List[ConstraintRow]]:
+    """Matrix whose column c holds columns[c], on the sorted row keys met, and its rhs."""
+    keys = sorted(set(rhs).union(*columns))
+    row_of = {key: r for r, key in enumerate(keys)}
+    matrix = ScalarMatrix(len(keys), len(columns), arity)
+    for c, column in enumerate(columns):
+        for key, coeff in column.items():
+            matrix.add(row_of[key], c, coeff)
+    return matrix, {row_of[key]: value for key, value in rhs.items()}, keys
+
+
+def _entry(w: WittElement, gamma: Exponent, j: int) -> Optional[Scalar]:
+    """Coefficient of t^gamma d_j in w, or None when it is zero."""
+    cartan = w.support.get(gamma)
+    if cartan is None or cartan.coeffs[j].is_zero:
+        return None
+    return cartan.coeffs[j]
+
+
+def _weighted_sum(terms) -> Optional[Scalar]:
+    """Sum of u * v over the (u, v) pairs with v not None; None when it is zero."""
+    total = None
+    for u, v in terms:
+        if v is not None:
+            total = u * v if total is None else total + u * v
+    return None if total is None or total.is_zero else total
+
+
+def _left_product(space: TruncatedSpace, constraints: Sequence[Tuple[WittElement, WittElement]],
+                  weights: Dict[ConstraintRow, Scalar]) -> Dict[int, Scalar]:
+    """Nonzero entries of u A for the stacked system of the constraints over the box.
+
+    Column t^alpha d reaches row (q, gamma, j) only if alpha = gamma - beta
+    for a term t^beta of x_q, so only those columns are bracketed.
+    """
+    directions = (MU_DIRECTION, *range(space.algebra.m))
+    columns = set()
+    for q, gamma, _ in weights:
+        for beta in constraints[q][0].support:
+            alpha = tuple(g - b for g, b in zip(gamma, beta))
+            columns.update(space.index[(alpha, d)] for d in directions
+                           if (alpha, d) in space.index)
+    out: Dict[int, Scalar] = {}
+    for c in sorted(columns):
+        images = {q: bracket(space.element(c), constraints[q][0])
+                  for q in {key[0] for key in weights}}
+        total = _weighted_sum((u, _entry(images[q], gamma, j))
+                              for (q, gamma, j), u in weights.items())
+        if total is not None:
+            out[c] = total
+    return out
+
+
+def _certificate_problem(space: TruncatedSpace,
+                         constraints: Sequence[Tuple[WittElement, WittElement]],
+                         certificate: List[Tuple[ConstraintRow, Scalar]]) -> Optional[str]:
+    """Why the certificate fails u A = 0, u . b != 0 on the rebuilt rows, or None."""
+    weights = dict(certificate)
+    if not weights or len(weights) != len(certificate):
+        return "certificate is empty or repeats a row"
+    if _left_product(space, constraints, weights):
+        return "certificate does not annihilate every column"
+    if _weighted_sum((u, _entry(constraints[q][1], gamma, j))
+                     for (q, gamma, j), u in weights.items()) is None:
+        return "certificate does not separate the right-hand side"
+    return None
+
+
 @dataclass
 class InnerSolveResult:
-    """Outcome of the stacked solve [a, x_q] = y_q over a in a box.
+    """Outcome of solving [a, x_q] = y_q over a in a box.
 
     Exactly one of solution and certificate is set.  The homogeneous
     part is the common centralizer of the x_q inside the box, so the
-    full solution set is solution + span(homogeneous).  Certificate rows
-    are (constraint index, exponent, 0-based direction, weight) and
-    witness a row combination that annihilates every column but not the
-    right-hand side.
+    full solution set is solution + span(homogeneous); rank is that of
+    the system stacking every constraint over every box column.
+    Certificate rows are (constraint index, exponent, 0-based direction,
+    weight) of that stacked system and witness a row combination that
+    annihilates every column but not the right-hand side.
     """
 
     space: TruncatedSpace
@@ -183,48 +262,135 @@ class InnerSolveResult:
     def solution_dimension(self) -> int:
         return len(self.homogeneous)
 
+    def check(self, constraints: Sequence[Tuple[WittElement, WittElement]]) -> None:
+        """Re-verify exactly against the constraints; SelfCheckFailed on any failure."""
+        if self.certificate is not None:
+            problem = _certificate_problem(self.space, constraints, self.certificate)
+        elif any(bracket(self.solution, x) != y for x, y in constraints):
+            problem = "the solution does not reproduce every constraint"
+        elif any(not bracket(h, x).is_zero for h in self.homogeneous for x, _ in constraints):
+            problem = "a homogeneous vector does not commute with every x_q"
+        else:
+            problem = None
+        if problem is not None:
+            raise SelfCheckFailed(f"solve_inner: {problem}")
+
+
+def _anchor_certificate(space: TruncatedSpace,
+                        value: WittElement) -> List[Tuple[ConstraintRow, Scalar]]:
+    """Rows of the d_mu anchor certifying that value is outside ad(d_mu)'s image.
+
+    Column t^alpha d maps to -(mu, alpha_{1..n}) t^alpha d, so a row at an
+    exponent where the box has no column of nonzero eigenvalue, or in a
+    direction no column there takes, is reached by no column and certifies
+    alone.  In wnmu the column t^alpha d_mu fills the rows (alpha, j) along
+    d_mu; mu_j e_(alpha,i) - mu_i e_(alpha,j) annihilates it and separates
+    a part off that line.
+    """
+    algebra = space.algebra
+    dmu = algebra.dmu_cartan().coeffs
+    for gamma in sorted(value.support):
+        coeffs = value.support[gamma].coeffs
+        nonzero = any(gamma[:algebra.n])
+        if nonzero and (gamma, MU_DIRECTION) in space.index:
+            for i, j in combinations(range(algebra.m), 2):
+                if dmu[j] * coeffs[i] != dmu[i] * coeffs[j]:
+                    return [((0, gamma, i), dmu[j]), ((0, gamma, j), -dmu[i])]
+            continue
+        for j, coeff in enumerate(coeffs):
+            if not coeff.is_zero and not (nonzero and (gamma, j) in space.index):
+                return [((0, gamma, j), algebra.field.one())]
+    raise SelfCheckFailed("solve_inner: Delta(d_mu) lies in the image of ad(d_mu)")
+
+
+def _lift_certificate(space: TruncatedSpace,
+                      constraints: Sequence[Tuple[WittElement, WittElement]],
+                      reduced: Dict[ConstraintRow, Scalar]) -> List[Tuple[ConstraintRow, Scalar]]:
+    """Extend a certificate u2 of the zero-eigenvalue system to the stacked rows.
+
+    u2 annihilates the zero-eigenvalue columns of the later constraints
+    and separates y - [a_D, x].  Every other column c it meets, with
+    s = u2 . A2[:, c], gets the weight -s / A1[r_c, c] on its first d_mu
+    row r_c, which no other column reaches; then u A = 0, and
+    u . b = u2 . (y - A2 a_D) != 0 because Delta(d_mu) = A1 a_D.
+    """
+    weights = dict(reduced)
+    for c, s in _left_product(space, constraints, reduced).items():
+        first = next(_support_rows(bracket(space.element(c), constraints[0][0])), None)
+        if first is not None:  # else c has eigenvalue zero, and the self-check fails
+            gamma, j, pivot = first
+            weights[(0, gamma, j)] = -s / pivot
+    return sorted(weights.items())
+
 
 def solve_inner(algebra: WittAlgebra, constraints: Sequence[Tuple[WittElement, WittElement]],
                 box: int) -> InnerSolveResult:
     """Find a in the box with [a, x_q] = y_q for every constraint pair.
 
-    All constraints go into one stacked linear system; rows are indexed
-    by (constraint, exponent, direction) so an inconsistency certificate
-    names the offending monomials.  Bracket outputs are never truncated,
-    so a solution commutes as required in the full algebra.
+    The first constraint must be the anchor (d_mu, Delta(d_mu)).  ad(d_mu)
+    is diagonal on the box basis, [t^alpha d, d_mu] = -(mu, alpha_{1..n})
+    t^alpha d, so the anchor fixes every coordinate of a with a nonzero
+    eigenvalue by one exact division, and fails at once when Delta(d_mu)
+    leaves the box or the variant's span or touches a zero-eigenvalue
+    pair.  The other constraints then form a small system on the
+    zero-eigenvalue columns, kept in box order, against y_q - [a_D, x_q],
+    a_D being the part of a the anchor fixed.
+
+    The answer is that of the system stacking every constraint over every
+    box column: its reduced row echelon form has a unit row for each
+    nonzero-eigenvalue column and the small system's rows on the rest,
+    so the particular solution (free columns zero), the canonical
+    homogeneous basis and the rank are the same.  Certificates are
+    indexed by that system's rows (constraint, exponent, direction).
+    Bracket outputs are never truncated, so a solution commutes as
+    required in the full algebra.  The result checks itself before it is
+    returned.
     """
     if not constraints:
         raise WittkitError("need at least one constraint")
-    space = TruncatedSpace(algebra, box)
-    triples: List[Tuple[ConstraintRow, int, Scalar]] = []
-    rhs_entries: Dict[ConstraintRow, Scalar] = {}
-    keys = set()
     for q, (x, y) in enumerate(constraints):
         if x.m != algebra.m or y.m != algebra.m:
             raise ArityMismatch(f"constraint {q} has rank {x.m}/{y.m}, ambient {algebra.m}")
-        for col in range(len(space)):
-            w = bracket(space.element(col), x)
-            for gamma, j, coeff in _support_rows(w):
-                key = (q, gamma, j)
-                keys.add(key)
-                triples.append((key, col, coeff))
-        for gamma, j, coeff in _support_rows(y):
-            key = (q, gamma, j)
-            keys.add(key)
-            rhs_entries[key] = coeff
-    ordered = sorted(keys)
-    row_of = {key: r for r, key in enumerate(ordered)}
-    matrix = ScalarMatrix(len(ordered), len(space), algebra.field.arity)
-    for key, col, coeff in triples:
-        matrix.add(row_of[key], col, coeff)
-    rhs = {row_of[key]: value for key, value in rhs_entries.items()}
-    outcome = matrix_solve(matrix, rhs)
-    if not outcome.consistent:
-        witness = [(ordered[r], u) for r, u in sorted(outcome.certificate.items())]
-        return InnerSolveResult(space, None, [], witness, outcome.rank)
-    solution = space.element_from_vector(outcome.solution)
-    homogeneous = [space.element_from_vector(v) for v in outcome.homogeneous]
-    return InnerSolveResult(space, solution, homogeneous, None, outcome.rank)
+    if constraints[0][0] != algebra.dmu():
+        raise WittkitError("the first constraint must be (d_mu, Delta(d_mu))")
+    space = TruncatedSpace(algebra, box)
+    arity = algebra.field.arity
+    zero_cols = [c for c, (alpha, _) in enumerate(space.basis) if not any(alpha[:algebra.n])]
+    columns: List[Dict[ConstraintRow, Scalar]] = [{} for _ in zero_cols]
+    for q, (x, _) in enumerate(constraints[1:], 1):
+        for column, c in zip(columns, zero_cols):
+            column.update(_keyed_rows(bracket(space.element(c), x), q))
+    nonzero = len(space) - len(zero_cols)
+    try:
+        coords = space.coordinates_of(constraints[0][1])
+    except PairOutsideBox:
+        coords = None
+    if coords is None or not set(coords).isdisjoint(zero_cols):
+        matrix, _, _ = _keyed_system(arity, columns, {})
+        certificate = _anchor_certificate(space, constraints[0][1])
+        result = InnerSolveResult(space, None, [], certificate, nonzero + matrix_rank(matrix))
+    else:
+        dmu = algebra.dmu_cartan()
+        vector = {c: value / -dmu.pairing(space.basis[c][0]) for c, value in coords.items()}
+        fixed = space.element_from_vector(vector)
+        rhs: Dict[ConstraintRow, Scalar] = {}
+        for q, (x, y) in enumerate(constraints[1:], 1):
+            rhs.update(_keyed_rows(y - bracket(fixed, x), q))
+        matrix, rhs_rows, keys = _keyed_system(arity, columns, rhs)
+        outcome = matrix_solve(matrix, rhs_rows)
+        rank = nonzero + outcome.rank
+        if outcome.consistent:
+            vector.update((zero_cols[k], value) for k, value in outcome.solution.items())
+            homogeneous = [space.element_from_vector({zero_cols[k]: s for k, s in v.items()})
+                           for v in outcome.homogeneous]
+            result = InnerSolveResult(space, space.element_from_vector(vector), homogeneous,
+                                      None, rank)
+        else:
+            reduced = {keys[r]: u for r, u in outcome.certificate.items()}
+            certificate = _lift_certificate(space, constraints, reduced)
+            result = InnerSolveResult(space, None, [], certificate, rank)
+    result.check(constraints)
+    return result
 
 
 def realize_in_span(algebra: WittAlgebra, span: Sequence[WittElement], x: WittElement,
@@ -234,18 +400,8 @@ def realize_in_span(algebra: WittAlgebra, span: Sequence[WittElement], x: WittEl
         return algebra.zero()
     if not span:
         return None
-    images = [bracket(b, x) for b in span]
-    keys = set()
-    for w in images:
-        keys.update((gamma, j) for gamma, j, _ in _support_rows(w))
-    keys.update((gamma, j) for gamma, j, _ in _support_rows(target))
-    ordered = sorted(keys)
-    row_of = {key: r for r, key in enumerate(ordered)}
-    matrix = ScalarMatrix(len(ordered), len(span), algebra.field.arity)
-    for col, w in enumerate(images):
-        for gamma, j, coeff in _support_rows(w):
-            matrix.add(row_of[(gamma, j)], col, coeff)
-    rhs = {row_of[(gamma, j)]: coeff for gamma, j, coeff in _support_rows(target)}
+    columns = [_keyed_rows(bracket(b, x), 0) for b in span]
+    matrix, rhs, _ = _keyed_system(algebra.field.arity, columns, _keyed_rows(target, 0))
     outcome = matrix_solve(matrix, rhs)
     if not outcome.consistent:
         return None
@@ -290,6 +446,36 @@ class RigidityReport:
     def passed(self) -> bool:
         return self.verdict == "inner"
 
+    def check(self, delta: PointwiseMap) -> None:
+        """Re-verify exactly against the probe table; SelfCheckFailed on any failure.
+
+        A certificate must satisfy u A = 0, u . b != 0 on the anchor rows.
+        Otherwise the records must follow the table, both anchors' residuals
+        must vanish, every realizer must commute with both anchors and
+        re-bracket to its residual, and the verdict must follow from which
+        residuals were realized.
+        """
+        algebra = self.algebra
+        anchors = [(z, delta.value_at(z)) for z in (algebra.dmu(), algebra.power_sum_dmu(1))]
+        problem = None
+        if self.verdict == "inconsistent":
+            problem = _certificate_problem(TruncatedSpace(algebra, self.box), anchors,
+                                           self.certificate or [])
+        elif [(rec.probe, rec.value) for rec in self.residuals] != delta.pairs:
+            problem = "the residuals do not follow the probe table"
+        elif any(not rec.residual.is_zero for rec in self.residuals
+                 if rec.probe in (anchors[0][0], anchors[1][0])):
+            problem = "the recovered a does not reproduce both anchors"
+        elif any(rec.realizer is not None
+                 and (bracket(rec.realizer, rec.probe) != rec.residual
+                      or any(not bracket(rec.realizer, z).is_zero for z, _ in anchors))
+                 for rec in self.residuals):
+            problem = "a realizer does not re-bracket to its residual from the centralizer"
+        elif self.passed != all(rec.passed for rec in self.residuals):
+            problem = f"verdict {self.verdict} disagrees with the residuals"
+        if problem is not None:
+            raise SelfCheckFailed(f"rigidity report: {problem}")
+
     def to_dict(self) -> Dict[str, object]:
         fmt = self.algebra.format
         out: Dict[str, object] = {
@@ -325,10 +511,11 @@ class RigidityReport:
 def rigidity_pipeline(delta: PointwiseMap, box: int) -> RigidityReport:
     """Decide whether a probe table is consistent with one inner map.
 
-    Stage one solves the stacked system [a, z] = Delta(z) over the two
-    anchors z = d_mu and (t_1+...+t_n)d_mu.  Stage two forms the
-    residual Delta(x) - [a, x] for every table entry and asks whether it
-    is realizable as [b, x] with b in the anchors' common centralizer.
+    Stage one solves [a, z] = Delta(z) over the two anchors z = d_mu and
+    (t_1+...+t_n)d_mu (`solve_inner`).  Stage two forms the residual
+    Delta(x) - [a, x] for every table entry and asks whether it is
+    realizable as [b, x] with b in the anchors' common centralizer.  The
+    report checks itself against the table before it is returned.
     """
     algebra = delta.algebra
     anchors = [algebra.dmu(), algebra.power_sum_dmu(1)]
@@ -338,19 +525,18 @@ def rigidity_pipeline(delta: PointwiseMap, box: int) -> RigidityReport:
     stacked = [(z, delta.value_at(z)) for z in anchors]
     inner = solve_inner(algebra, stacked, box)
     if not inner.consistent:
-        return RigidityReport("inconsistent", algebra, box, None, [], [], inner.certificate)
-    a = inner.solution
-    ambiguity = inner.homogeneous
-    residuals: List[ResidualRecord] = []
-    clean = True
-    for x, dx in delta:
-        r = dx - bracket(a, x)
-        realizer = realize_in_span(algebra, ambiguity, x, r)
-        if realizer is None:
-            clean = False
-        residuals.append(ResidualRecord(x, dx, r, realizer))
-    verdict = "inner" if clean else "obstructed"
-    return RigidityReport(verdict, algebra, box, a, ambiguity, residuals, None)
+        report = RigidityReport("inconsistent", algebra, box, None, [], [], inner.certificate)
+    else:
+        a = inner.solution
+        ambiguity = inner.homogeneous
+        residuals: List[ResidualRecord] = []
+        for x, dx in delta:
+            r = dx - bracket(a, x)
+            residuals.append(ResidualRecord(x, dx, r, realize_in_span(algebra, ambiguity, x, r)))
+        verdict = "inner" if all(rec.passed for rec in residuals) else "obstructed"
+        report = RigidityReport(verdict, algebra, box, a, ambiguity, residuals, None)
+    report.check(delta)
+    return report
 
 
 # ----------------------------------------------------------------------

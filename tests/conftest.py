@@ -1,0 +1,83 @@
+"""Shared oracles: the stacked anchor system and the certificate property.
+
+Both are rebuilt here from `bracket` over every column of the degree
+box, independently of how `solve_inner` organises its own solve.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from wittkit import ScalarMatrix, TruncatedSpace, bracket
+
+
+def _support_rows(w):
+    for gamma, cartan in w.support.items():
+        for j, coeff in enumerate(cartan.coeffs):
+            if not coeff.is_zero:
+                yield gamma, j, coeff
+
+
+def build_stacked_system(algebra, constraints, box):
+    """(matrix, rhs, row keys) of [a, x_q] = y_q over the whole box.
+
+    Rows are the sorted (constraint, exponent, direction) keys that some
+    column or right-hand side reaches; columns follow the box basis.
+    """
+    space = TruncatedSpace(algebra, box)
+    entries = []
+    rhs_entries = {}
+    for q, (x, y) in enumerate(constraints):
+        for col in range(len(space)):
+            for gamma, j, coeff in _support_rows(bracket(space.element(col), x)):
+                entries.append(((q, gamma, j), col, coeff))
+        for gamma, j, coeff in _support_rows(y):
+            rhs_entries[(q, gamma, j)] = coeff
+    keys = sorted({key for key, _, _ in entries} | set(rhs_entries))
+    row_of = {key: r for r, key in enumerate(keys)}
+    matrix = ScalarMatrix(len(keys), len(space), algebra.field.arity)
+    for key, col, coeff in entries:
+        matrix.add(row_of[key], col, coeff)
+    rhs = {row_of[key]: value for key, value in rhs_entries.items()}
+    return matrix, rhs, keys
+
+
+def check_certificate(algebra, constraints, box, certificate):
+    """None when u A = 0 and u . b != 0 over the whole box, else the reason.
+
+    `certificate` is a list of ((q, gamma, j), weight) rows.
+    """
+    if not certificate:
+        return "empty certificate"
+    keys = [key for key, _ in certificate]
+    if len(set(keys)) != len(keys):
+        return "a row is listed twice"
+    space = TruncatedSpace(algebra, box)
+    zero = algebra.field.zero()
+    for col in range(len(space)):
+        total = zero
+        images = {}
+        for (q, gamma, j), weight in certificate:
+            if q not in images:
+                images[q] = bracket(space.element(col), constraints[q][0])
+            entry = images[q].coefficient(gamma, j)
+            if not entry.is_zero:
+                total = total + weight * entry
+        if not total.is_zero:
+            return f"u A != 0 at column {col}"
+    ub = zero
+    for (q, gamma, j), weight in certificate:
+        entry = constraints[q][1].coefficient(gamma, j)
+        if not entry.is_zero:
+            ub = ub + weight * entry
+    return "u . b == 0" if ub.is_zero else None
+
+
+@pytest.fixture
+def stacked_system():
+    return build_stacked_system
+
+
+@pytest.fixture
+def certificate_holds():
+    return check_certificate

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from wittkit.cli import main
+from wittkit.cli import build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -125,6 +125,34 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, ["parse", "--arity", "2", "t9*d1"])
     assert code == 2
     assert "parse error" in err
+
+
+def test_deep_nesting_is_parse_error(capsys):
+    text = "(" * 3000 + "t1*d1" + ")" * 3000
+    code, out, err = run_cli(capsys, ["parse", "--arity", "2", text])
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err and "nested deeper" in err
+
+
+def test_cached_parser_matches_fresh_processes(capsys):
+    calls = [
+        ["verify", "--arity", "2", "lemma2.2"],  # usage error: --k is missing
+        ["bracket", "--arity", "1", "--format", "json", "t1^-1*d1", "t1*d1"],
+        ["verify", "--arity", "2", "--k", "3", "--format", "json", "lemma3.3"],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    fresh = [subprocess.run([sys.executable, "-m", "wittkit", *argv], capture_output=True,
+                            text=True, check=False, timeout=60) for argv in calls]
+    assert in_process == [(done.returncode, done.stdout) for done in fresh]
+    assert [code for code, _ in in_process] == [2, 0, 0]
+    assert build_parser() is build_parser()
 
 
 def test_unknown_variant_is_usage_error(capsys):

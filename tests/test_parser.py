@@ -15,6 +15,7 @@ from wittkit import (
     parse_element,
     parse_scalar,
 )
+from wittkit.parsing import MAX_NESTING
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
 WMU = WittAlgebra(AlgebraVariant.wnmu(2))
@@ -123,3 +124,16 @@ def test_parse_then_bracket_matches_constructed():
         W2.monomial((0, 1), 2),
     )
     assert bracket(x, y) == built
+
+
+def test_nesting_depth_is_capped():
+    deepest = "(" * MAX_NESTING + "t1" + ")" * MAX_NESTING + "*d1"
+    assert parse_element(deepest, W2) == W2.monomial((1, 0), 1)
+    too_deep = "(" * (MAX_NESTING + 1) + "t1" + ")" * (MAX_NESTING + 1) + "*d1"
+    for text in (too_deep, "(" * 3000 + "t1*d1" + ")" * 3000):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_element(text, W2)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_scalar("(" * 3000 + "mu1" + ")" * 3000, W2.field)
+    # unary minus signs are counted, not recursed into
+    assert parse_scalar("-" * 3001 + "mu1", W2.field) == -W2.field.mu(1)

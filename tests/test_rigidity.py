@@ -6,18 +6,23 @@ import random
 
 import pytest
 
+import wittkit.rigidity as rigidity
 from wittkit import (
     AlgebraVariant,
     BoxLinearMap,
     MissingProbe,
     PointwiseMap,
+    SelfCheckFailed,
     TruncatedSpace,
     WittAlgebra,
+    WittkitError,
     bracket,
     leibniz_check,
     lemma_3_3_obstruction,
+    parse_element,
     realize_in_span,
     rigidity_pipeline,
+    solve,
     solve_inner,
     verify_lemma_3_2,
     verify_lemma_3_3,
@@ -81,6 +86,110 @@ def test_solve_inner_recovers_generator():
         result = solve_inner(W2, constraints, box=2)
         assert result.consistent
         assert result.solution == b
+
+
+VARIANTS = {
+    "wn": AlgebraVariant.wn(2),
+    "wnplus": AlgebraVariant.wnplus(2),
+    "wnplusplus": AlgebraVariant.wnplusplus(2),
+    "wnmu": AlgebraVariant.wnmu(2),
+    "winf": AlgebraVariant.winf(2, 3),
+}
+
+
+def anchor_constraints(algebra, b):
+    return [(z, bracket(b, z)) for z in (algebra.dmu(), algebra.power_sum_dmu(1))]
+
+
+@pytest.mark.parametrize("box", [1, 2])
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_solve_inner_matches_stacked_solve(stacked_system, name, box):
+    # against the generic solve of the system stacking every constraint
+    # over every box column; box 1 adds a random probe to the anchors (at
+    # box 2 that makes the stacked winf solve alone take seconds)
+    algebra = WittAlgebra(VARIANTS[name])
+    rng = random.Random(f"{name}:{box}")
+    b = algebra.random_element(rng, box=box)
+    constraints = anchor_constraints(algebra, b)
+    if box == 1:
+        x = algebra.random_element(rng, box=box)
+        constraints.append((x, bracket(b, x)))
+    result = solve_inner(algebra, constraints, box)
+    matrix, rhs, _ = stacked_system(algebra, constraints, box)
+    oracle = solve(matrix, rhs)
+    space = TruncatedSpace(algebra, box)
+    assert result.consistent and oracle.consistent
+    assert result.solution == space.element_from_vector(oracle.solution)
+    assert result.homogeneous == [space.element_from_vector(v) for v in oracle.homogeneous]
+    assert result.rank == oracle.rank
+
+
+# name -> (variant, box, perturbed anchor, term added to its value, certificate rows)
+INCONSISTENT = {
+    "cartan-in-dmu": ("wn", 2, 0, "2*d1", 1),
+    "outside-wnplus": ("wnplus", 1, 0, "t1^-1*d2", 1),
+    "off-line-wnmu": ("wnmu", 2, 0, "t1*d1", 2),
+    "out-of-box": ("wn", 1, 1, "t1^3*d2", 1),
+    "in-reach": ("wn", 2, 1, "t1^2*dmu", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT))
+def test_solve_inner_certificates(stacked_system, certificate_holds, case):
+    name, box, anchor, extra, size = INCONSISTENT[case]
+    algebra = WittAlgebra(VARIANTS[name])
+    b = algebra.random_element(random.Random(case), box=box)
+    constraints = anchor_constraints(algebra, b)
+    x, y = constraints[anchor]
+    constraints[anchor] = (x, y + parse_element(extra, algebra))
+    result = solve_inner(algebra, constraints, box)
+    matrix, rhs, _ = stacked_system(algebra, constraints, box)
+    oracle = solve(matrix, rhs)
+    assert not result.consistent and not oracle.consistent
+    assert result.rank == oracle.rank
+    assert certificate_holds(algebra, constraints, box, result.certificate) is None
+    if size is not None:
+        assert len(result.certificate) == size
+        assert {q for (q, _, _), _ in result.certificate} == {anchor}
+
+
+def test_solve_inner_requires_dmu_anchor_first():
+    constraints = anchor_constraints(W2, W2.d(1))
+    with pytest.raises(WittkitError, match="first constraint"):
+        solve_inner(W2, constraints[::-1], box=1)
+
+
+def test_self_check_rejects_corrupted_solution(monkeypatch):
+    def corrupted(matrix, rhs):
+        outcome = solve(matrix, rhs)
+        outcome.solution[0] = W2.field.one()
+        return outcome
+
+    monkeypatch.setattr(rigidity, "matrix_solve", corrupted)
+    with pytest.raises(SelfCheckFailed, match="solve_inner"):
+        solve_inner(W2, anchor_constraints(W2, W2.monomial((1, 0), 2)), box=1)
+
+
+def test_self_check_rejects_corrupted_certificate(monkeypatch):
+    wmu = WittAlgebra(VARIANTS["wnmu"])
+    honest = rigidity._anchor_certificate
+
+    def corrupted(space, value):
+        (key, u), *rest = honest(space, value)
+        return [(key, u + u), *rest]
+
+    monkeypatch.setattr(rigidity, "_anchor_certificate", corrupted)
+    constraints = anchor_constraints(wmu, wmu.zero())
+    constraints[0] = (wmu.dmu(), parse_element("t1*d1", wmu))
+    with pytest.raises(SelfCheckFailed, match="annihilate"):
+        solve_inner(wmu, constraints, box=1)
+
+
+def test_self_check_rejects_wrong_realizer(monkeypatch):
+    monkeypatch.setattr(rigidity, "realize_in_span", lambda algebra, span, x, target: algebra.d(1))
+    delta = PointwiseMap.from_inner(W2, W2.d(2), standard_probes(W2, random.Random(5), count=2))
+    with pytest.raises(SelfCheckFailed, match="realizer"):
+        rigidity_pipeline(delta, box=1)
 
 
 def test_realize_in_span():
