@@ -23,12 +23,16 @@ of the original rows with u A = 0 but u . b != 0.
 
 Specializing the mu parameters at a rational point and reducing mod a
 prime can only lower the rank, so the rank over F_p is a certified lower
-bound for the generic rank; callers combine it with explicitly verified
-kernel members to pin kernels exactly without symbolic elimination.
-`rank_mod_p` is that rank on rows already reduced to residues, split
-into connected components; `modular_rank` feeds it a ScalarMatrix
-evaluated entry by entry, and the centralizer verifiers feed it rows
-built over F_p directly from structure constants.
+bound for the generic rank.  `kernel` and `rank` use it first on every
+component: a component whose F_p rank is already min(rows, cols) has
+that rank over Q(mu), and with full column rank no kernel, so it skips
+symbolic elimination; any other component is eliminated as before.
+Callers also combine the bound with explicitly verified kernel members
+to pin kernels exactly without symbolic elimination.  `rank_mod_p` is
+that rank on rows already reduced to residues, split into connected
+components; `modular_rank` feeds it a ScalarMatrix evaluated entry by
+entry, and the centralizer verifiers feed it rows built over F_p
+directly from structure constants.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import LengthMismatch
+from .errors import DenominatorVanishes, LengthMismatch
 from .scalars import MuPolynomial, Scalar, _frac_gcd, poly_gcd
 
 KernelVector = Dict[int, Scalar]
@@ -129,22 +133,6 @@ def specialization_points(arity: int, bound: int, tries: int = 3) -> List[Tuple[
     ]
 
 
-def specialize(matrix: ScalarMatrix, values: Sequence[Fraction]) -> ScalarMatrix:
-    """Evaluate every entry at a rational point; the result has arity 0.
-
-    Raises DenominatorVanishes when an entry's denominator dies at the
-    point.  Rank of the result never exceeds the generic rank.
-    """
-    out = ScalarMatrix(matrix.nrows, matrix.ncols, 0)
-    for r, row in enumerate(matrix.rows):
-        target = out.rows[r]
-        for c, s in row.items():
-            v = s.evaluate(values)
-            if v:
-                target[c] = Scalar.from_fraction(0, v)
-    return out
-
-
 def scalar_mod_p(value: Scalar, values: Sequence[Fraction], prime: int) -> int:
     """Residue mod `prime` of a scalar evaluated at a rational point.
 
@@ -159,22 +147,21 @@ def scalar_mod_p(value: Scalar, values: Sequence[Fraction], prime: int) -> int:
 
 
 def _modular_rank_block(rows: List[Dict[int, int]], prime: int) -> int:
-    """Forward elimination over F_prime, sparsest pivot column first."""
+    """Forward elimination over F_prime, sparsest pivot column first.
+
+    `col_rows` holds, per column, the rows not yet used as pivots that
+    have an entry there: a retired pivot row leaves every column's set
+    and a column whose set empties is dropped, so the pivot search reads
+    set sizes without intersecting.
+    """
     col_rows: Dict[int, set] = {}
     for r, row in enumerate(rows):
         for c in row:
             col_rows.setdefault(c, set()).add(r)
-    active = set(range(len(rows)))
     count = 0
-    while True:
-        best = None
-        for c, holders in col_rows.items():
-            live = holders & active
-            if live and (best is None or (len(live), c) < best[0]):
-                best = ((len(live), c), c, live)
-        if best is None:
-            return count
-        _, pc, live = best
+    while col_rows:
+        _, pc = min((len(holders), c) for c, holders in col_rows.items())
+        live = col_rows[pc]
         pr = min(live, key=lambda r: (len(rows[r]), r))
         pivot_row = rows[pr]
         inv = pow(pivot_row[pc], -1, prime)
@@ -189,9 +176,18 @@ def _modular_rank_block(rows: List[Dict[int, int]], prime: int) -> int:
                     target[c] = acc
                 elif c in target:
                     del target[c]
-                    col_rows[c].discard(r)
-        active.discard(pr)
+                    _leave(col_rows, c, r)
+        for c in pivot_row:
+            _leave(col_rows, c, pr)
         count += 1
+    return count
+
+
+def _leave(col_rows: Dict[int, set], c: int, r: int) -> None:
+    holders = col_rows[c]
+    holders.discard(r)
+    if not holders:
+        del col_rows[c]
 
 
 def rank_mod_p(rows: Sequence[Dict[int, int]], ncols: int, prime: int = MODULUS) -> int:
@@ -214,15 +210,21 @@ def modular_rank(matrix: ScalarMatrix, values: Sequence[Fraction],
     Raises DenominatorVanishes at a bad point and ValueError when a
     denominator is divisible by the modulus.
     """
+    return rank_mod_p(_rows_mod_p(matrix.rows, values, prime), matrix.ncols, prime)
+
+
+def _rows_mod_p(rows: Sequence[Dict[int, Scalar]], values: Sequence[Fraction],
+                prime: int) -> List[Dict[int, int]]:
+    """The rows' nonzero residues at a rational point (errors as scalar_mod_p)."""
     reduced: List[Dict[int, int]] = []
-    for row in matrix.rows:
+    for row in rows:
         out: Dict[int, int] = {}
         for c, s in row.items():
             v = scalar_mod_p(s, values, prime)
             if v:
                 out[c] = v
         reduced.append(out)
-    return rank_mod_p(reduced, matrix.ncols, prime)
+    return reduced
 
 
 # ----------------------------------------------------------------------
@@ -493,6 +495,35 @@ def _kernel_from_rref(rref: List[Tuple[int, Dict[int, Scalar]]], cols: Sequence[
     return vectors
 
 
+# Why a full rank mod p is the generic rank of a component.  Let A be
+# the component over Q(mu), of rank r <= min(rows, cols).  Evaluating at
+# a point where no entry has a pole is a ring map, so each minor of A at
+# the point is the value of that minor of A: a minor that is zero over
+# Q(mu) stays zero, and the rank can only drop.  Reducing mod p is again
+# a ring map on the values, whose denominators are prime to p, and can
+# again only drop the rank.  So the F_p rank r0 satisfies r0 <= r, and
+# r0 = min(rows, cols) forces r = r0; with r0 = cols the kernel is zero.
+# This holds at every point where the entries evaluate.  A point with a
+# pole, or a value whose denominator p divides, proves nothing and the
+# next is tried; the first that evaluates decides, and a rank short of
+# full leaves the component to symbolic elimination, so the answer never
+# depends on this check.  Geometric points for bound 8 keep integer
+# linear forms in mu with coefficients in [-8, 8] nonzero.
+_CHECK_BOUND = 8
+
+
+def _full_rank_mod_p(matrix: ScalarMatrix, row_idx: List[int], cols: List[int]) -> bool:
+    """True when the component provably has rank min(rows, cols) over Q(mu)."""
+    component = [matrix.rows[r] for r in row_idx]
+    for point in specialization_points(matrix.arity, _CHECK_BOUND):
+        try:
+            rows = _rows_mod_p(component, point, MODULUS)
+        except (DenominatorVanishes, ValueError):
+            continue
+        return _modular_rank_block(rows, MODULUS) == min(len(row_idx), len(cols))
+    return False
+
+
 def _reduce_component(matrix: ScalarMatrix, row_idx: List[int],
                       cols: List[int]) -> List[Tuple[int, Dict[int, Scalar]]]:
     # Rational entries never grow, so field mode is safe at any size.
@@ -513,6 +544,9 @@ def kernel(matrix: ScalarMatrix) -> List[KernelVector]:
     one = Scalar.one(matrix.arity)
     tagged: List[Tuple[int, KernelVector]] = [(c, {c: one}) for c in zero_cols]
     for row_idx, cols in components:
+        # Fewer rows than columns always leave a kernel.
+        if len(row_idx) >= len(cols) and _full_rank_mod_p(matrix, row_idx, cols):
+            continue
         rref = _reduce_component(matrix, row_idx, cols)
         tagged.extend(_kernel_from_rref(rref, cols, matrix.arity))
     tagged.sort(key=lambda item: item[0])
@@ -523,7 +557,10 @@ def rank(matrix: ScalarMatrix) -> int:
     components, _ = _split_components(matrix.rows, matrix.ncols)
     total = 0
     for row_idx, cols in components:
-        total += len(_reduce_component(matrix, row_idx, cols))
+        if _full_rank_mod_p(matrix, row_idx, cols):
+            total += min(len(row_idx), len(cols))
+        else:
+            total += len(_reduce_component(matrix, row_idx, cols))
     return total
 
 

@@ -88,9 +88,19 @@ def _d_index(text: str) -> Optional[int]:
     return None
 
 
+def _times(c: Scalar, fc: Scalar) -> Scalar:
+    # Most factors carry a unit coefficient; Scalars are immutable, so the
+    # other side can be reused as the product.
+    if fc.is_one():
+        return c
+    if c.is_one():
+        return fc
+    return c * fc
+
+
 def _merge(parts: _Parts, factors: _Parts) -> _Parts:
     return [
-        (c * fc, tuple(a + b for a, b in zip(exp, fexp)))
+        (_times(c, fc), tuple(a + b for a, b in zip(exp, fexp)))
         for c, exp in parts
         for fc, fexp in factors
     ]

@@ -466,6 +466,10 @@ class WittAlgebra:
     def member(self, x: WittElement) -> bool:
         if x.m != self.m:
             return False
+        # In wnmu a Cartan part is on the d_mu line iff every 2x2 minor
+        # c_i mu_j - c_j mu_i vanishes; other variants have no pairs to test.
+        mu = self.dmu_cartan().coeffs if self.variant.kind is VariantKind.WN_MU else ()
+        pairs = [(i, j) for i in range(len(mu)) for j in range(i + 1, len(mu))]
         for alpha, cartan in x.support.items():
             if not exponent_in_variant(self.variant, alpha):
                 return False
@@ -473,10 +477,9 @@ class WittAlgebra:
                 i = alpha.index(-1)
                 if any(not c.is_zero for j, c in enumerate(cartan.coeffs) if j != i):
                     return False
-            if self.variant.kind is VariantKind.WN_MU:
-                if proportional(WittElement(self.m, {alpha: cartan}),
-                                WittElement(self.m, {alpha: self.dmu_cartan()})) is None:
-                    return False
+            c = cartan.coeffs
+            if any(c[i] * mu[j] != c[j] * mu[i] for i, j in pairs):
+                return False
         return True
 
     # -- random sampling ----------------------------------------------

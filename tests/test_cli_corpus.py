@@ -37,6 +37,15 @@ COMMANDS = {
     "parse": ["parse", "--arity", "2", "(t1 + mu2*t2^-1)*dmu - 1/3*t1*d2"],
     "bracket": ["bracket", "--arity", "2", "t1^2*t2^-1*d1", "(t1^3 + t2^3)*dmu"],
     "centralize": ["centralize", "--arity", "2", "--box", "1", "(t1 + t2)*dmu"],
+    # every component of full column rank
+    "centralize-full-rank": ["centralize", "--arity", "2", "--box", "2",
+                             "(t1^3 + t2^3)*dmu + 2*t1*t2^-1*d1"],
+    # one 18-column component with a kernel
+    "centralize-kernel-component": ["centralize", "--arity", "2", "--box", "1",
+                                    "(t1 + t2)*dmu + 3*t1*t2^-1*d1"],
+    # full-rank components beside one with a kernel
+    "centralize-mixed": ["centralize", "--arity", "2", "--box", "2",
+                         "(t1^2 + t2^2)*dmu + 2*t1*t2^-1*d1"],
     "lemma2.2": ["verify", "--arity", "2", "--k", "2", "lemma2.2"],
     "lemma3.2": ["verify", "--arity", "2", "lemma3.2", "t1*d1 + t1*t2*d2"],
     "lemma3.3": ["verify", "--arity", "2", "--k", "3", "lemma3.3"],
@@ -50,10 +59,16 @@ COMMANDS = {
     "fuzz": ["fuzz", "--arity", "2", "--count", "20", "--seed", "3", "jacobi"],
 }
 
-# Recorded before the diagonal-anchor solve replaced the stacked one.
+# Recorded before the diagonal-anchor solve replaced the stacked one; the
+# three centralize-* digests before the full-rank check mod p was added to
+# kernel and rank.
 DIGESTS = {
     "bracket": "5a77a4748307d9e99ac9ac83a191e603b11502e52628276793a7b43fc95a09ac",
     "centralize": "dfb8bf8687ea6d9ca881050f861da5ea3a624cfaacff3b5328702654df0029b7",
+    "centralize-full-rank": "9f296ad12496ebd1673050cea8d661b0bc089f679bd6912650bf3b2639b31b26",
+    "centralize-kernel-component":
+        "3afbef0876a26bd969624e5c34eb2f9f763e1ca7ff4490f09ac8786e9350b135",
+    "centralize-mixed": "32b29042d318817c31e4c7970c5d6d775883f5db25229d866b89ff89302e1aeb",
     "fuzz": "2bf06ad964379730fbf56b05184464a780920fe3e98ab90a7521b5bb20056fbd",
     "lemma2.2": "827213e1ef22facf8869014e61d2da8cf5f7c5d91534ae4fe0a2ce4d261f1e5e",
     "lemma3.2": "41ab86e9ca1cbab5647283b1d399413a427c959cc6f4c180af711fa674aca2bc",

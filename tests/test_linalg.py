@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from wittkit import (
+    DenominatorVanishes,
     Scalar,
     ScalarField,
     ScalarMatrix,
@@ -14,8 +17,9 @@ from wittkit import (
     rank,
     solve,
     specialization_points,
-    specialize,
 )
+from wittkit import linalg
+from wittkit.linalg import MODULUS, _full_rank_mod_p, _modular_rank_block, rank_mod_p
 
 F2 = ScalarField(2)
 
@@ -191,8 +195,8 @@ def test_specialized_rank_bounds_symbolic_rank():
                     matrix.add(r, c, coeff * (f1.mu(1) if rng.random() < 0.5 else f1.one()))
         symbolic = rank(matrix)
         for point in specialization_points(1, bound=6):
-            assert rank(specialize(matrix, point)) <= symbolic
             assert modular_rank(matrix, point) <= symbolic
+            assert modular_rank(matrix, point, prime=101) <= symbolic
 
 
 def test_modular_rank_certifies_generic_case():
@@ -201,12 +205,196 @@ def test_modular_rank_certifies_generic_case():
     assert rank(matrix) == 2
     point = specialization_points(2, bound=2)[0]
     assert modular_rank(matrix, point) == 2
-    assert rank(specialize(matrix, point)) == 2
+    assert modular_rank(matrix, point, prime=101) == 2
 
 
 def test_rank_drops_at_degenerate_point():
     mu1, mu2 = F2.mu(1), F2.mu(2)
     matrix = build([(0, 0, mu1 - mu2)], 1, 1)
     assert rank(matrix) == 1
-    assert rank(specialize(matrix, (Fraction(3), Fraction(3)))) == 0
     assert modular_rank(matrix, (Fraction(3), Fraction(3))) == 0
+    assert modular_rank(matrix, (Fraction(3), Fraction(3)), prime=101) == 0
+
+
+# ----------------------------------------------------------------------
+# The F_p pivot search against the implementation it replaced, which
+# intersected every column's row set with the active rows at every step.
+
+
+def _rank_block_by_intersection(rows, prime):
+    col_rows = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(r)
+    active = set(range(len(rows)))
+    count = 0
+    while True:
+        best = None
+        for c, holders in col_rows.items():
+            live = holders & active
+            if live and (best is None or (len(live), c) < best[0]):
+                best = ((len(live), c), c, live)
+        if best is None:
+            return count
+        _, pc, live = best
+        pr = min(live, key=lambda r: (len(rows[r]), r))
+        pivot_row = rows[pr]
+        inv = pow(pivot_row[pc], -1, prime)
+        for r in live - {pr}:
+            target = rows[r]
+            factor = target[pc] * inv % prime
+            for c, v in pivot_row.items():
+                acc = (target.get(c, 0) - factor * v) % prime
+                if acc:
+                    if c not in target:
+                        col_rows.setdefault(c, set()).add(r)
+                    target[c] = acc
+                elif c in target:
+                    del target[c]
+                    col_rows[c].discard(r)
+        active.discard(pr)
+        count += 1
+
+
+@pytest.mark.parametrize("prime", [3, 7, MODULUS])
+def test_rank_mod_p_matches_intersecting_search(prime):
+    rng = random.Random(prime)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 14), rng.randrange(1, 14)
+        density = rng.choice([0.1, 0.25, 0.5])
+        rows = [{c: rng.randrange(1, prime) for c in range(ncols) if rng.random() < density}
+                for _ in range(nrows)]
+        if rng.random() < 0.5 and nrows > 1:
+            # a row that is a combination of two others
+            a, b = rng.sample(range(nrows), 2)
+            combo = {}
+            for c in set(rows[a]) | set(rows[b]):
+                v = (rows[a].get(c, 0) + 2 * rows[b].get(c, 0)) % prime
+                if v:
+                    combo[c] = v
+            rows.append(combo)
+        expected = _rank_block_by_intersection([dict(row) for row in rows], prime)
+        assert rank_mod_p(rows, ncols, prime) == expected
+        assert _modular_rank_block([dict(row) for row in rows], prime) == expected
+
+
+# ----------------------------------------------------------------------
+# kernel and rank with the full-rank check against the same calls with the
+# check declining, so that every component is eliminated symbolically.
+
+
+@pytest.fixture
+def check_results(monkeypatch):
+    """Record what the full-rank check answered, component by component."""
+    answers = []
+
+    def spy(matrix, row_idx, cols):
+        answer = _full_rank_mod_p(matrix, row_idx, cols)
+        answers.append((len(row_idx), len(cols), answer))
+        return answer
+
+    monkeypatch.setattr(linalg, "_full_rank_mod_p", spy)
+    return answers
+
+
+def symbolic_only(monkeypatch, matrix):
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_full_rank_mod_p", lambda *args: False)
+        return kernel(matrix), rank(matrix)
+
+
+def _random_entry(rng, arity):
+    value = Scalar.from_fraction(arity, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                                 rng.randrange(1, 4)))
+    if arity == 0:
+        return value
+    return value * rng.choice([F2.one(), F2.mu(1), F2.mu(2), F2.mu(1) + F2.mu(2)])
+
+
+def planted_matrix(rng, arity, blocks, density=0.3):
+    """Block-diagonal matrix; a block (rows, cols, planted) ends in `planted`
+    columns that are combinations of its other columns."""
+    matrix = ScalarMatrix(sum(b[0] for b in blocks), sum(b[1] for b in blocks), arity)
+    r0 = c0 = 0
+    for brows, bcols, planted in blocks:
+        free = bcols - planted
+        weights = [[_random_entry(rng, arity) for _ in range(free)] for _ in range(planted)]
+        for i in range(brows):
+            # a chain through the free columns keeps the block connected
+            row = {j: _random_entry(rng, arity) for j in range(free)
+                   if j in (i % free, (i + 1) % free) or rng.random() < density}
+            for k, ws in enumerate(weights):
+                row[free + k] = sum((ws[j] * row[j] for j in range(free) if j in row),
+                                    Scalar.zero(arity))
+            for j, v in row.items():
+                matrix.add(r0 + i, c0 + j, v)
+        r0 += brows
+        c0 += bcols
+    return matrix
+
+
+@pytest.mark.parametrize("arity", [0, 2])
+def test_check_keeps_kernel_and_rank(monkeypatch, check_results, arity):
+    rng = random.Random(400 + arity)
+    for _ in range(6):
+        blocks = [(rng.randrange(2, 6), rng.randrange(2, 5), 0) for _ in range(3)]
+        blocks += [(rng.randrange(3, 6), rng.randrange(3, 5), rng.randrange(1, 3))
+                   for _ in range(2)]
+        rng.shuffle(blocks)
+        matrix = planted_matrix(rng, arity, blocks)
+        vectors = kernel(matrix)
+        assert (vectors, rank(matrix)) == symbolic_only(monkeypatch, matrix)
+        assert len(vectors) >= sum(b[2] for b in blocks)
+        for vec in vectors:
+            assert is_zero_vector(matrix.apply(vec))
+    # both outcomes happened: full-rank blocks skipped, planted ones eliminated
+    assert {answer for _, _, answer in check_results} == {True, False}
+
+
+def test_check_keeps_fraction_free_kernel(monkeypatch, check_results):
+    rng = random.Random(77)
+    assert 13 > linalg.FIELD_MODE_MAX_COLS  # so both blocks go fraction-free
+    matrix = planted_matrix(rng, 2, [(13, 13, 0), (14, 13, 1), (3, 2, 0)], density=0.0)
+    vectors = kernel(matrix)
+    assert (vectors, rank(matrix)) == symbolic_only(monkeypatch, matrix)
+    assert len(vectors) >= 1
+    assert (13, 13, True) in check_results and (14, 13, False) in check_results
+
+
+def test_check_declines_when_rank_drops_at_first_point(monkeypatch, check_results):
+    mu1, mu2 = F2.mu(1), F2.mu(2)
+    assert specialization_points(2, linalg._CHECK_BOUND)[0][0] == 1
+    # mu1 - 1 vanishes at every geometric point, and the first point decides
+    matrix = build([(0, 0, mu1 - 1), (1, 1, mu2), (1, 2, mu1), (2, 2, mu2)], 3, 3)
+    assert kernel(matrix) == [] and rank(matrix) == 3
+    assert (kernel(matrix), rank(matrix)) == symbolic_only(monkeypatch, matrix)
+    assert (1, 1, False) in check_results and (2, 2, True) in check_results
+
+
+def test_check_skips_a_pole_at_the_first_point(monkeypatch):
+    mu1, mu2 = F2.mu(1), F2.mu(2)
+    first, second = specialization_points(2, linalg._CHECK_BOUND)[:2]
+    matrix = build([(0, 0, 1 / (mu2 - first[1])), (0, 1, mu1), (1, 1, mu2)], 2, 2)
+    assert _full_rank_mod_p(matrix, [0, 1], [0, 1])
+    with pytest.raises(DenominatorVanishes):
+        modular_rank(matrix, first)
+    assert modular_rank(matrix, second) == 2
+    assert (kernel(matrix), rank(matrix)) == ([], 2) == symbolic_only(monkeypatch, matrix)
+
+
+def test_check_declines_when_no_point_evaluates(monkeypatch):
+    mu1 = F2.mu(1)
+    pole_everywhere = build([(0, 0, 1 / (mu1 - 1))], 1, 1)
+    modulus_in_denominator = build([(0, 0, F2.from_fraction(Fraction(1, MODULUS)))], 1, 1)
+    for matrix in (pole_everywhere, modulus_in_denominator):
+        assert not _full_rank_mod_p(matrix, [0], [0])
+        assert (kernel(matrix), rank(matrix)) == ([], 1) == symbolic_only(monkeypatch, matrix)
+
+
+def test_check_skips_wide_components_in_kernel(monkeypatch, check_results):
+    mu1, mu2 = F2.mu(1), F2.mu(2)
+    matrix = build([(0, 0, mu1), (0, 1, mu2), (0, 2, F2.one()), (1, 1, mu1), (1, 2, mu2)], 2, 3)
+    vectors = kernel(matrix)
+    assert len(vectors) == 1 and check_results == []
+    assert rank(matrix) == 2 and check_results == [(2, 3, True)]
+    assert (vectors, 2) == symbolic_only(monkeypatch, matrix)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from wittkit import (
+    MU_DIRECTION,
     AlgebraVariant,
     CartanElement,
     WittAlgebra,
@@ -100,6 +101,31 @@ def test_variant_membership():
     # W_n^{++}: nonnegative exponents only
     assert plusplus.member(plusplus.monomial((0, 2), 1))
     assert not plusplus.member(plusplus.monomial((-1, 0), 1))
+
+
+def test_wnmu_membership_agrees_with_proportional():
+    rng = random.Random(808)
+    seen = set()
+    for n in (1, 2, 3):
+        algebra = WittAlgebra(AlgebraVariant.wnmu(n))
+        field, dmu = algebra.field, algebra.dmu_cartan()
+        scalars = [field.from_int(2), field.from_fraction(Fraction(-3, 5)), field.mu(1),
+                   field.mu(n) + field.from_int(1), field.from_int(1) / (field.mu(1) + 2)]
+        for _ in range(40):
+            alpha = tuple(rng.randrange(-2, 3) for _ in range(n))
+            cartan = dmu.scale(rng.choice(scalars))
+            if rng.random() < 0.5:
+                # move one coordinate off the line (or, by chance, keep it)
+                coeffs = list(cartan.coeffs)
+                coeffs[rng.randrange(n)] += rng.choice(scalars + [field.zero()])
+                cartan = CartanElement(coeffs)
+            x = WittElement(n, {alpha: cartan})
+            on_line = proportional(x, WittElement(n, {alpha: dmu})) is not None
+            assert algebra.member(x) == on_line
+            y = x + algebra.pair_element(tuple(-a for a in alpha), MU_DIRECTION)
+            assert algebra.member(y) == on_line
+            seen.add(on_line)
+    assert seen == {True, False}
 
 
 def test_closure_under_bracket():
