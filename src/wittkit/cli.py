@@ -32,6 +32,7 @@ from .rigidity import (
 from .witt import (
     AlgebraVariant,
     WittAlgebra,
+    WittElement,
     bracket,
     check_antisymmetry,
     check_bilinearity,
@@ -100,6 +101,14 @@ def _algebra_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return WittAlgebra(variant)
 
 
+def _element(text: str, algebra: WittAlgebra, parser: argparse.ArgumentParser) -> WittElement:
+    """Parse an element argument; one outside the algebra is a usage error."""
+    element = parse_element(text, algebra)
+    if not algebra.member(element):
+        parser.error(f"{text!r} is not an element of --variant {algebra.variant.kind.value}")
+    return element
+
+
 def _emit(args: argparse.Namespace, payload: Dict[str, object],
           text_lines: Sequence[str]) -> None:
     if args.format == "json":
@@ -121,16 +130,15 @@ def _report_lines(payload: Dict[str, object]) -> List[str]:
 
 def cmd_parse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     algebra = _algebra_from(args, parser)
-    element = parse_element(args.element, algebra)
-    text = algebra.format(element)
+    text = algebra.format(_element(args.element, algebra, parser))
     _emit(args, {"element": text}, [text])
     return 0
 
 
 def cmd_bracket(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     algebra = _algebra_from(args, parser)
-    x = parse_element(args.x, algebra)
-    y = parse_element(args.y, algebra)
+    x = _element(args.x, algebra, parser)
+    y = _element(args.y, algebra, parser)
     text = algebra.format(bracket(x, y))
     _emit(args, {"bracket": text}, [text])
     return 0
@@ -138,7 +146,7 @@ def cmd_bracket(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 def cmd_centralize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     algebra = _algebra_from(args, parser)
-    z = parse_element(args.element, algebra)
+    z = _element(args.element, algebra, parser)
     result = centralizer_basis(algebra, z, args.box)
     basis = [algebra.format(e) for e in result.basis]
     payload = {"dimension": result.dimension, "basis": basis, "box": args.box}
@@ -153,11 +161,11 @@ def _verify_report(args: argparse.Namespace, parser: argparse.ArgumentParser):
     m = algebra.m
     lemma = args.lemma
 
-    def need_element() -> "WittElement":
+    def need_element() -> WittElement:
         text = args.element if args.element is not None else args.x_option
         if text is None:
             parser.error(f"{lemma} needs an element argument")
-        return parse_element(text, algebra)
+        return _element(text, algebra, parser)
 
     def need_k() -> int:
         if args.k is None:

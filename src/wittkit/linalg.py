@@ -1,32 +1,29 @@
 """Exact sparse linear algebra over the scalar field.
 
 Everything here is exact: kernels, ranks and solutions are computed with
-rational-function arithmetic, never floating point.  Two elimination
-modes share one pivoting rule (structurally sparsest column first, then
-the entry with the fewest polynomial terms, ties broken by smallest
-(row, column) position):
+rational-function arithmetic, never floating point.  `kernel`, `rank`
+and `solve` split the matrix into connected components and reduce each
+one with the same fraction-free elimination: rows are cleared of
+denominators, updates are cross-multiplications, and every updated row
+is stripped of its rational and polynomial content.  The pivots it picks
+are then normalised by one reduced-row-echelon pass with leftmost
+pivots, whose output is the unique RREF of the row space, so the pivot
+order cannot affect answers.  Kernel bases read off from the RREF are
+canonical: one vector per free column, carrying a unit there, ordered by
+free column index.
 
-  * small connected components are reduced by fraction-field
-    Gauss-Jordan elimination on Scalar entries;
-  * large components are reduced fraction-free: rows are cleared of
-    denominators, updates are cross-multiplications, and every updated
-    row is stripped of its rational and polynomial content.
-
-Mode choice cannot affect answers because results are funneled through a
-final reduced-row-echelon pass with leftmost pivots, whose output is the
-unique RREF of the row space.  Kernel bases read off from the RREF are
-therefore canonical: one vector per free column, carrying a unit there,
-ordered by free column index.
-
-Inconsistent systems come back with a certificate: a left combination u
-of the original rows with u A = 0 but u . b != 0.
+`solve` carries b as an extra column that is never a pivot, so the same
+pass gives the canonical solution (free variables zero).  Inconsistent
+systems come back with a certificate: a left combination u of the
+original rows with u A = 0 but u . b != 0, namely the first vector of
+the canonical kernel basis of A^T that does not annihilate b.
 
 Specializing the mu parameters at a rational point and reducing mod a
 prime can only lower the rank, so the rank over F_p is a certified lower
 bound for the generic rank.  `kernel` and `rank` use it first on every
 component: a component whose F_p rank is already min(rows, cols) has
 that rank over Q(mu), and with full column rank no kernel, so it skips
-symbolic elimination; any other component is eliminated as before.
+symbolic elimination; any other component is eliminated symbolically.
 Callers also combine the bound with explicitly verified kernel members
 to pin kernels exactly without symbolic elimination.  `rank_mod_p` is
 that rank on rows already reduced to residues, split into connected
@@ -48,10 +45,6 @@ KernelVector = Dict[int, Scalar]
 
 # The word-size prime of the specialized-rank certificates.
 MODULUS = (1 << 31) - 1
-
-# Components with at most this many columns are eliminated directly over
-# the fraction field; larger ones go through the fraction-free path.
-FIELD_MODE_MAX_COLS = 12
 
 
 class ScalarMatrix:
@@ -277,16 +270,16 @@ def _split_components(rows: Sequence[Dict], ncols: int
 
 
 # ----------------------------------------------------------------------
-# Elimination engines.  Both mutate a private copy of the rows and return
-# the independent reduced rows as Scalar dicts.
+# Fraction-free elimination.  Columns at or past a limit (a right-hand
+# side) take every row operation but are never pivots.
 
 
-def _pick_pivot(rows: Sequence[Dict], col_rows: Dict[int, set], active: set,
-                term_count) -> Optional[Tuple[int, int]]:
+def _pick_pivot(rows: Sequence[Dict[int, MuPolynomial]], col_rows: Dict[int, set],
+                active: set, limit: int) -> Optional[Tuple[int, int]]:
     best_col = None
     best_key = None
     for col, holders in col_rows.items():
-        if not (holders & active):
+        if col >= limit or not (holders & active):
             continue
         key = (len(holders), col)
         if best_key is None or key < best_key:
@@ -297,7 +290,7 @@ def _pick_pivot(rows: Sequence[Dict], col_rows: Dict[int, set], active: set,
     best_row = None
     best_row_key = None
     for r in col_rows[best_col] & active:
-        key = (term_count(rows[r][best_col]), r)
+        key = (len(rows[r][best_col].terms), r)
         if best_row_key is None or key < best_row_key:
             best_row_key = key
             best_row = r
@@ -310,55 +303,6 @@ def _index_columns(rows: Sequence[Dict]) -> Dict[int, set]:
         for c in row:
             col_rows.setdefault(c, set()).add(r)
     return col_rows
-
-
-def _eliminate_field(rows: List[Dict[int, Scalar]],
-                     extras: Optional[List[Dict]] = None) -> List[Tuple[int, int]]:
-    """Gauss-Jordan in place; returns (pivot_row, pivot_col) pairs.
-
-    `extras` are parallel per-row payloads (right-hand sides, left
-    multipliers) that receive the same row operations.
-    """
-    col_rows = _index_columns(rows)
-    active = set(range(len(rows)))
-    pivots: List[Tuple[int, int]] = []
-    while True:
-        picked = _pick_pivot(rows, col_rows, active, lambda s: s.term_count())
-        if picked is None:
-            break
-        pr, pc = picked
-        pivot = rows[pr][pc]
-        for r in sorted(col_rows[pc] - {pr}):
-            factor = rows[r][pc] / pivot
-            target = rows[r]
-            for c, value in rows[pr].items():
-                acc = target.get(c)
-                acc = -(factor * value) if acc is None else acc - factor * value
-                if acc.is_zero:
-                    if c in target:
-                        del target[c]
-                        col_rows[c].discard(r)
-                else:
-                    if c not in target:
-                        col_rows.setdefault(c, set()).add(r)
-                    target[c] = acc
-            if extras is not None:
-                for payload in extras:
-                    _payload_sub(payload, r, pr, factor)
-        active.discard(pr)
-        pivots.append((pr, pc))
-    return pivots
-
-
-def _payload_sub(payload: List[Dict[int, Scalar]], r: int, pr: int, factor: Scalar) -> None:
-    target = payload[r]
-    for k, value in payload[pr].items():
-        acc = target.get(k)
-        acc = -(factor * value) if acc is None else acc - factor * value
-        if acc.is_zero:
-            target.pop(k, None)
-        else:
-            target[k] = acc
 
 
 def _clear_denominators(row: Dict[int, Scalar], arity: int) -> Dict[int, MuPolynomial]:
@@ -391,14 +335,23 @@ def _strip_content(row: Dict[int, MuPolynomial]) -> None:
         row[c] = row[c].exact_div(g)
 
 
-def _eliminate_fraction_free(rows: List[Dict[int, MuPolynomial]]) -> List[Tuple[int, int]]:
+def _eliminate_fraction_free(rows: List[Dict[int, MuPolynomial]],
+                             limit: int) -> List[Tuple[int, int]]:
+    """Gauss-Jordan without division, in place; returns (pivot_row, pivot_col) pairs.
+
+    Pivots are taken in columns below `limit` only, structurally sparsest
+    column first, then the entry with the fewest terms, ties broken by
+    smallest (row, column) position.  Every other row is cleared in the
+    pivot column, so a row that is never a pivot ends with entries at or
+    past `limit` only.
+    """
     for r in range(len(rows)):
         _strip_content(rows[r])
     col_rows = _index_columns(rows)
     active = set(range(len(rows)))
     pivots: List[Tuple[int, int]] = []
     while True:
-        picked = _pick_pivot(rows, col_rows, active, lambda p: len(p.terms))
+        picked = _pick_pivot(rows, col_rows, active, limit)
         if picked is None:
             break
         pr, pc = picked
@@ -436,7 +389,12 @@ def _eliminate_fraction_free(rows: List[Dict[int, MuPolynomial]]) -> List[Tuple[
 
 
 def _canonical_rref(rows: List[Dict[int, Scalar]]) -> List[Tuple[int, Dict[int, Scalar]]]:
-    """Unique RREF of the span of `rows`: leftmost pivots, pivot entries 1."""
+    """Unique RREF of the span of `rows`: leftmost pivots, pivot entries 1.
+
+    A right-hand side carried as the last column never becomes a pivot
+    when the rows are independent without it, as the pivot rows of an
+    elimination are.
+    """
     work = [dict(row) for row in rows if row]
     result: List[Tuple[int, Dict[int, Scalar]]] = []
     while work:
@@ -524,18 +482,19 @@ def _full_rank_mod_p(matrix: ScalarMatrix, row_idx: List[int], cols: List[int]) 
     return False
 
 
-def _reduce_component(matrix: ScalarMatrix, row_idx: List[int],
-                      cols: List[int]) -> List[Tuple[int, Dict[int, Scalar]]]:
-    # Rational entries never grow, so field mode is safe at any size.
-    if matrix.arity == 0 or len(cols) <= FIELD_MODE_MAX_COLS:
-        rows = [dict(matrix.rows[r]) for r in row_idx]
-        pivots = _eliminate_field(rows)
-        reduced = [rows[pr] for pr, _ in pivots]
-    else:
-        rows = [_clear_denominators(matrix.rows[r], matrix.arity) for r in row_idx]
-        pivots = _eliminate_fraction_free(rows)
-        reduced = [{c: Scalar(p) for c, p in rows[pr].items()} for pr, _ in pivots]
-    return _canonical_rref(reduced)
+def _reduce_component(rows: Sequence[Dict[int, Scalar]], arity: int,
+                      limit: int) -> Optional[List[Tuple[int, Dict[int, Scalar]]]]:
+    """Canonical RREF of a component's rows, pivots below `limit`, sorted by pivot.
+
+    None when some row reduces to entries at or past `limit` alone, which
+    only a right-hand side column can cause.
+    """
+    work = [_clear_denominators(row, arity) for row in rows]
+    pivots = _eliminate_fraction_free(work, limit)
+    pivot_rows = {pr for pr, _ in pivots}
+    if any(row for r, row in enumerate(work) if r not in pivot_rows):
+        return None
+    return _canonical_rref([{c: Scalar(p) for c, p in work[pr].items()} for pr, _ in pivots])
 
 
 def kernel(matrix: ScalarMatrix) -> List[KernelVector]:
@@ -547,7 +506,7 @@ def kernel(matrix: ScalarMatrix) -> List[KernelVector]:
         # Fewer rows than columns always leave a kernel.
         if len(row_idx) >= len(cols) and _full_rank_mod_p(matrix, row_idx, cols):
             continue
-        rref = _reduce_component(matrix, row_idx, cols)
+        rref = _reduce_component([matrix.rows[r] for r in row_idx], matrix.arity, matrix.ncols)
         tagged.extend(_kernel_from_rref(rref, cols, matrix.arity))
     tagged.sort(key=lambda item: item[0])
     return [v for _, v in tagged]
@@ -560,7 +519,8 @@ def rank(matrix: ScalarMatrix) -> int:
         if _full_rank_mod_p(matrix, row_idx, cols):
             total += min(len(row_idx), len(cols))
         else:
-            total += len(_reduce_component(matrix, row_idx, cols))
+            total += len(_reduce_component([matrix.rows[r] for r in row_idx],
+                                           matrix.arity, matrix.ncols))
     return total
 
 
@@ -587,64 +547,43 @@ class SolveResult:
 def solve(matrix: ScalarMatrix, rhs: Dict[int, Scalar]) -> SolveResult:
     """Solve A x = b exactly, with a certificate when inconsistent.
 
-    The returned solution is canonical: free variables of the unique
-    RREF are set to zero.
+    Each connected component of A is reduced with its part of b riding
+    along as column ncols, which is never a pivot.  The returned solution
+    is canonical: free variables of the unique RREF are set to zero.  The
+    system is inconsistent when a row with an empty A-part has a nonzero
+    b entry, or when a row reduces to its b entry alone.
     """
-    one = Scalar.one(matrix.arity)
-    rows = [dict(row) for row in matrix.rows]
-    bvec: List[Dict[int, Scalar]] = [{} for _ in range(len(rows))]
-    for r, value in rhs.items():
-        if not value.is_zero:
-            bvec[r][0] = value
-    combos: List[Dict[int, Scalar]] = [{r: one} for r in range(len(rows))]
-    pivots = _eliminate_field(rows, extras=[bvec, combos])
-    pivot_rows = {pr for pr, _ in pivots}
-    for r in range(len(rows)):
-        if r not in pivot_rows and not rows[r] and bvec[r]:
-            return SolveResult(None, combos[r], [], len(pivots))
+    b = matrix.ncols
+    rhs = {r: v for r, v in rhs.items() if not v.is_zero}
+    if any(not matrix.rows[r] for r in rhs):
+        return _inconsistent(matrix, rhs)
+    components, _ = _split_components(matrix.rows, matrix.ncols)
+    rref: List[Tuple[int, Dict[int, Scalar]]] = []
+    for row_idx, _ in components:
+        rows = [{**matrix.rows[r], b: rhs[r]} if r in rhs else matrix.rows[r] for r in row_idx]
+        reduced = _reduce_component(rows, matrix.arity, b)
+        if reduced is None:
+            return _inconsistent(matrix, rhs)
+        rref.extend(reduced)
+    rref.sort(key=lambda item: item[0])
+    solution = {pc: row[b] for pc, row in rref if b in row}
+    homogeneous = [v for _, v in _kernel_from_rref(rref, range(matrix.ncols), matrix.arity)]
+    return SolveResult(solution, None, homogeneous, len(rref))
 
-    # Consistent: renormalize through the unique RREF, carrying b along
-    # as a virtual column that can never be chosen as a pivot.
-    B = matrix.ncols
-    augmented = []
-    for pr, _ in pivots:
-        row = dict(rows[pr])
-        if bvec[pr]:
-            row[B] = bvec[pr][0]
-        augmented.append(row)
-    rref_aug = []
-    work = [row for row in augmented if row]
-    while work:
-        candidates = [c for row in work for c in row if c != B]
-        if not candidates:
-            break
-        pc = min(candidates)
-        pr = next(i for i, row in enumerate(work) if pc in row)
-        pivot_row = work.pop(pr)
-        inv = pivot_row[pc].inverse()
-        pivot_row = {c: inv * v for c, v in pivot_row.items()}
-        for row in work + [r for _, r in rref_aug]:
-            lead = row.pop(pc, None)
-            if lead is None:
-                continue
-            for c, v in pivot_row.items():
-                if c == pc:
-                    continue
-                acc = row.get(c)
-                acc = -(lead * v) if acc is None else acc - lead * v
-                if acc.is_zero:
-                    row.pop(c, None)
-                else:
-                    row[c] = acc
-        work = [row for row in work if row]
-        rref_aug.append((pc, pivot_row))
-    rref_aug.sort(key=lambda item: item[0])
 
-    solution = {}
-    for pc, row in rref_aug:
-        value = row.get(B)
-        if value is not None and not value.is_zero:
-            solution[pc] = value
-    rref_plain = [(pc, {c: v for c, v in row.items() if c != B}) for pc, row in rref_aug]
-    homogeneous = [v for _, v in _kernel_from_rref(rref_plain, range(matrix.ncols), matrix.arity)]
-    return SolveResult(solution, None, homogeneous, len(pivots))
+def _inconsistent(matrix: ScalarMatrix, rhs: Dict[int, Scalar]) -> SolveResult:
+    """Result of an inconsistent system, with its canonical certificate.
+
+    The certificate is the first vector u of the canonical kernel basis
+    of A^T with u . b != 0; one exists because b is outside the column
+    space of A.  The same basis gives rank(A) = rows - dim ker A^T.
+    """
+    transpose = ScalarMatrix(matrix.ncols, matrix.nrows, matrix.arity)
+    for r, row in enumerate(matrix.rows):
+        for c, value in row.items():
+            transpose.add(c, r, value)
+    left = kernel(transpose)
+    zero = Scalar.zero(matrix.arity)
+    certificate = next(u for u in left
+                       if not sum((u[r] * v for r, v in rhs.items() if r in u), zero).is_zero)
+    return SolveResult(None, certificate, [], matrix.nrows - len(left))

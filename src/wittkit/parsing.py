@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from .errors import ArityMismatch, ParseError
-from .scalars import Scalar, ScalarField
+from .errors import ParseError
+from .scalars import MuPolynomial, Scalar, ScalarField
 from .witt import CartanElement, Exponent, WittAlgebra, WittElement
 
 
@@ -209,22 +209,18 @@ class _Parser:
                          ("integer", "variable", "("))
 
     def scalar_var(self) -> Scalar:
+        """NAME ['^' INT], built as the monomial or its reciprocal directly."""
         tok = self.advance()
-        try:
-            base = self.field.var(tok.text)
-        except ArityMismatch:
-            raise ParseError(f"unknown scalar variable {tok.text!r}", tok.pos) from None
+        if tok.text not in self.field.names:
+            raise ParseError(f"unknown scalar variable {tok.text!r}", tok.pos)
         e = 1
         if self.at_op("^"):
             self.advance()
             e = self.integer(allow_negative=True)
-        if e == 1:
-            return base
-        value = self.field.one()
-        step = base if e > 0 else base.inverse()
-        for _ in range(abs(e)):
-            value = value * step
-        return value
+        index = self.field.names.index(tok.text)
+        mono = tuple(abs(e) if i == index else 0 for i in range(self.field.arity))
+        power = Scalar(MuPolynomial.one(self.field.arity).shift(mono))
+        return power if e >= 0 else power.inverse()
 
     # -- elements ---------------------------------------------------------
 

@@ -27,7 +27,6 @@ from .errors import (
     ArityMismatch,
     BadArity,
     BadK,
-    LengthMismatch,
     MissingProbe,
     PairOutsideBox,
     SelfCheckFailed,
@@ -95,69 +94,6 @@ class PointwiseMap:
 
     def __iter__(self) -> Iterator[Tuple[WittElement, WittElement]]:
         return iter(self.pairs)
-
-
-class BoxLinearMap:
-    """A linear map on a degree box, stored by its values on the basis."""
-
-    __slots__ = ("space", "values")
-
-    def __init__(self, space: TruncatedSpace, values: Sequence[WittElement]):
-        if len(values) != len(space):
-            raise LengthMismatch(f"{len(values)} values for a basis of {len(space)}")
-        self.space = space
-        self.values = list(values)
-
-    @classmethod
-    def ad(cls, space: TruncatedSpace, a: WittElement) -> "BoxLinearMap":
-        return cls(space, [bracket(a, space.element(i)) for i in range(len(space))])
-
-    @classmethod
-    def identity(cls, space: TruncatedSpace) -> "BoxLinearMap":
-        return cls(space, [space.element(i) for i in range(len(space))])
-
-    def apply(self, x: WittElement) -> WittElement:
-        """Evaluate on x; PairOutsideBox when x does not fit the box."""
-        coords = self.space.coordinates_of(x)
-        total = WittElement.zero(self.space.algebra.m)
-        for i in sorted(coords):
-            total = total + self.values[i].scale(coords[i])
-        return total
-
-
-@dataclass
-class LeibnizReport:
-    checked: int
-    skipped: int
-    failures: List[Tuple[WittElement, WittElement]]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def leibniz_check(D: BoxLinearMap, pairs: Sequence[Tuple[WittElement, WittElement]]) -> LeibnizReport:
-    """Test D([x,y]) = [D(x),y] + [x,D(y)] on each checkable pair.
-
-    A pair is checkable when x, y and [x, y] all sit inside the box; a
-    pair that exits the box is skipped, never failed, since the map is
-    unknown there.
-    """
-    checked = 0
-    skipped = 0
-    failures: List[Tuple[WittElement, WittElement]] = []
-    for x, y in pairs:
-        try:
-            lhs = D.apply(bracket(x, y))
-            dx = D.apply(x)
-            dy = D.apply(y)
-        except PairOutsideBox:
-            skipped += 1
-            continue
-        checked += 1
-        if lhs != bracket(dx, y) + bracket(x, dy):
-            failures.append((x, y))
-    return LeibnizReport(checked, skipped, failures)
 
 
 def _keyed_rows(w: WittElement, q: int) -> Dict[ConstraintRow, Scalar]:

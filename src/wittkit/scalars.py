@@ -260,7 +260,7 @@ class MuPolynomial:
         return acc
 
     def evaluate(self, values: Sequence):
-        """Evaluate at a point; entries may be Fractions or number field elements."""
+        """Evaluate at a point of rationals (or of any ring the coefficients act on)."""
         if len(values) != self.arity:
             raise ArityMismatch(f"expected {self.arity} values, got {len(values)}")
         total = _ZERO
@@ -441,10 +441,6 @@ class Scalar:
 
     def as_fraction(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()
-
-    def term_count(self) -> int:
-        """Structural size used by pivot selection."""
-        return len(self.num.terms) + len(self.den.terms)
 
     # -- field operations ----------------------------------------------
 
@@ -666,217 +662,3 @@ class ScalarField:
     def __repr__(self) -> str:
         return f"ScalarField({self.n_mu}, {self.extra_names!r})"
 
-
-# ----------------------------------------------------------------------
-# Number fields, for evaluating symbolic answers at concrete mu vectors.
-# A vector of powers (zeta, zeta^2, ..., zeta^n) of a generator of degree
-# > n satisfies mu . alpha != 0 for all nonzero alpha in the verified box,
-# which is what the generic-mu lemmas require of a concrete instance.
-
-
-def _uni_trim(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _uni_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    b = _uni_trim(b)
-    if not b:
-        raise DivisionByZero("univariate division by zero")
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if not c:
-            continue
-        q[i] = c
-        for j, bj in enumerate(b):
-            a[i + j] -= c * bj
-    return _uni_trim(q), _uni_trim(a)
-
-
-class NumberFieldElement:
-    """Element of Q(zeta) as a coefficient vector in powers of zeta."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: "NumberField", coeffs: Sequence[Fraction]):
-        self.field = field
-        padded = list(coeffs) + [_ZERO] * (field.degree - len(coeffs))
-        self.coeffs = tuple(Fraction(c) for c in padded[: field.degree])
-
-    def _coerce(self, other):
-        if isinstance(other, NumberFieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise ArityMismatch("elements of different number fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return NumberFieldElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return NumberFieldElement(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return NumberFieldElement(self.field, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        conv = [_ZERO] * (2 * self.field.degree - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    conv[i + j] += a * b
-        return NumberFieldElement(self.field, self.field._reduce(conv))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "NumberFieldElement":
-        if not self:
-            raise DivisionByZero("inverting zero in a number field")
-        # Extended Euclid in Q[x] against the (irreducible) minimal polynomial.
-        r0, r1 = self.field.min_poly, _uni_trim(self.coeffs)
-        s0, s1 = (), (_ONE,)
-        while r1:
-            q, r = _uni_divmod(r0, r1)
-            qs = list(_uni_mul(q, s1))
-            s = [a - b for a, b in zip(list(s0) + [_ZERO] * len(qs), qs + [_ZERO] * len(s0))]
-            r0, r1 = r1, r
-            s0, s1 = s1, _uni_trim(s)
-        if len(r0) != 1:
-            raise DivisionByZero("minimal polynomial is not irreducible over Q")
-        inv_const = 1 / r0[0]
-        return NumberFieldElement(self.field, [c * inv_const for c in s0])
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.field.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        coerced = self._coerce(other)
-        if coerced is NotImplemented:
-            return NotImplemented
-        return self.coeffs == coerced.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.field.min_poly, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"NumberFieldElement({self.coeffs!r})"
-
-
-def _uni_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    if not a or not b:
-        return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return _uni_trim(out)
-
-
-class NumberField:
-    """Q[x] / (min_poly), with min_poly given in ascending coefficients."""
-
-    __slots__ = ("min_poly", "degree")
-
-    def __init__(self, min_poly: Sequence):
-        coeffs = _uni_trim([Fraction(c) for c in min_poly])
-        if len(coeffs) < 2:
-            raise ArityMismatch("minimal polynomial must have degree >= 1")
-        lead = coeffs[-1]
-        self.min_poly = tuple(c / lead for c in coeffs)
-        self.degree = len(self.min_poly) - 1
-
-    def _reduce(self, conv: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-        coeffs = list(conv)
-        for i in range(len(coeffs) - 1, self.degree - 1, -1):
-            c = coeffs[i]
-            if not c:
-                continue
-            coeffs[i] = _ZERO
-            for j in range(self.degree):
-                coeffs[i - self.degree + j] -= c * self.min_poly[j]
-        return tuple(coeffs[: self.degree])
-
-    def gen(self) -> NumberFieldElement:
-        if self.degree == 1:
-            return self.from_fraction(-self.min_poly[0])
-        return NumberFieldElement(self, (_ZERO, _ONE))
-
-    def from_fraction(self, value) -> NumberFieldElement:
-        return NumberFieldElement(self, (Fraction(value),))
-
-    def zero(self) -> NumberFieldElement:
-        return self.from_fraction(0)
-
-    def one(self) -> NumberFieldElement:
-        return self.from_fraction(1)
-
-    def generic_point(self, n: int) -> Tuple[NumberFieldElement, ...]:
-        """(zeta, zeta^2, ..., zeta^n); needs degree > n to act generically."""
-        if self.degree <= n:
-            raise ArityMismatch(f"field degree {self.degree} too small for {n} parameters")
-        z = self.gen()
-        return tuple(z ** i for i in range(1, n + 1))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NumberField):
-            return NotImplemented
-        return self.min_poly == other.min_poly
-
-    def __hash__(self) -> int:
-        return hash(self.min_poly)
-
-    def __repr__(self) -> str:
-        return f"NumberField({list(self.min_poly)!r})"

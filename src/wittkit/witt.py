@@ -315,10 +315,6 @@ def bracket_monomial_rule(x: WittElement, y: WittElement) -> WittElement:
     return WittElement(m, {g: CartanElement(tuple(row)) for g, row in acc.items()})
 
 
-def ad_apply(z: WittElement, x: WittElement) -> WittElement:
-    return bracket(z, x)
-
-
 def proportional(x: WittElement, y: WittElement) -> Optional[Scalar]:
     """Scalar lam with x == lam * y, if one exists (zero x gives lam = 0)."""
     x._check(y)
@@ -544,15 +540,6 @@ def check_bilinearity(a: Scalar, b: Scalar, x: WittElement, y: WittElement,
 def check_closure(algebra: WittAlgebra, x: WittElement, y: WittElement) -> Optional[str]:
     if not algebra.member(bracket(x, y)):
         return "[x,y] leaves the variant"
-    return None
-
-
-def check_cartan_commutes(algebra: WittAlgebra, h1: CartanElement, h2: CartanElement) -> Optional[str]:
-    zero = (0,) * algebra.m
-    x = WittElement(algebra.m, {zero: h1})
-    y = WittElement(algebra.m, {zero: h2})
-    if not bracket(x, y).is_zero:
-        return "[h1, h2] != 0 on the Cartan subalgebra"
     return None
 
 

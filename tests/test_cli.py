@@ -161,6 +161,21 @@ def test_unknown_variant_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "--arity", "2", "--variant", "wnmu", "d1"],
+    ["centralize", "--arity", "1", "--variant", "wnplusplus", "t1^-1*d1"],
+    ["bracket", "--arity", "2", "--variant", "wnplus", "t1*d1", "t1^-1*t2^-1*d1"],
+    ["verify", "--arity", "2", "--variant", "wnmu", "lemma3.4", "t1*d1"],
+])
+def test_element_outside_the_variant_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not an element of --variant" in captured.err
+
+
 def test_rigidity_inner_table(capsys, tmp_path):
     probes = {
         "probes": [

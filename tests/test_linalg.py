@@ -353,7 +353,6 @@ def test_check_keeps_kernel_and_rank(monkeypatch, check_results, arity):
 
 def test_check_keeps_fraction_free_kernel(monkeypatch, check_results):
     rng = random.Random(77)
-    assert 13 > linalg.FIELD_MODE_MAX_COLS  # so both blocks go fraction-free
     matrix = planted_matrix(rng, 2, [(13, 13, 0), (14, 13, 1), (3, 2, 0)], density=0.0)
     vectors = kernel(matrix)
     assert (vectors, rank(matrix)) == symbolic_only(monkeypatch, matrix)
@@ -398,3 +397,141 @@ def test_check_skips_wide_components_in_kernel(monkeypatch, check_results):
     assert len(vectors) == 1 and check_results == []
     assert rank(matrix) == 2 and check_results == [(2, 3, True)]
     assert (vectors, 2) == symbolic_only(monkeypatch, matrix)
+
+
+# ----------------------------------------------------------------------
+# solve against a dense Gauss-Jordan oracle with leftmost pivots, whose
+# RREF of [A | b] is the unique one, and certificates against the left
+# kernel read off directly.
+
+
+def dense_solve(matrix, rhs):
+    """(solution, homogeneous, rank) from the unique RREF of [A | b], or None
+    when some row reduces to b alone."""
+    zero = Scalar.zero(matrix.arity)
+    b = matrix.ncols
+    work = [[row.get(c, zero) for c in range(b)] + [rhs.get(r, zero)]
+            for r, row in enumerate(matrix.rows)]
+    pivots = []
+    for c in range(b):
+        pr = next((r for r in range(len(pivots), len(work)) if not work[r][c].is_zero), None)
+        if pr is None:
+            continue
+        top = len(pivots)
+        work[top], work[pr] = work[pr], work[top]
+        inv = work[top][c].inverse()
+        work[top] = [inv * v for v in work[top]]
+        for r in range(len(work)):
+            if r != top and not work[r][c].is_zero:
+                lead = work[r][c]
+                work[r] = [v - lead * p for v, p in zip(work[r], work[top])]
+        pivots.append(c)
+    if any(not row[b].is_zero for row in work[len(pivots):]):
+        return None
+    solution = {pc: work[i][b] for i, pc in enumerate(pivots) if not work[i][b].is_zero}
+    homogeneous = []
+    for f in range(b):
+        if f not in pivots:
+            v = {f: Scalar.one(matrix.arity)}
+            v.update((pc, -work[i][f]) for i, pc in enumerate(pivots) if not work[i][f].is_zero)
+            homogeneous.append(v)
+    return solution, homogeneous, len(pivots)
+
+
+def transpose(matrix):
+    out = ScalarMatrix(matrix.ncols, matrix.nrows, matrix.arity)
+    for r, row in enumerate(matrix.rows):
+        for c, v in row.items():
+            out.add(c, r, v)
+    return out
+
+
+def dot(u, rhs, arity):
+    return sum((u[r] * v for r, v in rhs.items() if r in u), Scalar.zero(arity))
+
+
+def assert_certificate(matrix, rhs, result):
+    """The certificate separates b and is the first such vector of ker A^T."""
+    left = kernel(transpose(matrix))
+    first = next(u for u in left if not dot(u, rhs, matrix.arity).is_zero)
+    assert result.certificate == first
+    assert is_zero_vector(matrix.left_apply(result.certificate))
+    assert result.rank == matrix.nrows - len(left) == rank(matrix)
+    assert result.solution is None and result.homogeneous == []
+
+
+@pytest.mark.parametrize("arity", [0, 2])
+def test_solve_matches_dense_oracle(arity):
+    rng = random.Random(900 + arity)
+    outcomes = set()
+    for _ in range(12):
+        blocks = [(rng.randrange(1, 5), rng.randrange(1, 5), 0) for _ in range(2)]
+        blocks.append((rng.randrange(3, 5), rng.randrange(3, 5), rng.randrange(1, 3)))
+        rng.shuffle(blocks)
+        matrix = planted_matrix(rng, arity, blocks)
+        x = {c: _random_entry(rng, arity) for c in range(matrix.ncols) if rng.random() < 0.7}
+        rhs = matrix.apply(x)
+        if rng.random() < 0.5:
+            # perturb one row: inconsistent exactly when it leaves the column space
+            r = rng.randrange(matrix.nrows)
+            rhs[r] = rhs.get(r, Scalar.zero(arity)) + _random_entry(rng, arity)
+        result = solve(matrix, rhs)
+        expected = dense_solve(matrix, rhs)
+        outcomes.add(result.consistent)
+        if expected is None:
+            assert not result.consistent
+            assert_certificate(matrix, rhs, result)
+        else:
+            assert (result.solution, result.homogeneous, result.rank) == expected
+            assert result.certificate is None
+    assert outcomes == {True, False}
+
+
+def test_solve_one_inconsistent_component_among_several():
+    mu1, mu2 = F2.mu(1), F2.mu(2)
+    one = F2.one()
+    # x0 + x1 = 1 | x2 = 1, x2 = 2 | mu1 x3 = mu2
+    matrix = build([(0, 0, one), (0, 1, one), (1, 2, one), (2, 2, one), (3, 3, mu1)], 4, 4)
+    rhs = {0: one, 1: one, 2: F2.from_int(2), 3: mu2}
+    result = solve(matrix, rhs)
+    assert not result.consistent
+    assert result.certificate == {1: -one, 2: one}
+    assert_certificate(matrix, rhs, result)
+    # the same system with the middle block made consistent
+    rhs[2] = one
+    result = solve(matrix, rhs)
+    assert result.solution == {0: one, 2: one, 3: mu2 / mu1}
+    assert result.homogeneous == [{0: -one, 1: one}]
+    assert result.rank == 3
+
+
+def test_solve_zero_row_with_nonzero_rhs():
+    mu1 = F2.mu(1)
+    one = F2.one()
+    matrix = build([(0, 0, one), (2, 1, one)], 3, 2)
+    result = solve(matrix, {0: one, 1: mu1, 2: F2.from_int(2)})
+    assert not result.consistent
+    assert result.certificate == {1: one}
+    assert result.rank == 2
+    assert_certificate(matrix, {0: one, 1: mu1, 2: F2.from_int(2)}, result)
+    # a zero row with a zero right-hand side constrains nothing
+    result = solve(matrix, {0: one, 1: F2.zero(), 2: F2.from_int(2)})
+    assert result.solution == {0: one, 1: F2.from_int(2)} and result.homogeneous == []
+
+
+def test_solve_arity_zero():
+    def q(value):
+        return Scalar.from_fraction(0, Fraction(value))
+
+    # 2 x0 + x1 = 3, 4 x0 + 2 x1 = 6, x2 - x3 = 1/2
+    matrix = ScalarMatrix(3, 4, 0)
+    for r, c, v in [(0, 0, 2), (0, 1, 1), (1, 0, 4), (1, 1, 2), (2, 2, 1), (2, 3, -1)]:
+        matrix.add(r, c, q(v))
+    result = solve(matrix, {0: q(3), 1: q(6), 2: q(Fraction(1, 2))})
+    assert result.solution == {0: q(Fraction(3, 2)), 2: q(Fraction(1, 2))}
+    assert result.homogeneous == [{1: q(1), 0: q(Fraction(-1, 2))}, {3: q(1), 2: q(1)}]
+    assert result.rank == 2
+    rhs = {0: q(3), 1: q(7), 2: q(Fraction(1, 2))}
+    result = solve(matrix, rhs)
+    assert result.certificate == {0: q(-2), 1: q(1)}
+    assert_certificate(matrix, rhs, result)

@@ -10,6 +10,7 @@ import pytest
 from wittkit import (
     AlgebraVariant,
     ParseError,
+    Scalar,
     WittAlgebra,
     bracket,
     parse_element,
@@ -137,3 +138,35 @@ def test_nesting_depth_is_capped():
         parse_scalar("(" * 3000 + "mu1" + ")" * 3000, W2.field)
     # unary minus signs are counted, not recursed into
     assert parse_scalar("-" * 3001 + "mu1", W2.field) == -W2.field.mu(1)
+
+
+@pytest.mark.parametrize("e", range(-5, 6))
+def test_scalar_power_matches_repeated_product(e):
+    field = W2.field
+    step = field.mu(2) if e >= 0 else field.mu(2).inverse()
+    expected = field.one()
+    for _ in range(abs(e)):
+        expected = expected * step
+    value = parse_scalar(f"mu2^{e}", field)
+    assert (value.num, value.den) == (expected.num, expected.den)
+    assert parse_element(f"mu2^{e}*t1*d1", W2) == W2.monomial((1, 0), 1, expected)
+
+
+def test_huge_scalar_powers_parse_at_once(monkeypatch):
+    products = []
+    multiply = Scalar.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    up = parse_element("mu1^100000*d1", W2)
+    down = parse_element("mu1^-100000*d1", W2)
+    # the power is built as one monomial, not by 100000 products; the few
+    # left scale the Cartan part of d1
+    assert len(products) < 10
+    coeff = up.support[(0, 0)].coeffs[0]
+    assert coeff.num.terms == {(100000, 0): 1} and coeff.den.is_constant()
+    assert down.support[(0, 0)].coeffs[0] == coeff.inverse()
+    assert W2.format(up) == "mu1^100000*d1"

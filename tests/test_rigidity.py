@@ -9,7 +9,6 @@ import pytest
 import wittkit.rigidity as rigidity
 from wittkit import (
     AlgebraVariant,
-    BoxLinearMap,
     MissingProbe,
     PointwiseMap,
     SelfCheckFailed,
@@ -17,7 +16,6 @@ from wittkit import (
     WittAlgebra,
     WittkitError,
     bracket,
-    leibniz_check,
     lemma_3_3_obstruction,
     parse_element,
     realize_in_span,
@@ -245,30 +243,6 @@ def test_pointwise_map_rejects_contradictory_pairs():
     # a repeated consistent pair collapses
     table = PointwiseMap(W2, [(x, W2.zero()), (x, W2.zero())])
     assert len(table) == 1
-
-
-def test_leibniz_check_on_inner_map():
-    rng = random.Random(29)
-    space = TruncatedSpace(W2, box=2)
-    a = W2.random_element(rng, box=1)
-    D = BoxLinearMap.ad(space, a)
-    # box-2 pairs can bracket out to degree 4, so some pairs must skip
-    pairs = [(W2.random_element(rng, box=2), W2.random_element(rng, box=2))
-             for _ in range(20)]
-    report = leibniz_check(D, pairs)
-    assert report.passed
-    assert report.checked + report.skipped == 20
-    assert report.skipped > 0 and report.checked > 0
-
-
-def test_leibniz_check_flags_identity():
-    # D = id satisfies D[x,y] = [x,y] but [Dx,y] + [x,Dy] = 2[x,y]
-    space = TruncatedSpace(W2, box=2)
-    D = BoxLinearMap.identity(space)
-    x, y = W2.d(1), W2.monomial((1, 0), 1)
-    report = leibniz_check(D, [(x, y)])
-    assert not report.passed
-    assert report.failures == [(x, y)]
 
 
 def test_verify_lemma_3_2():

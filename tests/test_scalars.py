@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from wittkit import (
     DenominatorVanishes,
     MuPolynomial,
-    NumberField,
     Scalar,
     ScalarField,
     format_polynomial,
@@ -74,23 +73,6 @@ def test_poly_gcd_frozen_cases():
 def test_evaluate_at_rational_point():
     assert (MU1 + MU2).evaluate([Fraction(1), Fraction(2)]) == Fraction(3)
     assert (MU1 * MU2 - MU2).evaluate([Fraction(2), Fraction(3)]) == Fraction(3)
-
-
-def test_evaluate_in_number_field():
-    # zeta^3 = 2, point (zeta, zeta^2): mu1*mu2 evaluates to zeta^3 = 2
-    field = NumberField([-2, 0, 0, 1])
-    zeta = field.gen()
-    value = (MU1 * MU2).evaluate([zeta, zeta * zeta])
-    assert value == field.from_fraction(2)
-    assert (zeta ** 3) == field.from_fraction(2)
-
-
-def test_number_field_inverse():
-    field = NumberField([-2, 0, 0, 1])
-    zeta = field.gen()
-    assert zeta * zeta.inverse() == field.one()
-    with pytest.raises(ZeroDivisionError):
-        field.zero().inverse()
 
 
 def test_denominator_vanishes():
