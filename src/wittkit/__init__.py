@@ -27,14 +27,12 @@ from .scalars import (
     Scalar,
     ScalarField,
     format_polynomial,
-    format_scalar,
     poly_gcd,
 )
 from .witt import (
     MU_DIRECTION,
     AlgebraVariant,
     CartanElement,
-    VariantKind,
     WittAlgebra,
     WittElement,
     bracket,
@@ -43,14 +41,11 @@ from .witt import (
     check_bilinearity,
     check_closure,
     check_jacobi,
-    check_monomial_rule_agreement,
-    format_element,
     proportional,
     widen_element,
 )
 from .linalg import (
     ScalarMatrix,
-    SolveResult,
     kernel,
     rank,
     modular_rank,
@@ -58,9 +53,7 @@ from .linalg import (
     specialization_points,
 )
 from .centralizer import (
-    CentralizerResult,
     TruncatedSpace,
-    VerificationReport,
     ad_matrix,
     centralizer_basis,
     lemma_4_1_families,
@@ -71,9 +64,7 @@ from .centralizer import (
 )
 from .rigidity import (
     InnerSolveResult,
-    ObstructionData,
     PointwiseMap,
-    ResidualRecord,
     RigidityReport,
     lemma_3_3_obstruction,
     realize_in_span,
@@ -96,7 +87,6 @@ __all__ = [
     "BadArity",
     "BadK",
     "CartanElement",
-    "CentralizerResult",
     "DenominatorVanishes",
     "DivisionByZero",
     "ExactDivisionError",
@@ -104,20 +94,15 @@ __all__ = [
     "LengthMismatch",
     "MissingProbe",
     "MuPolynomial",
-    "ObstructionData",
     "PairOutsideBox",
     "ParseError",
     "PointwiseMap",
-    "ResidualRecord",
     "RigidityReport",
     "Scalar",
     "ScalarField",
     "ScalarMatrix",
     "SelfCheckFailed",
-    "SolveResult",
     "TruncatedSpace",
-    "VariantKind",
-    "VerificationReport",
     "WittAlgebra",
     "WittElement",
     "WittkitError",
@@ -129,10 +114,7 @@ __all__ = [
     "check_bilinearity",
     "check_closure",
     "check_jacobi",
-    "check_monomial_rule_agreement",
-    "format_element",
     "format_polynomial",
-    "format_scalar",
     "kernel",
     "modular_rank",
     "lemma_3_3_obstruction",

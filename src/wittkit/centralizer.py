@@ -13,10 +13,15 @@ W_n, and acquires the predicted shift and h' families when the ambient
 algebra has extra variables beyond the first n.  Both prefer a cheap
 exact certificate: rank at a rational mu point, reduced mod a prime,
 bounds the generic rank from below, and together with symbolically
-verified kernel members that pins the kernel.  The certificate's matrix
-is built over F_p directly from the bracket's structure constants
-(`ad_rows_mod_p`); the symbolic `ad_matrix` is built only when no point
-certifies and the verifier falls back to full symbolic elimination.
+verified kernel members that pins the kernel.
+
+One builder, `_ad_entries`, reads x -> [x, z] off the bracket's structure
+constants.  It maps only the Cartan coefficients of z and d_mu: to
+themselves for the symbolic `ad_matrix` and `solve_inner`'s small
+system, to residues at a point for the certificate's matrix over F_p.
+The verifiers build the symbolic matrix only when no point certifies and
+they fall back to full symbolic elimination.  Their checks that members
+commute with z call `bracket`, so they do not rerun the builder.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ArityMismatch, BadArity, BadK, DenominatorVanishes, PairOutsideBox
+from .errors import ArityMismatch, BadArity, BadK, PairOutsideBox
 from .linalg import (
     MODULUS,
     ScalarMatrix,
@@ -34,7 +39,7 @@ from .linalg import (
     rank as matrix_rank,
     rank_mod_p,
     scalar_mod_p,
-    specialization_points,
+    specialized_residues,
 )
 from .scalars import Scalar
 from .witt import (
@@ -120,65 +125,68 @@ class TruncatedSpace:
         return True
 
 
-def ad_matrix(z: WittElement, space: TruncatedSpace) -> Tuple[ScalarMatrix, List[RowKey]]:
-    """Matrix of x -> [x, z] on the space; rows cover the untruncated image."""
-    if z.m != space.algebra.m:
-        raise ArityMismatch(f"element rank {z.m} != ambient {space.algebra.m}")
-    arity = space.algebra.field.arity
-    triples: List[Tuple[RowKey, int, Scalar]] = []
-    row_keys: set = set()
-    for col in range(len(space.basis)):
-        w = bracket(space.element(col), z)
-        for gamma, cartan in w.support.items():
-            for j, coeff in enumerate(cartan.coeffs):
-                if coeff.is_zero:
-                    continue
-                key = (gamma, j)
-                row_keys.add(key)
-                triples.append((key, col, coeff))
-    ordered_keys = sorted(row_keys)
-    row_index = {key: r for r, key in enumerate(ordered_keys)}
-    matrix = ScalarMatrix(len(ordered_keys), len(space.basis), arity)
-    for key, col, coeff in triples:
-        matrix.add(row_index[key], col, coeff)
-    return matrix, ordered_keys
+def _same(value):
+    return value
 
 
-def ad_rows_mod_p(z: WittElement, space: TruncatedSpace,
-                  point: Sequence[Fraction]) -> Dict[RowKey, Dict[int, int]]:
-    """Rows of `ad_matrix(z, space)` evaluated at `point` and reduced mod MODULUS.
+def _dot(u, v):
+    """Sum of u_i v_i over the pairs with both factors nonzero; 0 when there is none."""
+    pieces = [x * y for x, y in zip(u, v) if x and y]
+    return sum(pieces[1:], pieces[0]) if pieces else 0
+
+
+def _ad_entries(z: WittElement, space: TruncatedSpace, columns: Iterable[int],
+                value: Callable) -> Iterator[Tuple[RowKey, int, object]]:
+    """Nonzero entries (row key, column, entry) of x -> [x, z] on the given columns.
 
     Built from the structure constants of the bracket: for the column
     t^alpha d_a and a term t^beta d_b of z, the entry at row
     (alpha + beta, j) is (a, beta) b_j - (b, alpha) a_j, where a is the
-    unit e_i, or d_mu at the point for wnmu.  Only the Cartan
-    coefficients of z and d_mu are evaluated, once each; no Scalar is
-    created.  Zero residues are dropped, so the result is the symbolic
-    matrix specialized and reduced entry for entry, without its rows
-    that vanish there.  Raises DenominatorVanishes when a coefficient of
-    z has a pole at the point and ValueError when the modulus divides
-    its value's denominator.
+    unit e_i, or d_mu for wnmu.  `value` maps each Cartan coefficient of
+    z and of d_mu, once: to itself for the matrix over Q(mu), to its
+    residue at a point for F_p, where entries come out unreduced.
+    From one column, distinct terms of z reach distinct rows, so a
+    (row, column) pair occurs at most once.
     """
     algebra = space.algebra
     if z.m != algebra.m:
         raise ArityMismatch(f"element rank {z.m} != ambient {algebra.m}")
     m = algebra.m
-    terms = [(beta, [scalar_mod_p(c, point, MODULUS) for c in cartan.coeffs])
+    # a for each column direction, and (a, beta) for each term of z.
+    directions = {i: [int(j == i) for j in range(m)] for i in range(m)}
+    directions[MU_DIRECTION] = [value(c) for c in algebra.dmu_cartan().coeffs]
+    terms = [([value(c) for c in cartan.coeffs], beta,
+              {d: _dot(a, beta) for d, a in directions.items()})
              for beta, cartan in z.support.items()]
-    units = [[1 if j == i else 0 for j in range(m)] for i in range(m)]
-    dmu = [scalar_mod_p(c, point, MODULUS) for c in algebra.dmu_cartan().coeffs]
-    rows: Dict[RowKey, Dict[int, int]] = {}
-    for col, (alpha, direction) in enumerate(space.basis):
-        a = dmu if direction == MU_DIRECTION else units[direction]
-        for beta, b in terms:
-            a_beta = sum(x * y for x, y in zip(a, beta))
-            b_alpha = sum(x * y for x, y in zip(b, alpha))
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
+    last_alpha = None
+    for col in columns:
+        alpha, direction = space.basis[col]
+        if alpha != last_alpha:
+            # The columns at alpha share each term's row exponent and (b, alpha).
+            last_alpha = alpha
+            shared = [(tuple(x + y for x, y in zip(alpha, beta)), -_dot(b, alpha))
+                      for b, beta, _ in terms]
+        a = directions[direction]
+        for (b, _, a_betas), (gamma, minus) in zip(terms, shared):
+            a_beta = a_betas[direction]
             for j in range(m):
-                value = (a_beta * b[j] - b_alpha * a[j]) % MODULUS
-                if value:
-                    rows.setdefault((gamma, j), {})[col] = value
-    return rows
+                # Zero factors are skipped: an int 0 times a Scalar costs a Scalar.
+                x = a_beta * b[j] if a_beta and b[j] else 0
+                y = minus * a[j] if minus and a[j] else 0
+                entry = x + y if x and y else x or y
+                if entry:
+                    yield (gamma, j), col, entry
+
+
+def ad_matrix(z: WittElement, space: TruncatedSpace) -> Tuple[ScalarMatrix, List[RowKey]]:
+    """Matrix of x -> [x, z] on the space; rows cover the untruncated image."""
+    entries = list(_ad_entries(z, space, range(len(space)), _same))
+    ordered_keys = sorted({key for key, _, _ in entries})
+    row_index = {key: r for r, key in enumerate(ordered_keys)}
+    matrix = ScalarMatrix(len(ordered_keys), len(space), space.algebra.field.arity)
+    for key, col, entry in entries:
+        matrix.add(row_index[key], col, entry)
+    return matrix, ordered_keys
 
 
 @dataclass
@@ -260,20 +268,10 @@ class VerificationReport:
         return out
 
 
-# Why a match certifies the kernel.  Let A be the ad-matrix over Q(mu),
-# of rank r.  Evaluating at a point where no coefficient of z has a pole
-# is a ring map, so each minor of A at the point is the value of that
-# minor of A: a minor that is zero over Q(mu) stays zero, and the rank
-# can only drop.  Reducing mod p is again a ring map on the values, whose
-# denominators are prime to p, and can again only drop the rank.  The
-# F_p rows are the images of A's entries under these two maps (an entry
-# is an integer polynomial in the coefficients of z and d_mu, which are
-# mapped first), so their rank r0 satisfies r0 <= r.  A match r0 = ncols - corank
-# gives dim ker A = ncols - r <= corank.  The caller has verified
-# `corank` linearly independent kernel members exactly, so
-# dim ker A >= corank, and the kernel is their span.  A point where the
-# rank falls short proves nothing and the next one is tried; when none
-# matches the caller falls back to the symbolic kernel.
+# Why a match certifies the kernel: the F_p rank r0 bounds the rank r of
+# ad(z) over Q(mu) from below (`specialized_residues`), so a match
+# r0 = ncols - corank gives dim ker = ncols - r <= corank, and `corank`
+# exactly verified, independent kernel members make the kernel their span.
 def _certified_corank(z: WittElement, space: TruncatedSpace, corank: int,
                       bound: int) -> Optional[int]:
     """Specialized rank matching ncols - corank, or None if no point certifies.
@@ -281,14 +279,20 @@ def _certified_corank(z: WittElement, space: TruncatedSpace, corank: int,
     A match proves the generic kernel of ad(z) on the space has dimension
     at most `corank`; callers must supply that many independent kernel
     members themselves.  `bound` caps the exponent entries feeding the
-    matrix's linear forms.
+    matrix's linear forms.  When no point matches, the caller falls back
+    to the symbolic kernel.
     """
-    for point in specialization_points(space.algebra.field.arity, bound):
-        try:
-            rows = ad_rows_mod_p(z, space, point)
-        except (DenominatorVanishes, ValueError):
-            continue
-        r0 = rank_mod_p(list(rows.values()), len(space))
+    def residues(point: Tuple[Fraction, ...]) -> List[Dict[int, int]]:
+        rows: Dict[RowKey, Dict[int, int]] = {}
+        for key, col, entry in _ad_entries(z, space, range(len(space)),
+                                           lambda c: scalar_mod_p(c, point, MODULUS)):
+            residue = entry % MODULUS
+            if residue:
+                rows.setdefault(key, {})[col] = residue
+        return list(rows.values())
+
+    for rows in specialized_residues(space.algebra.field.arity, bound, residues):
+        r0 = rank_mod_p(rows, len(space))
         if r0 == len(space) - corank:
             return r0
     return None

@@ -216,14 +216,16 @@ def cmd_rigidity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     try:
         with open(args.probes, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError.
         parser.error(f"cannot read probe table: {exc}")
     try:
-        entries = document["probes"]
-        pairs = [
-            (parse_element(entry["x"], algebra), parse_element(entry["dx"], algebra))
-            for entry in entries
-        ]
+        pairs = []
+        for entry in document["probes"]:
+            x, dx = entry["x"], entry["dx"]
+            if not isinstance(x, str) or not isinstance(dx, str):
+                raise TypeError("probe x and dx must be strings")
+            pairs.append((parse_element(x, algebra), parse_element(dx, algebra)))
     except (KeyError, TypeError) as exc:
         parser.error(f"malformed probe table: {exc}")
     delta = PointwiseMap(algebra, pairs)

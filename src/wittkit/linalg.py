@@ -20,23 +20,25 @@ the canonical kernel basis of A^T that does not annihilate b.
 
 Specializing the mu parameters at a rational point and reducing mod a
 prime can only lower the rank, so the rank over F_p is a certified lower
-bound for the generic rank.  `kernel` and `rank` use it first on every
-component: a component whose F_p rank is already min(rows, cols) has
-that rank over Q(mu), and with full column rank no kernel, so it skips
-symbolic elimination; any other component is eliminated symbolically.
-Callers also combine the bound with explicitly verified kernel members
-to pin kernels exactly without symbolic elimination.  `rank_mod_p` is
-that rank on rows already reduced to residues, split into connected
-components; `modular_rank` feeds it a ScalarMatrix evaluated entry by
-entry, and the centralizer verifiers feed it rows built over F_p
-directly from structure constants.
+bound for the generic rank.  `specialized_residues` is the one loop over
+the specialization points that skips a point where some entry does not
+evaluate, and carries that argument.  `kernel` and `rank` use the bound
+first on every component: a component whose F_p rank is already
+min(rows, cols) has that rank over Q(mu), and with full column rank no
+kernel, so it skips symbolic elimination; any other component is
+eliminated symbolically.  The centralizer verifiers combine the bound
+with explicitly verified kernel members to pin kernels exactly without
+symbolic elimination, ranking residues read off the bracket's structure
+constants.  `rank_mod_p` is that rank on rows already reduced to
+residues, split into connected components; `modular_rank` feeds it a
+ScalarMatrix evaluated entry by entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DenominatorVanishes, LengthMismatch
 from .scalars import MuPolynomial, Scalar, _frac_gcd, poly_gcd
@@ -124,6 +126,32 @@ def specialization_points(arity: int, bound: int, tries: int = 3) -> List[Tuple[
         tuple(Fraction((2 * bound + 2 + t) ** i) for i in range(arity))
         for t in range(tries)
     ]
+
+
+# Why the rank over F_p bounds the rank over Q(mu) from below.  Let A be
+# a matrix over Q(mu) of rank r whose entries are integer polynomials in
+# some scalars (an entry itself, or the coefficients of an element).
+# Evaluating those scalars at a point where none has a pole is a ring
+# map, so each minor of A at the point is the value of that minor of A:
+# a minor that is zero over Q(mu) stays zero, and the rank can only drop.
+# Reducing mod p is again a ring map on the values, whose denominators
+# are prime to p, and can again only drop the rank.  So the rank r0 of
+# A's residues satisfies r0 <= r.  A point with a pole, or a value whose
+# denominator p divides, proves nothing and is skipped.
+def specialized_residues(arity: int, bound: int,
+                         residues: Callable[[Tuple[Fraction, ...]], object]) -> Iterator:
+    """residues(point) at each specialization point where it evaluates.
+
+    `residues` reduces a matrix's entries at the point mod MODULUS and
+    raises DenominatorVanishes or ValueError, as scalar_mod_p does, where
+    they do not evaluate; such points are skipped.
+    """
+    for point in specialization_points(arity, bound):
+        try:
+            rows = residues(point)
+        except (DenominatorVanishes, ValueError):
+            continue
+        yield rows
 
 
 def scalar_mod_p(value: Scalar, values: Sequence[Fraction], prime: int) -> int:
@@ -453,31 +481,21 @@ def _kernel_from_rref(rref: List[Tuple[int, Dict[int, Scalar]]], cols: Sequence[
     return vectors
 
 
-# Why a full rank mod p is the generic rank of a component.  Let A be
-# the component over Q(mu), of rank r <= min(rows, cols).  Evaluating at
-# a point where no entry has a pole is a ring map, so each minor of A at
-# the point is the value of that minor of A: a minor that is zero over
-# Q(mu) stays zero, and the rank can only drop.  Reducing mod p is again
-# a ring map on the values, whose denominators are prime to p, and can
-# again only drop the rank.  So the F_p rank r0 satisfies r0 <= r, and
-# r0 = min(rows, cols) forces r = r0; with r0 = cols the kernel is zero.
-# This holds at every point where the entries evaluate.  A point with a
-# pole, or a value whose denominator p divides, proves nothing and the
-# next is tried; the first that evaluates decides, and a rank short of
-# full leaves the component to symbolic elimination, so the answer never
-# depends on this check.  Geometric points for bound 8 keep integer
-# linear forms in mu with coefficients in [-8, 8] nonzero.
+# Why a full rank mod p is the generic rank of a component: at any
+# point where its entries evaluate, `specialized_residues` gives an F_p
+# rank r0 <= r, and r0 = min(rows, cols) forces r = r0; with r0 = cols
+# the kernel is zero.  The first point that evaluates decides, and a rank
+# short of full leaves the component to symbolic elimination, so the
+# answer never depends on this check.  Geometric points for bound 8 keep
+# integer linear forms in mu with coefficients in [-8, 8] nonzero.
 _CHECK_BOUND = 8
 
 
 def _full_rank_mod_p(matrix: ScalarMatrix, row_idx: List[int], cols: List[int]) -> bool:
     """True when the component provably has rank min(rows, cols) over Q(mu)."""
     component = [matrix.rows[r] for r in row_idx]
-    for point in specialization_points(matrix.arity, _CHECK_BOUND):
-        try:
-            rows = _rows_mod_p(component, point, MODULUS)
-        except (DenominatorVanishes, ValueError):
-            continue
+    for rows in specialized_residues(matrix.arity, _CHECK_BOUND,
+                                     lambda point: _rows_mod_p(component, point, MODULUS)):
         return _modular_rank_block(rows, MODULUS) == min(len(row_idx), len(cols))
     return False
 

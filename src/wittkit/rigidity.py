@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .centralizer import TruncatedSpace, VerificationReport, lemma_4_1_families
+from .centralizer import TruncatedSpace, VerificationReport, _ad_entries, _same, lemma_4_1_families
 from .errors import (
     ArityMismatch,
     BadArity,
@@ -252,9 +252,9 @@ def _lift_certificate(space: TruncatedSpace,
     """
     weights = dict(reduced)
     for c, s in _left_product(space, constraints, reduced).items():
-        first = next(_support_rows(bracket(space.element(c), constraints[0][0])), None)
+        first = next(_ad_entries(constraints[0][0], space, [c], _same), None)
         if first is not None:  # else c has eigenvalue zero, and the self-check fails
-            gamma, j, pivot = first
+            (gamma, j), _, pivot = first
             weights[(0, gamma, j)] = -s / pivot
     return sorted(weights.items())
 
@@ -292,10 +292,11 @@ def solve_inner(algebra: WittAlgebra, constraints: Sequence[Tuple[WittElement, W
     space = TruncatedSpace(algebra, box)
     arity = algebra.field.arity
     zero_cols = [c for c, (alpha, _) in enumerate(space.basis) if not any(alpha[:algebra.n])]
+    position = {c: k for k, c in enumerate(zero_cols)}
     columns: List[Dict[ConstraintRow, Scalar]] = [{} for _ in zero_cols]
     for q, (x, _) in enumerate(constraints[1:], 1):
-        for column, c in zip(columns, zero_cols):
-            column.update(_keyed_rows(bracket(space.element(c), x), q))
+        for (gamma, j), c, entry in _ad_entries(x, space, zero_cols, _same):
+            columns[position[c]][(q, gamma, j)] = entry
     nonzero = len(space) - len(zero_cols)
     try:
         coords = space.coordinates_of(constraints[0][1])

@@ -194,14 +194,6 @@ class MuPolynomial:
             {tuple(a + b for a, b in zip(m, mono)): c for m, c in self.terms.items()},
         )
 
-    def __pow__(self, exponent: int) -> "MuPolynomial":
-        if exponent < 0:
-            raise ExactDivisionError("negative polynomial power")
-        result = MuPolynomial.one(self.arity)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     # -- content, gcd, division ---------------------------------------
 
     def content(self) -> Fraction:

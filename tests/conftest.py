@@ -1,7 +1,8 @@
-"""Shared oracles: the stacked anchor system and the certificate property.
+"""Shared oracles: the ad-matrix, the stacked anchor system and the certificate property.
 
-Both are rebuilt here from `bracket` over every column of the degree
-box, independently of how `solve_inner` organises its own solve.
+All are rebuilt here from `bracket` over every column of the degree box,
+independently of the structure-constant builder behind `ad_matrix` and
+of how `solve_inner` organises its own solve.
 """
 
 from __future__ import annotations
@@ -16,6 +17,23 @@ def _support_rows(w):
         for j, coeff in enumerate(cartan.coeffs):
             if not coeff.is_zero:
                 yield gamma, j, coeff
+
+
+def bracket_ad_matrix(z, space):
+    """(matrix, row keys) of x -> [x, z], one `bracket` per column of the space.
+
+    Rows are the sorted (exponent, direction) keys that some column reaches.
+    """
+    entries = []
+    for col in range(len(space)):
+        for gamma, j, coeff in _support_rows(bracket(space.element(col), z)):
+            entries.append(((gamma, j), col, coeff))
+    keys = sorted({key for key, _, _ in entries})
+    row_of = {key: r for r, key in enumerate(keys)}
+    matrix = ScalarMatrix(len(keys), len(space), space.algebra.field.arity)
+    for key, col, coeff in entries:
+        matrix.add(row_of[key], col, coeff)
+    return matrix, keys
 
 
 def build_stacked_system(algebra, constraints, box):
@@ -71,6 +89,11 @@ def check_certificate(algebra, constraints, box, certificate):
         if not entry.is_zero:
             ub = ub + weight * entry
     return "u . b == 0" if ub.is_zero else None
+
+
+@pytest.fixture
+def ad_matrix_oracle():
+    return bracket_ad_matrix
 
 
 @pytest.fixture

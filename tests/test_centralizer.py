@@ -15,19 +15,18 @@ from wittkit import (
     bracket,
     centralizer_basis,
     lemma_4_1_families,
-    modular_rank,
     parse_element,
     predicted_centralizer_4_1,
     proportional,
+    rank,
     span_rank,
     specialization_points,
     verify_lemma_2_2,
     verify_lemma_4_1,
 )
-from wittkit import centralizer
+from wittkit import centralizer, linalg
 from wittkit.errors import BadK
-from wittkit.centralizer import ad_rows_mod_p
-from wittkit.linalg import MODULUS, rank_mod_p
+from wittkit.linalg import MODULUS, scalar_mod_p
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
 
@@ -170,8 +169,8 @@ def _residue(value: Fraction) -> int:
 @pytest.mark.parametrize("variant", [
     AlgebraVariant.wn(2), AlgebraVariant.winf(1, 2), AlgebraVariant.wnplus(2),
     AlgebraVariant.wnplusplus(2), AlgebraVariant.wnmu(2)])
-def test_ad_rows_mod_p_match_symbolic_matrix(variant):
-    # the F_p builder is the symbolic ad-matrix evaluated and reduced entry by entry
+def test_ad_builder_matches_bracket_oracle(variant, ad_matrix_oracle):
+    # the structure-constant builder, over Q(mu) and over F_p, is the bracket per column
     algebra = WittAlgebra(variant)
     space = TruncatedSpace(algebra, box=2)
     pairs = algebra._basis_pair_list(1)
@@ -181,23 +180,38 @@ def test_ad_rows_mod_p_match_symbolic_matrix(variant):
         for alpha, direction in rng.sample(pairs, 3):
             coeff = _rational_coefficient(rng, algebra.field)
             z = z + algebra.pair_element(alpha, direction).scale(coeff)
-        matrix, keys = ad_matrix(z, space)
+        matrix, keys = ad_matrix_oracle(z, space)
+        built, built_keys = ad_matrix(z, space)
+        assert built_keys == keys and built.rows == matrix.rows
+        columns = sorted(rng.sample(range(len(space)), len(space) // 3))
+        some = {(key, c): s for key, row in zip(keys, matrix.rows)
+                for c, s in row.items() if c in columns}
+        assert {(key, c): s for key, c, s in
+                centralizer._ad_entries(z, space, columns, lambda s: s)} == some
         for point in specialization_points(algebra.field.arity, space.box):
             expected = {}
             for key, row in zip(keys, matrix.rows):
-                residues = {c: _residue(s.evaluate(point)) for c, s in row.items()}
-                residues = {c: v for c, v in residues.items() if v}
-                if residues:
-                    expected[key] = residues
-            rows = ad_rows_mod_p(z, space, point)
-            assert rows == expected
-            r0 = rank_mod_p(list(rows.values()), len(space))
-            assert r0 == modular_rank(matrix, point) > 0
+                for c, s in row.items():
+                    residue = _residue(s.evaluate(point))
+                    if residue:
+                        expected[(key, c)] = residue
+            residues = lambda s: scalar_mod_p(s, point, MODULUS)
+            entries = centralizer._ad_entries(z, space, range(len(space)), residues)
+            assert {(key, c): e % MODULUS for key, c, e in entries if e % MODULUS} == expected
+
+
+def test_certified_corank_reduces_entries_mod_p():
+    # at column t1^2*t2*d1 the entry (e_1, beta) b_1 - (b, alpha) = 1 - (2 - 1) is zero,
+    # but its residues give 1 - (2 + (p - 1)) = -p, which must be reduced away
+    z = parse_element("t1*d1 - t1*d2", W2)
+    space = TruncatedSpace(W2, box=2)
+    r = rank(ad_matrix(z, space)[0])
+    assert centralizer._certified_corank(z, space, len(space) - r, space.box) == r
 
 
 def test_verify_falls_back_when_no_point_certifies(monkeypatch):
     # mu = 0 kills every entry, so no point certifies and the symbolic kernel decides
-    monkeypatch.setattr(centralizer, "specialization_points",
+    monkeypatch.setattr(linalg, "specialization_points",
                         lambda arity, bound: [(0,) * arity])
     report = verify_lemma_2_2(2, 2)
     assert report.passed

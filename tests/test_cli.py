@@ -219,6 +219,22 @@ def test_rigidity_missing_file_is_usage_error(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"probes": [{"x": "d\xff1", "dx": "0"}]}',  # not UTF-8
+    b"[" * 200000 + b"]" * 200000,  # nested past the recursion limit
+    b'{"probes": [{"x": ["d1"], "dx": "0"}]}',  # x is not a string
+], ids=["non-utf8", "deep-nesting", "non-string-x"])
+def test_rigidity_unreadable_probe_table_is_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "probes.json"
+    path.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["rigidity", "--arity", "2", "--probes", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "probe table" in captured.err and "Traceback" not in captured.err
+
+
 def test_fuzz_deterministic(capsys):
     argv = ["fuzz", "--arity", "2", "--box", "2", "--count", "50",
             "--seed", "7", "--format", "json", "jacobi"]

@@ -46,6 +46,11 @@ COMMANDS = {
     # full-rank components beside one with a kernel
     "centralize-mixed": ["centralize", "--arity", "2", "--box", "2",
                          "(t1^2 + t2^2)*dmu + 2*t1*t2^-1*d1"],
+    # rational-function coefficients on d_mu columns
+    "centralize-wnmu": ["centralize", "--arity", "2", "--variant", "wnmu", "--box", "1",
+                        "t1*dmu + mu1/(mu2 + 1)*t2^-1*dmu"],
+    "centralize-wnplus": ["centralize", "--arity", "2", "--variant", "wnplus", "--box", "2",
+                          "t1^-1*d1 + t2*d2"],
     "lemma2.2": ["verify", "--arity", "2", "--k", "2", "lemma2.2"],
     "lemma3.2": ["verify", "--arity", "2", "lemma3.2", "t1*d1 + t1*t2*d2"],
     "lemma3.3": ["verify", "--arity", "2", "--k", "3", "lemma3.3"],
@@ -60,8 +65,9 @@ COMMANDS = {
 }
 
 # Recorded before the diagonal-anchor solve replaced the stacked one; the
-# three centralize-* digests before the full-rank check mod p was added to
-# kernel and rank.
+# three centralize-* digests of W_n before the full-rank check mod p was
+# added to kernel and rank, and the wnmu and wnplus ones before ad_matrix
+# was built from structure constants instead of one bracket per column.
 DIGESTS = {
     "bracket": "5a77a4748307d9e99ac9ac83a191e603b11502e52628276793a7b43fc95a09ac",
     "centralize": "dfb8bf8687ea6d9ca881050f861da5ea3a624cfaacff3b5328702654df0029b7",
@@ -69,6 +75,8 @@ DIGESTS = {
     "centralize-kernel-component":
         "3afbef0876a26bd969624e5c34eb2f9f763e1ca7ff4490f09ac8786e9350b135",
     "centralize-mixed": "32b29042d318817c31e4c7970c5d6d775883f5db25229d866b89ff89302e1aeb",
+    "centralize-wnmu": "c3fb507500a00b77d4c895d7ec7fe12b49db687f98529c6b5b98732c05c2e706",
+    "centralize-wnplus": "9d3f5725e60c9f107d202ad2979c1ec1dbe31c3c2a8f04f22618aca971c137d1",
     "fuzz": "2bf06ad964379730fbf56b05184464a780920fe3e98ab90a7521b5bb20056fbd",
     "lemma2.2": "827213e1ef22facf8869014e61d2da8cf5f7c5d91534ae4fe0a2ce4d261f1e5e",
     "lemma3.2": "41ab86e9ca1cbab5647283b1d399413a427c959cc6f4c180af711fa674aca2bc",
