@@ -3,16 +3,16 @@
 Everything here is exact: kernels, ranks and solutions are computed with
 rational-function arithmetic, never floating point.  `kernel`, `rank`
 and `solve` split the matrix into connected components and reduce each
-one with the same fraction-free elimination: rows are cleared of
-denominators, updates are cross-multiplications, and every updated row
-is stripped of its rational and polynomial content.  The pivots it picks
-are then normalised by one reduced-row-echelon pass with leftmost
-pivots, whose output is the unique RREF of the row space, so the pivot
-order cannot affect answers.  Kernel bases read off from the RREF are
-canonical: one vector per free column, carrying a unit there, ordered by
-free column index.
+one with the same Gauss-Jordan pass over Q(mu), `_canonical_rref`: the
+pivot is always the leftmost column left in any row, so its output is
+the unique RREF of the row space whatever the order of the rows, and
+dependent rows drop out as they reduce to zero.  Kernel bases read off
+from the RREF are canonical: one vector per free column, carrying a
+unit there, ordered by free column index.
 
-`solve` carries b as an extra column that is never a pivot, so the same
+`solve` carries b as an extra, last column.  With leftmost pivots that
+column becomes a pivot only when some row reduces to its b entry alone,
+that is, exactly when the system is inconsistent; otherwise the same
 pass gives the canonical solution (free variables zero).  Inconsistent
 systems come back with a certificate: a left combination u of the
 original rows with u A = 0 but u . b != 0, namely the first vector of
@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DenominatorVanishes, LengthMismatch
-from .scalars import MuPolynomial, Scalar, _frac_gcd, poly_gcd
+from .scalars import Scalar
 
 KernelVector = Dict[int, Scalar]
 
@@ -298,140 +298,29 @@ def _split_components(rows: Sequence[Dict], ncols: int
 
 
 # ----------------------------------------------------------------------
-# Fraction-free elimination.  Columns at or past a limit (a right-hand
-# side) take every row operation but are never pivots.
-
-
-def _pick_pivot(rows: Sequence[Dict[int, MuPolynomial]], col_rows: Dict[int, set],
-                active: set, limit: int) -> Optional[Tuple[int, int]]:
-    best_col = None
-    best_key = None
-    for col, holders in col_rows.items():
-        if col >= limit or not (holders & active):
-            continue
-        key = (len(holders), col)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_col = col
-    if best_col is None:
-        return None
-    best_row = None
-    best_row_key = None
-    for r in col_rows[best_col] & active:
-        key = (len(rows[r][best_col].terms), r)
-        if best_row_key is None or key < best_row_key:
-            best_row_key = key
-            best_row = r
-    return best_row, best_col
-
-
-def _index_columns(rows: Sequence[Dict]) -> Dict[int, set]:
-    col_rows: Dict[int, set] = {}
-    for r, row in enumerate(rows):
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
-    return col_rows
-
-
-def _clear_denominators(row: Dict[int, Scalar], arity: int) -> Dict[int, MuPolynomial]:
-    den = MuPolynomial.one(arity)
-    for s in row.values():
-        if not s.den.is_constant():
-            den = den * s.den.exact_div(poly_gcd(den, s.den))
-    return {c: s.num * den.exact_div(s.den) for c, s in row.items()}
-
-
-def _strip_content(row: Dict[int, MuPolynomial]) -> None:
-    if not row:
-        return
-    coeffs = [c for p in row.values() for c in p.terms.values()]
-    content = _frac_gcd(coeffs)
-    if content != 1:
-        for c in list(row):
-            row[c] = row[c].scale(1 / content)
-    # Any constant entry makes the polynomial content trivial; otherwise
-    # fold gcds starting from the smallest entry and stop once constant.
-    polys = sorted(row.values(), key=lambda p: (p.total_degree(), len(p.terms)))
-    if polys[0].is_constant():
-        return
-    g = polys[0]
-    for p in polys[1:]:
-        g = poly_gcd(g, p)
-        if g.is_constant():
-            return
-    for c in list(row):
-        row[c] = row[c].exact_div(g)
-
-
-def _eliminate_fraction_free(rows: List[Dict[int, MuPolynomial]],
-                             limit: int) -> List[Tuple[int, int]]:
-    """Gauss-Jordan without division, in place; returns (pivot_row, pivot_col) pairs.
-
-    Pivots are taken in columns below `limit` only, structurally sparsest
-    column first, then the entry with the fewest terms, ties broken by
-    smallest (row, column) position.  Every other row is cleared in the
-    pivot column, so a row that is never a pivot ends with entries at or
-    past `limit` only.
-    """
-    for r in range(len(rows)):
-        _strip_content(rows[r])
-    col_rows = _index_columns(rows)
-    active = set(range(len(rows)))
-    pivots: List[Tuple[int, int]] = []
-    while True:
-        picked = _pick_pivot(rows, col_rows, active, limit)
-        if picked is None:
-            break
-        pr, pc = picked
-        pivot_row = rows[pr]
-        pivot = pivot_row[pc]
-        for r in sorted(col_rows[pc] - {pr}):
-            target = rows[r]
-            lead = target[pc]
-            new_row: Dict[int, MuPolynomial] = {}
-            for c, value in target.items():
-                new_row[c] = value * pivot
-            for c, value in pivot_row.items():
-                acc = new_row.get(c)
-                piece = value * lead
-                acc = -piece if acc is None else acc - piece
-                if acc.is_zero:
-                    new_row.pop(c, None)
-                else:
-                    new_row[c] = acc
-            _strip_content(new_row)
-            for c in target:
-                if c not in new_row:
-                    col_rows[c].discard(r)
-            for c in new_row:
-                if c not in target:
-                    col_rows.setdefault(c, set()).add(r)
-            rows[r] = new_row
-        active.discard(pr)
-        pivots.append((pr, pc))
-    return pivots
-
-
-# ----------------------------------------------------------------------
 # Canonical form and read-off.
 
 
-def _canonical_rref(rows: List[Dict[int, Scalar]]) -> List[Tuple[int, Dict[int, Scalar]]]:
+def _canonical_rref(rows: Sequence[Dict[int, Scalar]]) -> List[Tuple[int, Dict[int, Scalar]]]:
     """Unique RREF of the span of `rows`: leftmost pivots, pivot entries 1.
 
-    A right-hand side carried as the last column never becomes a pivot
-    when the rows are independent without it, as the pivot rows of an
-    elimination are.
+    The rows may be dependent: a row that reduces to zero drops out.  The
+    pivot column is the smallest column left in any row, so pivots come
+    out in increasing order and each new pivot row clears its column from
+    the pending rows and from those already emitted alike.  A right-hand
+    side carried as the last column becomes a pivot only when some row
+    reduces to it alone, that is, when the system is inconsistent.
     """
     work = [dict(row) for row in rows if row]
     result: List[Tuple[int, Dict[int, Scalar]]] = []
     while work:
         pc = min(c for row in work for c in row)
-        pr = next(i for i, row in enumerate(work) if pc in row)
+        # Any row holding pc yields the same RREF; the shortest fills in least.
+        pr = min((i for i, row in enumerate(work) if pc in row), key=lambda i: len(work[i]))
         pivot_row = work.pop(pr)
         inv = pivot_row[pc].inverse()
         pivot_row = {c: inv * v for c, v in pivot_row.items()}
-        for row in work:
+        for row in work + [row for _, row in result]:
             lead = row.pop(pc, None)
             if lead is None:
                 continue
@@ -445,21 +334,7 @@ def _canonical_rref(rows: List[Dict[int, Scalar]]) -> List[Tuple[int, Dict[int, 
                 else:
                     row[c] = acc
         work = [row for row in work if row]
-        for pc_prev, row_prev in result:
-            lead = row_prev.pop(pc, None)
-            if lead is None:
-                continue
-            for c, v in pivot_row.items():
-                if c == pc:
-                    continue
-                acc = row_prev.get(c)
-                acc = -(lead * v) if acc is None else acc - lead * v
-                if acc.is_zero:
-                    row_prev.pop(c, None)
-                else:
-                    row_prev[c] = acc
         result.append((pc, pivot_row))
-    result.sort(key=lambda item: item[0])
     return result
 
 
@@ -500,21 +375,6 @@ def _full_rank_mod_p(matrix: ScalarMatrix, row_idx: List[int], cols: List[int]) 
     return False
 
 
-def _reduce_component(rows: Sequence[Dict[int, Scalar]], arity: int,
-                      limit: int) -> Optional[List[Tuple[int, Dict[int, Scalar]]]]:
-    """Canonical RREF of a component's rows, pivots below `limit`, sorted by pivot.
-
-    None when some row reduces to entries at or past `limit` alone, which
-    only a right-hand side column can cause.
-    """
-    work = [_clear_denominators(row, arity) for row in rows]
-    pivots = _eliminate_fraction_free(work, limit)
-    pivot_rows = {pr for pr, _ in pivots}
-    if any(row for r, row in enumerate(work) if r not in pivot_rows):
-        return None
-    return _canonical_rref([{c: Scalar(p) for c, p in work[pr].items()} for pr, _ in pivots])
-
-
 def kernel(matrix: ScalarMatrix) -> List[KernelVector]:
     """Canonical kernel basis: one vector per free column, unit there."""
     components, zero_cols = _split_components(matrix.rows, matrix.ncols)
@@ -524,7 +384,7 @@ def kernel(matrix: ScalarMatrix) -> List[KernelVector]:
         # Fewer rows than columns always leave a kernel.
         if len(row_idx) >= len(cols) and _full_rank_mod_p(matrix, row_idx, cols):
             continue
-        rref = _reduce_component([matrix.rows[r] for r in row_idx], matrix.arity, matrix.ncols)
+        rref = _canonical_rref([matrix.rows[r] for r in row_idx])
         tagged.extend(_kernel_from_rref(rref, cols, matrix.arity))
     tagged.sort(key=lambda item: item[0])
     return [v for _, v in tagged]
@@ -537,8 +397,7 @@ def rank(matrix: ScalarMatrix) -> int:
         if _full_rank_mod_p(matrix, row_idx, cols):
             total += min(len(row_idx), len(cols))
         else:
-            total += len(_reduce_component([matrix.rows[r] for r in row_idx],
-                                           matrix.arity, matrix.ncols))
+            total += len(_canonical_rref([matrix.rows[r] for r in row_idx]))
     return total
 
 
@@ -565,11 +424,12 @@ class SolveResult:
 def solve(matrix: ScalarMatrix, rhs: Dict[int, Scalar]) -> SolveResult:
     """Solve A x = b exactly, with a certificate when inconsistent.
 
-    Each connected component of A is reduced with its part of b riding
-    along as column ncols, which is never a pivot.  The returned solution
-    is canonical: free variables of the unique RREF are set to zero.  The
-    system is inconsistent when a row with an empty A-part has a nonzero
-    b entry, or when a row reduces to its b entry alone.
+    Each connected component of A is reduced to its unique RREF with its
+    part of b riding along as column ncols.  The returned solution is
+    canonical: free variables are set to zero.  The system is
+    inconsistent when a row with an empty A-part has a nonzero b entry,
+    or when column ncols becomes a pivot: with leftmost pivots, that
+    happens exactly when some row reduces to its b entry alone.
     """
     b = matrix.ncols
     rhs = {r: v for r, v in rhs.items() if not v.is_zero}
@@ -579,8 +439,8 @@ def solve(matrix: ScalarMatrix, rhs: Dict[int, Scalar]) -> SolveResult:
     rref: List[Tuple[int, Dict[int, Scalar]]] = []
     for row_idx, _ in components:
         rows = [{**matrix.rows[r], b: rhs[r]} if r in rhs else matrix.rows[r] for r in row_idx]
-        reduced = _reduce_component(rows, matrix.arity, b)
-        if reduced is None:
+        reduced = _canonical_rref(rows)
+        if reduced[-1][0] == b:
             return _inconsistent(matrix, rhs)
         rref.extend(reduced)
     rref.sort(key=lambda item: item[0])

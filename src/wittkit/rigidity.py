@@ -812,7 +812,8 @@ def verify_lemma_4_4(x: WittElement, n: int, m: int,
     plus the t^beta h' family; the h' family kills x outright, and every
     shift term lands at a first-n exponent entry of magnitude above n_x,
     so the allowed span over t^{alpha+beta} d_alpha forces all c_beta to
-    zero.  Shift tails beta default to the cube of radius k.
+    zero.  Shift tails beta default to the cube of radius k; a box below
+    k holds no shift at all, so it would pass vacuously and is rejected.
     """
     if x.is_zero:
         raise WittkitError("x must be nonzero")
@@ -829,6 +830,8 @@ def verify_lemma_4_4(x: WittElement, n: int, m: int,
     n_x = 1 + max(abs(e) for alpha in x.support for e in alpha[:n])
     k = 2 * n_x + 1
     a_box = k if box is None else box
+    if a_box < k:
+        raise BadArity(f"box must cover the power-{k} shift family, got box {a_box}")
     shifts, h_family = lemma_4_1_families(base, k, a_box)
     names = [f"c{i}" for i in range(1, len(shifts) + 1)]
     ext = base.field.extend(*names)

@@ -116,11 +116,6 @@ class MuPolynomial:
         mono = max(self.terms, key=_grlex_key)
         return mono, self.terms[mono]
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def degree_in(self, var: int) -> int:
         if not self.terms:
             return -1

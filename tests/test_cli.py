@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wittkit
 from wittkit.cli import build_parser, main
 
 
@@ -15,6 +18,15 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(argv):
+    """`python -m wittkit argv` in a fresh process importing the package under test."""
+    src = str(Path(wittkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "wittkit", *argv], capture_output=True,
+                          text=True, check=False, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_parse_echoes_canonical_form(capsys):
@@ -105,6 +117,20 @@ def test_verify_lemma_2_2_box_below_k_is_usage_error(capsys):
     assert "box" in err and "outside the box 2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--arity", "2", "--prefix", "1", "lemma4.4", "t1*d1", "--box", "-1"],
+    ["--arity", "2", "--prefix", "1", "lemma4.4", "t1*d1", "--box", "0"],
+    ["--arity", "2", "--prefix", "1", "lemma4.4", "t1*d1", "--box", "4"],
+    ["--arity", "3", "--prefix", "2", "--box", "1", "lemma4.4", "t1*d1 + d2"],
+])
+def test_verify_lemma_4_4_box_below_k_is_usage_error(capsys, argv):
+    # k = 2 n_x + 1 = 5 for both elements; a smaller box holds no shift
+    code, out, err = run_cli(capsys, ["verify", *argv, "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert "power-5 shift family" in err
+
+
 @pytest.mark.parametrize("lemma", ["lemma2.2", "lemma3.3"])
 def test_verify_wn_only_lemma_rejects_variant(capsys, lemma):
     with pytest.raises(SystemExit) as exc:
@@ -148,8 +174,7 @@ def test_cached_parser_matches_fresh_processes(capsys):
         except SystemExit as exc:
             code = exc.code
         in_process.append((code, capsys.readouterr().out))
-    fresh = [subprocess.run([sys.executable, "-m", "wittkit", *argv], capture_output=True,
-                            text=True, check=False, timeout=60) for argv in calls]
+    fresh = [run_module(argv) for argv in calls]
     assert in_process == [(done.returncode, done.stdout) for done in fresh]
     assert [code for code, _ in in_process] == [2, 0, 0]
     assert build_parser() is build_parser()
@@ -255,13 +280,6 @@ def test_fuzz_closure_on_variant(capsys):
 
 
 def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "wittkit", "bracket", "--arity", "1",
-         "t1^-1*d1", "t1*d1"],
-        capture_output=True,
-        text=True,
-        check=False,
-        timeout=60,
-    )
+    result = run_module(["bracket", "--arity", "1", "t1^-1*d1", "t1*d1"])
     assert result.returncode == 0
     assert result.stdout.strip() == "2*d1"

@@ -46,6 +46,12 @@ COMMANDS = {
     # full-rank components beside one with a kernel
     "centralize-mixed": ["centralize", "--arity", "2", "--box", "2",
                          "(t1^2 + t2^2)*dmu + 2*t1*t2^-1*d1"],
+    # one 98-column component with a kernel
+    "centralize-large-component": ["centralize", "--arity", "2", "--box", "3",
+                                   "(t1 + t2)*dmu + t1*t2^-1*d1"],
+    # one 96x50 component whose fraction-free elimination swelled past 200 s
+    "centralize-swell": ["centralize", "--arity", "2", "--box", "2",
+                         "(3/7)*t2*d1 + (t1^2+t2^2)*dmu + (5/11)*t1*t2^-1*d2"],
     # rational-function coefficients on d_mu columns
     "centralize-wnmu": ["centralize", "--arity", "2", "--variant", "wnmu", "--box", "1",
                         "t1*dmu + mu1/(mu2 + 1)*t2^-1*dmu"],
@@ -59,22 +65,29 @@ COMMANDS = {
                  "lemma4.1"],
     "lemma4.3": ["verify", "--arity", "3", "--prefix", "2", "--k", "2", "--box", "1",
                  "lemma4.3"],
-    "lemma4.4": ["verify", "--arity", "3", "--prefix", "2", "--box", "1", "lemma4.4",
-                 "t1*d1 + d2"],
+    # at the default box k = 5; a smaller box is a usage error
+    "lemma4.4": ["verify", "--arity", "3", "--prefix", "2", "lemma4.4", "t1*d1 + d2"],
     "fuzz": ["fuzz", "--arity", "2", "--count", "20", "--seed", "3", "jacobi"],
 }
 
 # Recorded before the diagonal-anchor solve replaced the stacked one; the
 # three centralize-* digests of W_n before the full-rank check mod p was
 # added to kernel and rank, and the wnmu and wnplus ones before ad_matrix
-# was built from structure constants instead of one bracket per column.
+# was built from structure constants instead of one bracket per column;
+# lemma4.4 at its default box and centralize-large-component before the
+# fraction-free elimination gave way to the canonical RREF pass alone.
+# centralize-swell, which that elimination did not finish, is pinned from
+# the RREF pass; its one basis vector is z / mu2.
 DIGESTS = {
     "bracket": "5a77a4748307d9e99ac9ac83a191e603b11502e52628276793a7b43fc95a09ac",
     "centralize": "dfb8bf8687ea6d9ca881050f861da5ea3a624cfaacff3b5328702654df0029b7",
     "centralize-full-rank": "9f296ad12496ebd1673050cea8d661b0bc089f679bd6912650bf3b2639b31b26",
     "centralize-kernel-component":
         "3afbef0876a26bd969624e5c34eb2f9f763e1ca7ff4490f09ac8786e9350b135",
+    "centralize-large-component":
+        "9d04d78e16108ca8b4b3b2b7521ab45d0d6d2e88e2ad96cd85c794d2a91f3cc8",
     "centralize-mixed": "32b29042d318817c31e4c7970c5d6d775883f5db25229d866b89ff89302e1aeb",
+    "centralize-swell": "ead0c496c995991d7409686719604356a3a00f13ed557778cc26a0d3baf9825f",
     "centralize-wnmu": "c3fb507500a00b77d4c895d7ec7fe12b49db687f98529c6b5b98732c05c2e706",
     "centralize-wnplus": "9d3f5725e60c9f107d202ad2979c1ec1dbe31c3c2a8f04f22618aca971c137d1",
     "fuzz": "2bf06ad964379730fbf56b05184464a780920fe3e98ab90a7521b5bb20056fbd",
@@ -84,7 +97,7 @@ DIGESTS = {
     "lemma3.4": "1bdce25671daf852adca1b673d5d9e95b2d31fc5d0912067dcb9b8e241ddec39",
     "lemma4.1": "30f4b9f3c16def65ee097554eddfac57de647573f5163e1e53b4a14d7878127a",
     "lemma4.3": "77ff043d66fd9456d24ae51d9303b7d973d303d1c45e51185a187ed3c890d3b5",
-    "lemma4.4": "0429744a2f688048bbac03b94f32a2addb2b9a93dd748c040665f08fa74be3ec",
+    "lemma4.4": "4ab0e3cc66c43d6c2391e8dd7ffa49a4d1678895a72bd36416c801e19e248bd4",
     "parse": "209813971551ea896f68154c3bd80a6ce7f859b0b9c82bff5e8d688eb7b804c3",
     "rigidity-inner-winf": "8f0a54133d0bd982dd6304cdec73093168bccf843ff0a570b0e02249a42ff716",
     "rigidity-inner-wn": "568d65e3230fbe4cf5d83e58705d2ff4e2d1de2de299a46bfe93bfbb632e5369",

@@ -152,9 +152,9 @@ def test_symbolic_solve():
     assert result.solution[1] == mu1 / mu2
 
 
-def test_fraction_free_path_matches_field_path():
-    # wide symbolic matrices take the fraction-free route; compare against
-    # rank-nullity and substitution since both paths must agree
+def test_wide_symbolic_kernel_satisfies_rank_nullity():
+    # a wide symbolic matrix, checked by rank-nullity and by substituting
+    # every kernel vector back
     rng = random.Random(99)
     matrix = ScalarMatrix(6, 14, 2)
     mus = [F2.mu(1), F2.mu(2), F2.one()]
@@ -280,7 +280,9 @@ def test_rank_mod_p_matches_intersecting_search(prime):
 
 # ----------------------------------------------------------------------
 # kernel and rank with the full-rank check against the same calls with the
-# check declining, so that every component is eliminated symbolically.
+# check declining, so that every component is eliminated symbolically, and
+# against the dense Gauss-Jordan oracle `dense_solve` below, which shares
+# no code with linalg.
 
 
 @pytest.fixture
@@ -301,6 +303,11 @@ def symbolic_only(monkeypatch, matrix):
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "_full_rank_mod_p", lambda *args: False)
         return kernel(matrix), rank(matrix)
+
+
+def dense_kernel_and_rank(matrix):
+    _, homogeneous, dense_rank = dense_solve(matrix, {})
+    return homogeneous, dense_rank
 
 
 def _random_entry(rng, arity):
@@ -344,6 +351,7 @@ def test_check_keeps_kernel_and_rank(monkeypatch, check_results, arity):
         matrix = planted_matrix(rng, arity, blocks)
         vectors = kernel(matrix)
         assert (vectors, rank(matrix)) == symbolic_only(monkeypatch, matrix)
+        assert (vectors, rank(matrix)) == dense_kernel_and_rank(matrix)
         assert len(vectors) >= sum(b[2] for b in blocks)
         for vec in vectors:
             assert is_zero_vector(matrix.apply(vec))
@@ -351,11 +359,14 @@ def test_check_keeps_kernel_and_rank(monkeypatch, check_results, arity):
     assert {answer for _, _, answer in check_results} == {True, False}
 
 
-def test_check_keeps_fraction_free_kernel(monkeypatch, check_results):
+def test_check_keeps_large_component_kernel(monkeypatch, check_results):
+    # two 13-column components: the square one is full rank mod p, the
+    # other has a planted kernel and is eliminated symbolically
     rng = random.Random(77)
     matrix = planted_matrix(rng, 2, [(13, 13, 0), (14, 13, 1), (3, 2, 0)], density=0.0)
     vectors = kernel(matrix)
     assert (vectors, rank(matrix)) == symbolic_only(monkeypatch, matrix)
+    assert (vectors, rank(matrix)) == dense_kernel_and_rank(matrix)
     assert len(vectors) >= 1
     assert (13, 13, True) in check_results and (14, 13, False) in check_results
 

@@ -9,6 +9,7 @@ import pytest
 import wittkit.rigidity as rigidity
 from wittkit import (
     AlgebraVariant,
+    BadArity,
     MissingProbe,
     PointwiseMap,
     SelfCheckFailed,
@@ -301,3 +302,11 @@ def test_verify_lemma_4_4():
     assert report.data["forcing_rank"] == report.data["shifts"]
     with pytest.raises(Exception):
         verify_lemma_4_4(x2, 2, 3)
+
+
+@pytest.mark.parametrize("box", [-1, 0, 4])
+def test_verify_lemma_4_4_rejects_box_below_k(box):
+    # n_x = 2, so k = 5: a box below 5 holds no shift, so the check would be vacuous
+    x = widen_element(W2.monomial((1, 0), 1) + W2.d(2), 3)
+    with pytest.raises(BadArity, match="power-5 shift family"):
+        verify_lemma_4_4(x, 2, 3, box)
