@@ -340,7 +340,13 @@ def verify_lemma_2_2(n: int, k: int, box: Optional[int] = None) -> VerificationR
 
 
 def verify_lemma_4_1(n: int, m: int, k: int, box: Optional[int] = None) -> VerificationReport:
-    """Computed centralizer equals the predicted shift + h' span (both directions)."""
+    """Computed centralizer equals the predicted shift + h' span (both directions).
+
+    A box below |k| holds no shift t^beta (t_1^k+...+t_n^k) d_mu, nor any
+    combination of them, since distinct beta give disjoint supports; the
+    box part of the centralizer is then exactly the h' family, and the
+    check is still a real comparison with the kernel of ad(z) on the box.
+    """
     if k == 0:
         raise BadK("k must be nonzero")
     if not n < m:

@@ -44,8 +44,9 @@ from .witt import (
 _LEMMAS = ("lemma2.2", "lemma3.2", "lemma3.3", "lemma3.4",
            "lemma4.1", "lemma4.3", "lemma4.4")
 _LAWS = ("antisymmetry", "bilinearity", "jacobi", "closure", "monomial")
-# Lemmas stated for W_n only; their verifiers build their own algebra.
-_WN_ONLY_LEMMAS = ("lemma2.2", "lemma3.3")
+# Lemmas whose verifiers build winf(n, m), which --prefix implies; the
+# others build W_n.  --variant may name only the algebra a verifier builds.
+_WINF_LEMMAS = ("lemma4.1", "lemma4.3", "lemma4.4")
 
 
 def _positive_int(text: str) -> int:
@@ -195,11 +196,11 @@ def _verify_report(args: argparse.Namespace, parser: argparse.ArgumentParser):
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.lemma in _WN_ONLY_LEMMAS and _variant_kind(args.variant) != "wn":
-        parser.error(f"{args.lemma} is stated for W_n only; --variant {args.variant} "
-                     "is not supported")
-    if args.lemma in ("lemma4.1", "lemma4.3", "lemma4.4") and args.prefix is not None:
-        # winf geometry is implied; the flag only carries n here.
+    built = ("wn", "winf") if args.lemma in _WINF_LEMMAS else ("wn",)
+    if _variant_kind(args.variant) not in built:
+        parser.error(f"{args.lemma} is verified in {' or '.join(built)} only; "
+                     f"--variant {args.variant} is not supported")
+    if args.lemma in _WINF_LEMMAS and args.prefix is not None:
         args.variant = "winf"
     report = _verify_report(args, parser)
     payload = report.to_dict()

@@ -10,10 +10,13 @@ something commuting with both anchors.  Over W_n that centralizer is
 zero and the test degenerates to Delta(x) = [a, x] exactly.
 
 The verify_lemma_* functions check the support arithmetic the rigidity
-argument rests on.  Each free coefficient is adjoined to the scalar
-field as an unknown, its bracket image is split into allowed-span and
-out-of-span rows, and "the coefficient is forced to zero" becomes a
-rank statement about the out-of-span linear forms.
+argument rests on.  The support-forcing lemmas let a = sum c_i s_i range
+over a family and show that [a, x] pins every free coefficient c_i to
+zero.  The bracket is bilinear, so [a, x] = sum c_i [s_i, x]: its
+support is the union of the supports of the [s_i, x], and "every c_i is
+forced to zero" is the statement that these columns have full rank over
+Q(mu).  No unknown enters the scalar field except to print a reported
+coefficient as a multiple of its c_i.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
     WittkitError,
 )
 from .linalg import ScalarMatrix, rank as matrix_rank, solve as matrix_solve
-from .scalars import MuPolynomial, Scalar, ScalarField
+from .scalars import Scalar, ScalarField
 from .witt import (
     MU_DIRECTION,
     AlgebraVariant,
@@ -477,48 +480,21 @@ def rigidity_pipeline(delta: PointwiseMap, box: int) -> RigidityReport:
 
 
 # ----------------------------------------------------------------------
-# Symbolic forcing.  The lemma verifiers adjoin unknowns c1..cr to the
-# field, bracket the unknown-weighted family against a fixed element,
-# and read each resulting coefficient as a linear form in the unknowns.
+# Forcing of free coefficients through bilinearity (see the module docstring).
 
 
-def _linear_parts(value: Scalar, base_arity: int) -> Dict[int, Scalar]:
-    """Split a scalar linear in the trailing unknowns into base parts.
-
-    Returns {slot: coefficient} over the base field, slot counting from
-    base_arity; slot -1 holds the unknown-free part.
-    """
-    for mono in value.den.terms:
-        if any(mono[base_arity:]):
-            raise WittkitError("denominator mixes in auxiliary unknowns")
-    den_base = value.den.restrict(base_arity)
-    groups: Dict[int, Dict[Tuple[int, ...], object]] = {}
-    for mono, coeff in value.num.terms.items():
-        tail = mono[base_arity:]
-        if sum(tail) > 1:
-            raise WittkitError("coefficient is not linear in the unknowns")
-        slot = -1
-        for offset, e in enumerate(tail):
-            if e:
-                slot = base_arity + offset
-        groups.setdefault(slot, {})[mono[:base_arity]] = coeff
-    return {
-        slot: Scalar(MuPolynomial(base_arity, terms), den_base)
-        for slot, terms in groups.items()
-    }
+def _forcing(algebra: WittAlgebra, family: Sequence[WittElement],
+             x: WittElement) -> Tuple[List[WittElement], set, int]:
+    """The images [s_i, x], the union of their supports and their rank over Q(mu)."""
+    images = [bracket(s, x) for s in family]
+    matrix, _, _ = _keyed_system(algebra.field.arity, [_keyed_rows(w, 0) for w in images], {})
+    return images, set().union(*(w.support for w in images)), matrix_rank(matrix)
 
 
-def _forcing_rank(coefficients: Sequence[Scalar], base_arity: int, unknowns: int) -> int:
-    """Rank of the given linear forms in the trailing unknown slots."""
-    matrix = ScalarMatrix(len(coefficients), unknowns, base_arity)
-    for r, value in enumerate(coefficients):
-        parts = _linear_parts(value, base_arity)
-        constant = parts.pop(-1, None)
-        if constant is not None and not constant.is_zero:
-            raise WittkitError("out-of-span coefficient has an unknown-free part")
-        for slot, coeff in parts.items():
-            matrix.add(r, slot - base_arity, coeff)
-    return matrix_rank(matrix)
+def _times_unknown(field: ScalarField, value: Scalar, name: str) -> str:
+    """value * name, formatted in the field extended by that one unknown."""
+    ext = field.extend(name)
+    return ext.format(ext.lift(value) * ext.var(name))
 
 
 def _dmu_coefficient(algebra: WittAlgebra, w: WittElement, gamma: Exponent) -> Scalar:
@@ -533,6 +509,42 @@ def _dmu_coefficient(algebra: WittAlgebra, w: WittElement, gamma: Exponent) -> S
     if lam is None:
         raise WittkitError(f"part at {gamma} is not a multiple of d_mu")
     return lam
+
+
+def _power_obstruction(algebra: WittAlgebra, beta: Exponent, k: int,
+                       image: WittElement) -> Tuple[Exponent, Scalar, Scalar, bool]:
+    """The degree-(k+1) obstruction of the shift t^beta (t_1+...+t_n) d_mu.
+
+    image is the shift's bracket with (t_1^k+...+t_n^k) d_mu.  Returns
+    gamma = beta + (k+1)e_1, the d_mu coefficients at gamma of the single
+    product [t^(beta+e_1) d_mu, t_1^k d_mu] and of the image, and whether
+    both are (k-1)mu_1, the image's being (k-1)(mu_1+...+mu_n) instead
+    at the collision k = -1, where every direction's diagonal product
+    lands on gamma.  No other shift of a family reaches gamma, since the
+    shifts differ in their last m - n slots.
+    """
+    gamma = (beta[0] + k + 1,) + beta[1:]
+    dmu, zeros = algebra.dmu(), (0,) * (algebra.m - 1)
+    pair = bracket(dmu.translate(beta).translate((1,) + zeros), dmu.translate((k,) + zeros))
+    probe = _dmu_coefficient(algebra, pair, gamma)
+    full = _dmu_coefficient(algebra, image, gamma)
+    mu = [algebra.field.mu(i) for i in range(1, algebra.n + 1)]
+    expected = mu[0] * (k - 1)
+    full_expected = sum(mu[1:], mu[0]) * (k - 1) if k == -1 else expected
+    return gamma, probe, full, probe == expected and full == full_expected
+
+
+def _bounded_forcing(algebra: WittAlgebra, family: Sequence[WittElement], x: WittElement,
+                     n_x: int) -> Tuple[set, Optional[Exponent], int]:
+    """Support of [sum c_i s_i, x], its least exponent within n_x, and the forcing rank.
+
+    An exponent is within n_x when its first n entries all have magnitude
+    at most n_x; None when the whole support escapes that bound.
+    """
+    _, support, rank = _forcing(algebra, family, x)
+    violating = next((gamma for gamma in sorted(support)
+                      if max(abs(e) for e in gamma[:algebra.n]) <= n_x), None)
+    return support, violating, rank
 
 
 # ----------------------------------------------------------------------
@@ -617,24 +629,14 @@ class ObstructionData:
 def lemma_3_3_obstruction(n: int, k: int) -> ObstructionData:
     if k == 0:
         raise BadK("k must be nonzero")
-    ext = ScalarField(n, ("c",))
-    algebra = WittAlgebra(AlgebraVariant.wn(n), ext)
+    algebra = WittAlgebra(AlgebraVariant.wn(n))
+    image = bracket(algebra.power_sum_dmu(1), algebra.power_sum_dmu(k))
+    gamma, probe, full, _ = _power_obstruction(algebra, (0,) * n, k, image)
+    ext = algebra.field.extend("c")
     c = ext.var("c")
-    a = algebra.power_sum_dmu(1).scale(c)
-    z = algebra.power_sum_dmu(k)
-    image = bracket(a, z)
-    e1 = tuple(1 if i == 0 else 0 for i in range(n))
-    ke1 = tuple(k if i == 0 else 0 for i in range(n))
-    gamma = tuple(k + 1 if i == 0 else 0 for i in range(n))
-    pair = bracket(algebra.dmu().translate(e1).scale(c), algebra.dmu().translate(ke1))
-    return ObstructionData(
-        algebra,
-        k,
-        gamma,
-        image,
-        _dmu_coefficient(algebra, pair, gamma),
-        _dmu_coefficient(algebra, image, gamma),
-    )
+    return ObstructionData(WittAlgebra(AlgebraVariant.wn(n), ext), k, gamma,
+                           image.lift(ext.arity).scale(c), ext.lift(probe) * c,
+                           ext.lift(full) * c)
 
 
 def verify_lemma_3_3(n: int, k: int) -> VerificationReport:
@@ -645,34 +647,24 @@ def verify_lemma_3_3(n: int, k: int) -> VerificationReport:
     support avoids every t_i^k d_mu, so membership in the power-sum span
     pins c = 0.  At k = -1 the full bracket collects the collided value
     c(k-1)(mu_1+...+mu_n) at exponent zero while the defining product
-    still shows c(k-1)mu_1.
+    still shows c(k-1)mu_1.  This is lemma 4.3 at m = n, whose only shift
+    is beta = 0.
     """
     if k in (0, 1):
         raise BadK("k must avoid 0 and 1")
-    data = lemma_3_3_obstruction(n, k)
-    ext = data.algebra.field
-    c = ext.var("c")
-    expected = c * (k - 1) * ext.mu(1)
-    if k == -1:
-        full_expected = sum((ext.mu(i) for i in range(2, n + 1)), ext.mu(1)) * c * (k - 1)
-    else:
-        full_expected = expected
+    algebra = WittAlgebra(AlgebraVariant.wn(n))
+    (image,), support, forcing_rank = _forcing(
+        algebra, [algebra.power_sum_dmu(1)], algebra.power_sum_dmu(k))
+    gamma, probe, full, coefficients_ok = _power_obstruction(algebra, (0,) * n, k, image)
     span = {tuple(k if j == i else 0 for j in range(n)) for i in range(n)}
-    support_disjoint = not (set(data.image.support) & span)
-    coefficients = [coeff for _, _, coeff in _support_rows(data.image)]
-    forcing_rank = _forcing_rank(coefficients, n, 1)
-    passed = (
-        support_disjoint
-        and not data.probe_coefficient.is_zero
-        and data.probe_coefficient == expected
-        and data.coefficient == full_expected
-        and forcing_rank == 1
-    )
+    support_disjoint = not (support & span)
+    passed = support_disjoint and coefficients_ok and forcing_rank == 1
+    field = algebra.field
     report_data: Dict[str, object] = {
-        "coefficient": ext.format(data.probe_coefficient),
-        "expected": ext.format(expected),
-        "full_coefficient": ext.format(data.coefficient),
-        "obstruction_exponent": list(data.exponent),
+        "coefficient": _times_unknown(field, probe, "c"),
+        "expected": _times_unknown(field, field.mu(1) * (k - 1), "c"),
+        "full_coefficient": _times_unknown(field, full, "c"),
+        "obstruction_exponent": list(gamma),
         "support_disjoint": support_disjoint,
         "forcing_rank": forcing_rank,
         "forced_zero": ["c"] if forcing_rank == 1 else [],
@@ -686,7 +678,8 @@ def verify_lemma_3_4(x: WittElement, n: int) -> VerificationReport:
     With n_x = 1 + max exponent magnitude of x and k = 2n_x + 1, every
     term of [c(t_1^k+...+t_n^k)d_mu, x] has some exponent entry of
     magnitude above n_x, hence sits outside the support span of x, and
-    the symbolic coefficient c is forced to zero by rank.
+    the coefficient c is forced to zero by rank.  This is lemma 4.4 at
+    m = n, whose only shift is beta = 0.
     """
     if x.is_zero:
         raise WittkitError("x must be nonzero")
@@ -697,20 +690,11 @@ def verify_lemma_3_4(x: WittElement, n: int) -> VerificationReport:
         raise ArityMismatch("x must be written over the plain mu field")
     n_x = 1 + max(abs(e) for alpha in x.support for e in alpha)
     k = 2 * n_x + 1
-    ext = algebra.field.extend("c")
-    ext_algebra = WittAlgebra(AlgebraVariant.wn(n), ext)
-    a = ext_algebra.power_sum_dmu(k).scale(ext.var("c"))
-    image = bracket(a, x.lift(ext.arity))
-    violating = None
-    for gamma in sorted(image.support):
-        if max(abs(e) for e in gamma) <= n_x:
-            violating = gamma
-            break
-    coefficients = [coeff for _, _, coeff in _support_rows(image)]
-    forcing_rank = _forcing_rank(coefficients, n, 1)
-    disjoint = not (set(image.support) & set(x.support))
+    support, violating, forcing_rank = _bounded_forcing(
+        algebra, [algebra.power_sum_dmu(k)], x, n_x)
+    disjoint = not (support & set(x.support))
     passed = violating is None and disjoint and forcing_rank == 1
-    witness = max(image.support, key=lambda g: (max(abs(e) for e in g), g), default=None)
+    witness = max(support, key=lambda g: (max(abs(e) for e in g), g), default=None)
     data: Dict[str, object] = {
         "n_x": n_x,
         "k": k,
@@ -744,48 +728,22 @@ def verify_lemma_4_3(n: int, m: int, k: int, box: int = 2) -> VerificationReport
         raise BadArity("box must cover the degree-one shift family")
     base = WittAlgebra(AlgebraVariant.winf(n, m))
     shifts, h_family = lemma_4_1_families(base, 1, box)
+    z = base.power_sum_dmu(k)
+    images, support, forcing_rank = _forcing(base, [s for _, s in shifts], z)
+    span = {tuple(k if j == i else 0 for j in range(n)) for i in range(n)}
+    support_disjoint = not any(gamma[:n] in span for gamma in support)
     names = [f"c{i}" for i in range(1, len(shifts) + 1)]
-    ext = base.field.extend(*names)
-    ext_algebra = WittAlgebra(AlgebraVariant.winf(n, m), ext)
-    a = ext_algebra.zero()
-    for name, (beta, _) in zip(names, shifts):
-        a = a + ext_algebra.power_sum_dmu(1).translate(beta).scale(ext.var(name))
-    z = ext_algebra.power_sum_dmu(k)
-    image = bracket(a, z)
-
-    def allowed(gamma: Exponent) -> bool:
-        head = gamma[:n]
-        return any(head == tuple(k if j == i else 0 for j in range(n)) for i in range(n))
-
-    support_disjoint = not any(allowed(gamma) for gamma in image.support)
-    coefficients = [coeff for _, _, coeff in _support_rows(image)]
-    forcing_rank = _forcing_rank(coefficients, n, len(shifts))
     obstructions = []
     coefficients_ok = True
-    e1 = tuple(1 if i == 0 else 0 for i in range(m))
-    ke1 = tuple(k if i == 0 else 0 for i in range(m))
-    mu_sum = sum((ext.mu(i) for i in range(2, n + 1)), ext.mu(1))
-    for name, (beta, _) in zip(names, shifts):
-        c = ext.var(name)
-        gamma = tuple(b + (k + 1 if i == 0 else 0) for i, b in enumerate(beta))
-        full = _dmu_coefficient(ext_algebra, image, gamma)
-        shifted_e1 = tuple(b + e for b, e in zip(beta, e1))
-        pair = bracket(
-            ext_algebra.dmu().translate(shifted_e1).scale(c),
-            ext_algebra.dmu().translate(ke1),
-        )
-        probe = _dmu_coefficient(ext_algebra, pair, gamma)
-        expected = c * (k - 1) * ext.mu(1)
-        full_expected = c * (k - 1) * mu_sum if k == -1 else expected
-        if probe != expected or full != full_expected:
-            coefficients_ok = False
+    for name, (beta, _), image in zip(names, shifts, images):
+        _, probe, full, ok = _power_obstruction(base, beta, k, image)
+        coefficients_ok = coefficients_ok and ok
         obstructions.append({
             "beta": list(beta),
-            "coefficient": ext.format(probe),
-            "full_coefficient": ext.format(full),
+            "coefficient": _times_unknown(base.field, probe, name),
+            "full_coefficient": _times_unknown(base.field, full, name),
         })
-    h_part_zero = all(
-        bracket(e, base.power_sum_dmu(k)).is_zero for _, _, e in h_family)
+    h_part_zero = all(bracket(e, z).is_zero for _, _, e in h_family)
     passed = (
         support_disjoint
         and coefficients_ok
@@ -833,20 +791,8 @@ def verify_lemma_4_4(x: WittElement, n: int, m: int,
     if a_box < k:
         raise BadArity(f"box must cover the power-{k} shift family, got box {a_box}")
     shifts, h_family = lemma_4_1_families(base, k, a_box)
+    _, violating, forcing_rank = _bounded_forcing(base, [s for _, s in shifts], x, n_x)
     names = [f"c{i}" for i in range(1, len(shifts) + 1)]
-    ext = base.field.extend(*names)
-    ext_algebra = WittAlgebra(AlgebraVariant.winf(n, m), ext)
-    a = ext_algebra.zero()
-    for name, (beta, _) in zip(names, shifts):
-        a = a + ext_algebra.power_sum_dmu(k).translate(beta).scale(ext.var(name))
-    image = bracket(a, x.lift(ext.arity))
-    violating = None
-    for gamma in sorted(image.support):
-        if max(abs(e) for e in gamma[:n]) <= n_x:
-            violating = gamma
-            break
-    coefficients = [coeff for _, _, coeff in _support_rows(image)]
-    forcing_rank = _forcing_rank(coefficients, n, len(shifts))
     h_part_zero = all(bracket(e, x).is_zero for _, _, e in h_family)
     passed = violating is None and h_part_zero and forcing_rank == len(shifts)
     data: Dict[str, object] = {

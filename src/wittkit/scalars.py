@@ -268,17 +268,6 @@ class MuPolynomial:
         pad = (0,) * (arity - self.arity)
         return MuPolynomial(arity, {m + pad: c for m, c in self.terms.items()})
 
-    def restrict(self, arity: int) -> "MuPolynomial":
-        """Drop trailing variables, which must not occur."""
-        if arity > self.arity:
-            raise ArityMismatch(f"cannot restrict arity {self.arity} up to {arity}")
-        terms = {}
-        for mono, coeff in self.terms.items():
-            if any(mono[arity:]):
-                raise ArityMismatch("polynomial involves a dropped variable")
-            terms[mono[:arity]] = coeff
-        return MuPolynomial(arity, terms)
-
     # -- object protocol ----------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -510,15 +499,6 @@ class Scalar:
         result = Scalar.__new__(Scalar)
         result.num = self.num.lift(arity)
         result.den = self.den.lift(arity)
-        result._hash = None
-        return result
-
-    def restrict(self, arity: int) -> "Scalar":
-        if arity == self.arity:
-            return self
-        result = Scalar.__new__(Scalar)
-        result.num = self.num.restrict(arity)
-        result.den = self.den.restrict(arity)
         result._hash = None
         return result
 

@@ -1,15 +1,18 @@
-"""Shared oracles: the ad-matrix, the stacked anchor system and the certificate property.
+"""Shared oracles: the ad-matrix, the stacked anchor system, the certificate
+property and the forcing rank.
 
-All are rebuilt here from `bracket` over every column of the degree box,
-independently of the structure-constant builder behind `ad_matrix` and
-of how `solve_inner` organises its own solve.
+The first three are rebuilt here from `bracket` over every column of the
+degree box, independently of the structure-constant builder behind
+`ad_matrix` and of how `solve_inner` organises its own solve.  The
+forcing rank is rebuilt by adjoining one unknown per family member to the
+scalar field, independently of the bilinear split the verifiers use.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from wittkit import ScalarMatrix, TruncatedSpace, bracket
+from wittkit import MuPolynomial, Scalar, ScalarMatrix, TruncatedSpace, WittAlgebra, bracket, rank
 
 
 def _support_rows(w):
@@ -91,6 +94,34 @@ def check_certificate(algebra, constraints, box, certificate):
     return "u . b == 0" if ub.is_zero else None
 
 
+def adjoined_forcing(algebra, family, x):
+    """(support, rank) of [c_1 s_1 + ... + c_r s_r, x] with the c_i adjoined as unknowns.
+
+    The bracket is taken over Q(mu)(c_1..c_r); each coefficient of the image
+    is split into its parts linear in the c_i, which must have no
+    unknown-free part, and the rank is that of those linear forms.
+    """
+    base = algebra.field.arity
+    ext = algebra.field.extend(*[f"c{i}" for i in range(1, len(family) + 1)])
+    a = WittAlgebra(algebra.variant, ext).zero()
+    for i, s in enumerate(family, 1):
+        a = a + s.lift(ext.arity).scale(ext.var(f"c{i}"))
+    image = bracket(a, x.lift(ext.arity))
+    rows = [coeff for _, _, coeff in _support_rows(image)]
+    matrix = ScalarMatrix(len(rows), len(family), base)
+    for r, value in enumerate(rows):
+        assert all(not any(mono[base:]) for mono in value.den.terms)
+        den = MuPolynomial(base, {mono[:base]: c for mono, c in value.den.terms.items()})
+        parts = {}
+        for mono, coeff in value.num.terms.items():
+            slots = [i for i, e in enumerate(mono[base:]) for _ in range(e)]
+            assert len(slots) == 1, "coefficient is not a linear form in the unknowns"
+            parts.setdefault(slots[0], {})[mono[:base]] = coeff
+        for slot, terms in parts.items():
+            matrix.add(r, slot, Scalar(MuPolynomial(base, terms), den))
+    return set(image.support), rank(matrix)
+
+
 @pytest.fixture
 def ad_matrix_oracle():
     return bracket_ad_matrix
@@ -104,3 +135,8 @@ def stacked_system():
 @pytest.fixture
 def certificate_holds():
     return check_certificate
+
+
+@pytest.fixture
+def forcing_oracle():
+    return adjoined_forcing

@@ -224,6 +224,19 @@ def test_verify_falls_back_when_no_point_certifies(monkeypatch):
     assert report.data["dimension"] == report.data["predicted_dimension"] == 6
 
 
+def test_verify_lemma_4_1_box_below_k_compares_the_kernel(monkeypatch):
+    # no shift fits box 3 at k = -4, so the centralizer is the seven t2^j d2, |j| <= 3;
+    # forcing the symbolic kernel shows the comparison is not vacuous
+    monkeypatch.setattr(linalg, "specialization_points",
+                        lambda arity, bound: [(0,) * arity])
+    report = verify_lemma_4_1(1, 2, -4, box=3)
+    assert report.passed
+    assert report.data["method"] == "symbolic-kernel"
+    assert report.data["dimension"] == report.data["predicted_dimension"] == 7
+    assert report.data["spans_equal"]
+    assert sorted(report.data["basis"]) == sorted(report.data["predicted"])
+
+
 def test_verify_lemma_2_2_rejects_box_below_k():
     with pytest.raises(BadK):
         verify_lemma_2_2(2, 4, box=2)

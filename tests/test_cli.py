@@ -131,12 +131,50 @@ def test_verify_lemma_4_4_box_below_k_is_usage_error(capsys, argv):
     assert "power-5 shift family" in err
 
 
-@pytest.mark.parametrize("lemma", ["lemma2.2", "lemma3.3"])
-def test_verify_wn_only_lemma_rejects_variant(capsys, lemma):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--k", "2", "--variant", "wnplusplus", "lemma2.2"], id="lemma2.2"),
+    pytest.param(["--k", "2", "--variant", "wnplusplus", "lemma3.3"], id="lemma3.3"),
+    # t1*d1 is no element of wnmu, but the variant is refused before parsing
+    pytest.param(["--variant", "wnmu", "lemma3.4", "t1*d1"], id="lemma3.4"),
+    pytest.param(["--variant", "wnmu", "lemma3.4", "t1*dmu"], id="lemma3.4-member"),
+    pytest.param(["--variant", "wnplus", "lemma3.2", "t1*d1"], id="lemma3.2"),
+    pytest.param(["--variant", "winf", "--prefix", "1", "lemma3.4", "t1*d1"], id="lemma3.4-winf"),
+])
+def test_verify_wn_only_lemma_rejects_variant(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--arity", "2", "--k", "2", "--variant", "wnplusplus", lemma])
+        main(["verify", "--arity", "2", *argv])
     assert exc.value.code == 2
-    assert "wnplusplus" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    variant = argv[argv.index("--variant") + 1]
+    assert f"--variant {variant} is not supported" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "2", "--variant", "wnmu", "lemma4.1"],
+    ["--k", "2", "--variant", "wnplusplus", "lemma4.3"],
+    ["--variant", "wnplus", "lemma4.4", "t1*d1"],
+])
+def test_verify_winf_lemma_rejects_other_variants(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--arity", "2", "--prefix", "1", *argv])
+    assert exc.value.code == 2
+    assert "is not supported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "1", "--box", "1", "lemma4.1"],
+    ["--k", "2", "--box", "1", "lemma4.3"],
+    ["lemma4.4", "t1*d1"],
+])
+def test_verify_winf_lemma_accepts_winf(capsys, argv):
+    outputs = []
+    for variant in ([], ["--variant", "winf"], ["--variant", "wn"]):
+        code, out, _ = run_cli(capsys, ["verify", "--arity", "2", "--prefix", "1", *variant,
+                                        *argv, "--format", "json"])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("count", ["-5", "0"])
@@ -190,7 +228,6 @@ def test_unknown_variant_is_usage_error(capsys):
     ["parse", "--arity", "2", "--variant", "wnmu", "d1"],
     ["centralize", "--arity", "1", "--variant", "wnplusplus", "t1^-1*d1"],
     ["bracket", "--arity", "2", "--variant", "wnplus", "t1*d1", "t1^-1*t2^-1*d1"],
-    ["verify", "--arity", "2", "--variant", "wnmu", "lemma3.4", "t1*d1"],
 ])
 def test_element_outside_the_variant_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

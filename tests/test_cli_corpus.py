@@ -60,13 +60,20 @@ COMMANDS = {
     "lemma2.2": ["verify", "--arity", "2", "--k", "2", "lemma2.2"],
     "lemma3.2": ["verify", "--arity", "2", "lemma3.2", "t1*d1 + t1*t2*d2"],
     "lemma3.3": ["verify", "--arity", "2", "--k", "3", "lemma3.3"],
+    # k = -1: every direction's diagonal product collides at exponent zero
+    "lemma3.3-collision": ["verify", "--arity", "2", "--k", "-1", "lemma3.3"],
     "lemma3.4": ["verify", "--arity", "2", "lemma3.4", "t1^2*t2^-1*d1 + t2*d2"],
     "lemma4.1": ["verify", "--arity", "3", "--prefix", "2", "--k", "1", "--box", "1",
                  "lemma4.1"],
     "lemma4.3": ["verify", "--arity", "3", "--prefix", "2", "--k", "2", "--box", "1",
                  "lemma4.3"],
+    # full coefficients -2*mu1*c_i - 2*mu2*c_i at the collided exponent
+    "lemma4.3-collision": ["verify", "--arity", "3", "--prefix", "2", "--k", "-1", "--box", "1",
+                           "lemma4.3"],
     # at the default box k = 5; a smaller box is a usage error
     "lemma4.4": ["verify", "--arity", "3", "--prefix", "2", "lemma4.4", "t1*d1 + d2"],
+    # 121 shifts: the tails over two free slots at box k = 5
+    "lemma4.4-wide": ["verify", "--arity", "3", "--prefix", "1", "lemma4.4", "t1*d1"],
     "fuzz": ["fuzz", "--arity", "2", "--count", "20", "--seed", "3", "jacobi"],
 }
 
@@ -77,7 +84,9 @@ COMMANDS = {
 # lemma4.4 at its default box and centralize-large-component before the
 # fraction-free elimination gave way to the canonical RREF pass alone.
 # centralize-swell, which that elimination did not finish, is pinned from
-# the RREF pass; its one basis vector is z / mu2.
+# the RREF pass; its one basis vector is z / mu2.  The *-collision and
+# lemma4.4-wide digests were recorded while the forcing verifiers still
+# adjoined one unknown per shift to the scalar field.
 DIGESTS = {
     "bracket": "5a77a4748307d9e99ac9ac83a191e603b11502e52628276793a7b43fc95a09ac",
     "centralize": "dfb8bf8687ea6d9ca881050f861da5ea3a624cfaacff3b5328702654df0029b7",
@@ -94,10 +103,13 @@ DIGESTS = {
     "lemma2.2": "827213e1ef22facf8869014e61d2da8cf5f7c5d91534ae4fe0a2ce4d261f1e5e",
     "lemma3.2": "41ab86e9ca1cbab5647283b1d399413a427c959cc6f4c180af711fa674aca2bc",
     "lemma3.3": "6dd70aa70168b24d0aa20e3948684e99973e5b85b2c67afc312101e2397da08f",
+    "lemma3.3-collision": "be9b0b7b29e5e22924c8a5638a71377bd01d33e7e4c5747887fe9fded2ef4ae5",
     "lemma3.4": "1bdce25671daf852adca1b673d5d9e95b2d31fc5d0912067dcb9b8e241ddec39",
     "lemma4.1": "30f4b9f3c16def65ee097554eddfac57de647573f5163e1e53b4a14d7878127a",
     "lemma4.3": "77ff043d66fd9456d24ae51d9303b7d973d303d1c45e51185a187ed3c890d3b5",
+    "lemma4.3-collision": "b304dae1fc74bdf2cb65d265b68f35a1d4c04f04729f26e4e7c8d6fc2a36a23d",
     "lemma4.4": "4ab0e3cc66c43d6c2391e8dd7ffa49a4d1678895a72bd36416c801e19e248bd4",
+    "lemma4.4-wide": "742d236805f4d88334303666cb92c1e39b8821602bbd20b6399111cd1b297848",
     "parse": "209813971551ea896f68154c3bd80a6ce7f859b0b9c82bff5e8d688eb7b804c3",
     "rigidity-inner-winf": "8f0a54133d0bd982dd6304cdec73093168bccf843ff0a570b0e02249a42ff716",
     "rigidity-inner-wn": "568d65e3230fbe4cf5d83e58705d2ff4e2d1de2de299a46bfe93bfbb632e5369",

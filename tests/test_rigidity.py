@@ -18,6 +18,7 @@ from wittkit import (
     WittkitError,
     bracket,
     lemma_3_3_obstruction,
+    lemma_4_1_families,
     parse_element,
     realize_in_span,
     rigidity_pipeline,
@@ -267,6 +268,40 @@ def test_verify_lemma_3_3_coefficients():
     c = ext.var("c")
     assert data.probe_coefficient == c * (-2) * ext.mu(1)
     assert data.coefficient == c * (-2) * (ext.mu(1) + ext.mu(2))
+
+
+W3_2 = WittAlgebra(AlgebraVariant.winf(2, 3))
+W2_1 = WittAlgebra(AlgebraVariant.winf(1, 2))
+
+
+def _forcing_case(name):
+    """(algebra, family, x) of one lemma's forcing, or of a rank-deficient family."""
+    if name == "3.3":
+        return W2, [W2.power_sum_dmu(1)], W2.power_sum_dmu(-1)
+    if name == "3.4":
+        return W2, [W2.power_sum_dmu(7)], parse_element("t1^2*t2^-1*d1 + t2*d2", W2)
+    if name == "4.3":
+        shifts, _ = lemma_4_1_families(W3_2, 1, 1)
+        return W3_2, [s for _, s in shifts], W3_2.power_sum_dmu(3)
+    if name == "4.4":
+        shifts, _ = lemma_4_1_families(W2_1, 5, 5)
+        return W2_1, [s for _, s in shifts], parse_element("t1*d1", W2_1)
+    if name == "wn-deficient":
+        s = W2.power_sum_dmu(1)
+        return W2, [s, s.scale(W2.field.from_int(2)), W2.d(1)], W2.power_sum_dmu(3)
+    # the h' family kills x, and two shifts repeat
+    shifts, h_family = lemma_4_1_families(W3_2, 1, 1)
+    family = [s for _, s in shifts[:3] + shifts[:2]] + [e for _, _, e in h_family[:2]]
+    return W3_2, family, W3_2.power_sum_dmu(-1)
+
+
+@pytest.mark.parametrize("name", ["3.3", "3.4", "4.3", "4.4", "wn-deficient", "winf-deficient"])
+def test_forcing_matches_adjoined_unknowns(forcing_oracle, name):
+    algebra, family, x = _forcing_case(name)
+    images, support, forcing_rank = rigidity._forcing(algebra, family, x)
+    assert images == [bracket(s, x) for s in family]
+    assert (support, forcing_rank) == forcing_oracle(algebra, family, x)
+    assert (forcing_rank < len(family)) == name.endswith("deficient")
 
 
 def test_verify_lemma_3_3_rejects_degenerate_k():

@@ -132,13 +132,7 @@ def test_lift_and_restrict():
     f3 = ScalarField(3)
     lifted = f3.lift(MU1 + MU2)
     assert lifted.arity == 3
-    assert lifted.restrict(2) == MU1 + MU2
     assert lifted.evaluate([Fraction(1), Fraction(2), Fraction(99)]) == Fraction(3)
-
-
-def test_restrict_rejects_used_variable():
-    with pytest.raises(Exception):
-        (MU1 + MU2).restrict(1)
 
 
 def test_format_polynomial_grlex():
