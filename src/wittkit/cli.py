@@ -41,8 +41,18 @@ from .witt import (
     check_monomial_rule_agreement,
 )
 
-_LEMMAS = ("lemma2.2", "lemma3.2", "lemma3.3", "lemma3.4",
-           "lemma4.1", "lemma4.3", "lemma4.4")
+# The flags each lemma's verifier reads.  An element (positional or --x)
+# and --k are required where listed, --box has a default; a flag a lemma
+# does not read is a usage error rather than silently ignored.
+_LEMMA_FLAGS = {
+    "lemma2.2": ("--k", "--box"),
+    "lemma3.2": ("an element", "--box"),
+    "lemma3.3": ("--k",),
+    "lemma3.4": ("an element",),
+    "lemma4.1": ("--k", "--box"),
+    "lemma4.3": ("--k", "--box"),
+    "lemma4.4": ("an element", "--box"),
+}
 _LAWS = ("antisymmetry", "bilinearity", "jacobi", "closure", "monomial")
 # Lemmas whose verifiers build winf(n, m), which --prefix implies; the
 # others build W_n.  --variant may name only the algebra a verifier builds.
@@ -63,17 +73,19 @@ def _variant_kind(text: str) -> str:
     return text.lower().replace("_", "").replace("-", "")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, box_default: Optional[int] = 2) -> None:
+def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--arity", type=int, required=True, metavar="M",
                      help="ambient rank m (number of t variables)")
     sub.add_argument("--prefix", type=int, default=None, metavar="N",
                      help="mu prefix n; required for winf, defaults to the arity otherwise")
     sub.add_argument("--variant", default="wn",
                      help="wn | wnplus | wnplusplus | wnmu | winf (case-insensitive)")
-    sub.add_argument("--box", type=int, default=box_default, metavar="N",
-                     help="degree box |alpha_j| <= N")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_box_flag(sub: argparse.ArgumentParser, default: Optional[int] = 2) -> None:
+    sub.add_argument("--box", type=int, default=default, metavar="N",
+                     help="degree box |alpha_j| <= N")
 
 
 def _algebra_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> WittAlgebra:
@@ -161,38 +173,32 @@ def _verify_report(args: argparse.Namespace, parser: argparse.ArgumentParser):
     n = algebra.n
     m = algebra.m
     lemma = args.lemma
-
-    def need_element() -> WittElement:
-        text = args.element if args.element is not None else args.x_option
-        if text is None:
-            parser.error(f"{lemma} needs an element argument")
-        return _element(text, algebra, parser)
-
-    def need_k() -> int:
-        if args.k is None:
-            parser.error(f"{lemma} needs --k")
-        return args.k
+    text = args.element if args.element is not None else args.x_option
+    takes = _LEMMA_FLAGS[lemma]
+    given = {"an element": text is not None, "--k": args.k is not None,
+             "--box": args.box is not None}
+    for flag, present in given.items():
+        if present and flag not in takes:
+            parser.error(f"{lemma} does not take {flag}")
+        if not present and flag in takes and flag != "--box":
+            parser.error(f"{lemma} needs {flag}")
+    x = None if text is None else _element(text, algebra, parser)
 
     if lemma == "lemma2.2":
-        return verify_lemma_2_2(n, need_k(), args.box)
+        return verify_lemma_2_2(n, args.k, args.box)
     if lemma == "lemma3.2":
-        return verify_lemma_3_2(need_element(), args.box if args.box is not None else 2)
+        return verify_lemma_3_2(x, args.box if args.box is not None else 2)
     if lemma == "lemma3.3":
-        return verify_lemma_3_3(n, need_k())
+        return verify_lemma_3_3(n, args.k)
     if lemma == "lemma3.4":
-        return verify_lemma_3_4(need_element(), n)
-    if lemma == "lemma4.1":
-        if args.prefix is None:
-            parser.error("lemma4.1 needs --prefix")
-        return verify_lemma_4_1(args.prefix, m, need_k(), args.box)
-    if lemma == "lemma4.3":
-        if args.prefix is None:
-            parser.error("lemma4.3 needs --prefix")
-        return verify_lemma_4_3(args.prefix, m, need_k(),
-                                args.box if args.box is not None else 2)
+        return verify_lemma_3_4(x, n)
     if args.prefix is None:
-        parser.error("lemma4.4 needs --prefix")
-    return verify_lemma_4_4(need_element(), args.prefix, m, args.box)
+        parser.error(f"{lemma} needs --prefix")
+    if lemma == "lemma4.1":
+        return verify_lemma_4_1(args.prefix, m, args.k, args.box)
+    if lemma == "lemma4.3":
+        return verify_lemma_4_3(args.prefix, m, args.k, args.box if args.box is not None else 2)
+    return verify_lemma_4_4(x, args.prefix, m, args.box)
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -308,12 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cent = sub.add_parser("centralize", help="centralizer basis of z in a degree box")
     _add_common_flags(p_cent)
+    _add_box_flag(p_cent)
     p_cent.add_argument("element")
     p_cent.set_defaults(handler=cmd_centralize)
 
     p_verify = sub.add_parser("verify", help="run a lemma verifier")
-    _add_common_flags(p_verify, box_default=None)
-    p_verify.add_argument("lemma", choices=_LEMMAS)
+    _add_common_flags(p_verify)
+    _add_box_flag(p_verify, default=None)
+    p_verify.add_argument("lemma", choices=tuple(_LEMMA_FLAGS))
     p_verify.add_argument("element", nargs="?", default=None,
                           help="element argument for lemma3.2 / lemma3.4 / lemma4.4")
     p_verify.add_argument("--x", dest="x_option", default=None, metavar="ELEMENT",
@@ -323,12 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rig = sub.add_parser("rigidity", help="run the 2-local rigidity pipeline")
     _add_common_flags(p_rig)
+    _add_box_flag(p_rig)
     p_rig.add_argument("--probes", required=True, metavar="FILE",
                        help='JSON file {"probes": [{"x": "...", "dx": "..."}]}')
     p_rig.set_defaults(handler=cmd_rigidity)
 
     p_fuzz = sub.add_parser("fuzz", help="randomized law checking")
     _add_common_flags(p_fuzz)
+    _add_box_flag(p_fuzz)
+    p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("law", choices=_LAWS)
     p_fuzz.add_argument("--count", type=_positive_int, default=100)
     p_fuzz.set_defaults(handler=cmd_fuzz)

@@ -34,9 +34,11 @@ class MissingProbe(WittkitError):
 
 
 class PairOutsideBox(WittkitError):
-    """A Leibniz pair (or map argument) leaves the truncation box.
+    """An element does not lie in a truncated space.
 
-    Callers treat this as "unverifiable", never as a failure.
+    It has a monomial outside the degree box or, in W_n^mu, a Cartan part
+    that is not a multiple of d_mu.  Callers treat this as "not in the
+    space", never as a failure.
     """
 
 

@@ -1,24 +1,28 @@
 """Textual grammar for elements and scalars, shared with the CLI.
 
-    element := ['-'] term (('+'|'-') term)* ;
-    term    := (factor ('*'|'/'))* direction ;
-    factor  := INT | NAME ['^' INT] | '(' ['-'] group (('+'|'-') group)* ')' ;
-    group   := factor (('*'|'/') factor)* ;
-    direction := 'd'IDX | 'dmu' ;
+    expression := product (('+'|'-') product)* ;
+    product    := ('+'|'-')* factor (('*'|'/') factor)* ;
+    factor     := INT | NAME ['^' ['-'] INT] | '(' expression ')' ;
+    element    := term (('+'|'-') term)* ;
+    term       := ('+'|'-')* [factor (('*'|'/') factor)* '*'] direction | product ;
+    direction  := 'd'IDX | 'dmu' ;
 
-NAME is a scalar variable ("mu1", or an auxiliary unknown of the field)
-or a t variable ("t2"); exponents may be negative ("t2^-1", no
-parentheses).  Parenthesized sums distribute, so "(t1+t2)*dmu" parses to
-t1*dmu + t2*dmu; a '/' divisor must be scalar.  "dmu" expands against
-the ambient algebra's mu prefix.  The scalar sub-grammar accepts
-everything the formatter emits: rationals "p/q", monomials "mu1^2*mu3",
-'+'/'-'-joined polynomials, and quotients "(num)/(den)".  parse and
-format are mutually inverse on canonical forms.
+Any summand may open with a run of signs ("mu1 - -mu2").  NAME is a
+scalar variable ("mu1", or an auxiliary unknown of the field) or, in an
+element, a t variable; exponents may be negative ("t2^-1", unbracketed).
+Each expression and product is a Laurent polynomial in t whose like
+terms are added as they meet, so "(t1+t2)*dmu" is t1*dmu + t2*dmu and a
+product of sums costs the terms of its value, not its distributed
+summands.  A '/' divisor must be scalar, a term without a direction must
+be 0, and "dmu" expands against the algebra's mu prefix.  A scalar is an
+expression without t, which covers all the formatter emits ("p/q",
+"mu1^2*mu3", polynomials, "(num)/(den)"); parse and format are mutually
+inverse on canonical forms.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ParseError
 from .scalars import MuPolynomial, Scalar, ScalarField
@@ -38,8 +42,10 @@ _OPS = "*^()+-/"
 # a RecursionError.
 MAX_NESTING = 100
 
-# A term under construction: distributed summands (coefficient, exponent).
-_Parts = List[Tuple[Scalar, Exponent]]
+# A Laurent polynomial in t: exponent -> nonzero coefficient, like terms
+# collected.  Its exponents have the algebra's rank m, or rank 0 (the one
+# exponent ()) for a scalar.
+_Poly = Dict[Exponent, Scalar]
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -76,14 +82,9 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
-def _t_index(text: str) -> Optional[int]:
-    if text[0] == "t" and text[1:].isdigit():
-        return int(text[1:])
-    return None
-
-
-def _d_index(text: str) -> Optional[int]:
-    if text[0] == "d" and text[1:].isdigit():
+def _index(text: str, letter: str) -> Optional[int]:
+    """i for a name letter + digits ("t2", "d1"), else None."""
+    if text[0] == letter and text[1:].isdigit():
         return int(text[1:])
     return None
 
@@ -98,29 +99,35 @@ def _times(c: Scalar, fc: Scalar) -> Scalar:
     return c * fc
 
 
-def _merge(parts: _Parts, factors: _Parts) -> _Parts:
-    return [
-        (_times(c, fc), tuple(a + b for a, b in zip(exp, fexp)))
-        for c, exp in parts
-        for fc, fexp in factors
-    ]
+def _add_term(total: _Poly, exponent: Exponent, coeff: Scalar) -> None:
+    """Add coeff * t^exponent to total, dropping a coefficient that cancels."""
+    if exponent in total:
+        coeff = total[exponent] + coeff
+        if coeff.is_zero:
+            del total[exponent]
+            return
+    total[exponent] = coeff
 
 
-def _as_scalar(parts: _Parts, pos: int) -> Scalar:
-    """Collapse a distributed factor into one Scalar; t parts are rejected."""
-    if any(any(exp) for _, exp in parts):
-        raise ParseError("divisor must be a scalar", pos)
-    total = parts[0][0]
-    for c, _ in parts[1:]:
-        total = total + c
-    return total
+def _multiply(left: _Poly, right: _Poly) -> _Poly:
+    out: _Poly = {}
+    for exp, c in left.items():
+        for fexp, fc in right.items():
+            _add_term(out, tuple(a + b for a, b in zip(exp, fexp)), _times(c, fc))
+    return out
 
 
 class _Parser:
-    """Single-token-lookahead recursive descent over the token list."""
+    """Single-token-lookahead recursive descent over the token list.
 
-    def __init__(self, text: str, field: ScalarField):
+    Every level returns a _Poly whose exponents have the given rank; at
+    rank 0 no t variable is recognised.
+    """
+
+    def __init__(self, text: str, field: ScalarField, rank: int):
         self.field = field
+        self.rank = rank
+        self.zero_exp = (0,) * rank
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -145,199 +152,135 @@ class _Parser:
             raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
 
     def close_group(self) -> None:
-        self.expect_op(")")
+        tok = self.peek()
+        if tok.kind != "op" or tok.text != ")":
+            shown = "end of input" if tok.kind == "end" else repr(tok.text)
+            raise ParseError(f"found {shown}", tok.pos, (")",))
+        self.advance()
         self.depth -= 1
 
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            shown = "end of input" if tok.kind == "end" else repr(tok.text)
-            raise ParseError(f"found {shown}", tok.pos, (op,))
+    def exponent(self) -> int:
+        """The optional '^' ['-'] INT after a variable; 1 when absent."""
+        if not self.at_op("^"):
+            return 1
         self.advance()
-
-    def integer(self, allow_negative: bool = False) -> int:
-        sign = 1
-        if allow_negative and self.at_op("-"):
+        negative = self.at_op("-")
+        if negative:
             self.advance()
-            sign = -1
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind != "int":
             raise ParseError("expected an integer", tok.pos, ("integer",))
-        self.advance()
-        return sign * int(tok.text)
+        return -int(tok.text) if negative else int(tok.text)
 
-    # -- pure scalar expressions (no t variables) -------------------------
-
-    def scalar_expr(self) -> Scalar:
-        value = self.scalar_unary()
+    def expression(self) -> _Poly:
+        value, _ = self.product()
         while self.at_op("+-"):
-            op = self.advance().text
-            rhs = self.scalar_unary()
-            value = value + rhs if op == "+" else value - rhs
+            # the '+'/'-' opens the next product's sign run
+            for exponent, coeff in self.product()[0].items():
+                _add_term(value, exponent, coeff)
         return value
 
-    def scalar_unary(self) -> Scalar:
+    def product(self, algebra: Optional[WittAlgebra] = None
+                ) -> Tuple[_Poly, Optional[List[Tuple[int, Scalar]]]]:
+        """A signed product and, given the algebra, the direction ending it, if any."""
         negative = False
-        while self.at_op("-"):
-            self.advance()
-            negative = not negative
-        value = self.scalar_product()
-        return -value if negative else value
-
-    def scalar_product(self) -> Scalar:
-        value = self.scalar_atom()
-        while self.at_op("*/"):
-            op = self.advance().text
-            rhs = self.scalar_atom()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def scalar_atom(self) -> Scalar:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return self.field.from_int(int(tok.text))
-        if tok.kind == "ident":
-            return self.scalar_var()
-        if tok.kind == "op" and tok.text == "(":
-            self.open_group()
-            value = self.scalar_expr()
-            self.close_group()
-            return value
-        shown = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise ParseError(f"expected a scalar, found {shown}", tok.pos,
-                         ("integer", "variable", "("))
-
-    def scalar_var(self) -> Scalar:
-        """NAME ['^' INT], built as the monomial or its reciprocal directly."""
-        tok = self.advance()
-        if tok.text not in self.field.names:
-            raise ParseError(f"unknown scalar variable {tok.text!r}", tok.pos)
-        e = 1
-        if self.at_op("^"):
-            self.advance()
-            e = self.integer(allow_negative=True)
-        index = self.field.names.index(tok.text)
-        mono = tuple(abs(e) if i == index else 0 for i in range(self.field.arity))
-        power = Scalar(MuPolynomial.one(self.field.arity).shift(mono))
-        return power if e >= 0 else power.inverse()
-
-    # -- elements ---------------------------------------------------------
-
-    def element(self, algebra: WittAlgebra) -> WittElement:
-        negative = False
-        if self.at_op("+-"):
-            negative = self.advance().text == "-"
-        total = self.term(algebra, negative)
+        while self.at_op("+-"):
+            negative ^= self.advance().text == "-"
+        value = {self.zero_exp: self.field.from_int(-1 if negative else 1)}
         while True:
             tok = self.peek()
-            if tok.kind == "end":
-                return total
-            if self.at_op("+-"):
-                total = total + self.term(algebra, self.advance().text == "-")
-                continue
-            raise ParseError(f"found {tok.text!r}", tok.pos, ("+", "-", "end of input"))
-
-    def term(self, algebra: WittAlgebra, negative: bool) -> WittElement:
-        start = self.field.from_int(-1) if negative else self.field.one()
-        parts: _Parts = [(start, (0,) * algebra.m)]
-        consumed = False
-        while True:
-            tok = self.peek()
-            if tok.kind == "ident" and (tok.text == "dmu" or _d_index(tok.text) is not None):
-                return self._direction(algebra, parts)
-            parts = _merge(parts, self.factor(algebra))
-            consumed = True
+            if algebra is not None and tok.kind == "ident" and (
+                    tok.text == "dmu" or _index(tok.text, "d") is not None):
+                return value, self.direction(algebra)
+            value = _multiply(value, self.factor())
             while self.at_op("/"):
                 slash = self.advance()
-                divisor = _as_scalar(self.factor(algebra), slash.pos)
-                parts = [(c / divisor, exp) for c, exp in parts]
-            if self.at_op("*"):
-                self.advance()
-                continue
-            tok = self.peek()
-            terminal = tok.kind == "end" or self.at_op("+-")
-            if terminal and consumed and all(c.is_zero for c, _ in parts):
-                return algebra.zero()
-            raise ParseError("term must end with a direction", tok.pos, ("*", "d<i>", "dmu"))
+                divisor = self.factor()
+                if any(exp != self.zero_exp for exp in divisor):
+                    raise ParseError("divisor must be a scalar", slash.pos)
+                inverse = divisor.get(self.zero_exp, self.field.zero()).inverse()
+                value = {exp: _times(c, inverse) for exp, c in value.items()}
+            if not self.at_op("*"):
+                return value, None
+            self.advance()
 
-    def factor(self, algebra: WittAlgebra) -> _Parts:
-        """One multiplicative factor, distributed: INT, NAME[^e], or a group."""
-        zero_exp = (0,) * algebra.m
+    def factor(self) -> _Poly:
+        """One multiplicative factor: INT, NAME['^' e], or a parenthesized expression."""
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return [(self.field.from_int(int(tok.text)), zero_exp)]
+            value = int(tok.text)
+            return {self.zero_exp: self.field.from_int(value)} if value else {}
         if tok.kind == "ident":
-            idx = _t_index(tok.text)
-            if idx is None:
-                return [(self.scalar_var(), zero_exp)]
             self.advance()
-            if not 1 <= idx <= algebra.m:
-                raise ParseError(f"t index {idx} out of range 1..{algebra.m}", tok.pos)
-            e = 1
-            if self.at_op("^"):
-                self.advance()
-                e = self.integer(allow_negative=True)
-            exponent = tuple(e if j == idx - 1 else 0 for j in range(algebra.m))
-            return [(self.field.one(), exponent)]
+            idx = _index(tok.text, "t") if self.rank else None
+            if idx is not None:
+                if not 1 <= idx <= self.rank:
+                    raise ParseError(f"t index {idx} out of range 1..{self.rank}", tok.pos)
+                e = self.exponent()
+                return {tuple(e if j == idx - 1 else 0 for j in range(self.rank)):
+                        self.field.one()}
+            if tok.text not in self.field.names:
+                raise ParseError(f"unknown scalar variable {tok.text!r}", tok.pos)
+            # mu^e is built as the monomial or its reciprocal directly
+            e = self.exponent()
+            index = self.field.names.index(tok.text)
+            mono = tuple(abs(e) if i == index else 0 for i in range(self.field.arity))
+            power = Scalar(MuPolynomial.one(self.field.arity).shift(mono))
+            return {self.zero_exp: power if e >= 0 else power.inverse()}
         if tok.kind == "op" and tok.text == "(":
             self.open_group()
-            parts = self.group_sum(algebra)
+            value = self.expression()
             self.close_group()
-            return parts
+            return value
         shown = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ParseError(f"expected a factor, found {shown}", tok.pos,
                          ("integer", "variable", "t<i>", "("))
 
-    def group_sum(self, algebra: WittAlgebra) -> _Parts:
-        negative = False
-        if self.at_op("+-"):
-            negative = self.advance().text == "-"
-        total = self.group_product(algebra, negative)
-        while self.at_op("+-"):
-            op = self.advance().text
-            total = total + self.group_product(algebra, op == "-")
-        return total
-
-    def group_product(self, algebra: WittAlgebra, negative: bool) -> _Parts:
-        start = self.field.from_int(-1) if negative else self.field.one()
-        parts: _Parts = [(start, (0,) * algebra.m)]
-        while True:
-            parts = _merge(parts, self.factor(algebra))
-            while self.at_op("/"):
-                slash = self.advance()
-                divisor = _as_scalar(self.factor(algebra), slash.pos)
-                parts = [(c / divisor, exp) for c, exp in parts]
-            if self.at_op("*"):
-                self.advance()
-                continue
-            return parts
-
-    def _direction(self, algebra: WittAlgebra, parts: _Parts) -> WittElement:
+    def direction(self, algebra: WittAlgebra) -> List[Tuple[int, Scalar]]:
+        """d_i or d_mu as its nonzero Cartan coefficients (j, b), 0-based j."""
         tok = self.advance()
         if tok.text == "dmu":
-            base = algebra.dmu_cartan()
-        else:
-            idx = _d_index(tok.text)
-            if not 1 <= idx <= algebra.m:
-                raise ParseError(f"d index {idx} out of range 1..{algebra.m}", tok.pos)
-            base = CartanElement.unit(algebra.m, idx - 1, self.field.arity)
-        total = algebra.zero()
-        for coeff, exponent in parts:
-            total = total + WittElement(algebra.m, {exponent: base.scale(coeff)})
-        return total
+            return [(j, self.field.mu(j + 1)) for j in range(algebra.n)]
+        idx = _index(tok.text, "d")
+        if not 1 <= idx <= algebra.m:
+            raise ParseError(f"d index {idx} out of range 1..{algebra.m}", tok.pos)
+        return [(idx - 1, self.field.one())]
+
+    def element(self, algebra: WittAlgebra) -> WittElement:
+        """Each exponent's Cartan coefficients are summed in place, then built once."""
+        support: Dict[Exponent, List[Optional[Scalar]]] = {}
+        while True:
+            value, direction = self.product(algebra)
+            tok = self.peek()
+            terminal = tok.kind == "end" or self.at_op("+-")
+            if direction is None and (value or not terminal):
+                raise ParseError("term must end with a direction", tok.pos, ("*", "d<i>", "dmu"))
+            for exponent, coeff in value.items():  # none when there is no direction
+                coeffs = support.setdefault(exponent, [None] * algebra.m)
+                for j, b in direction:
+                    term = _times(coeff, b)
+                    coeffs[j] = term if coeffs[j] is None else coeffs[j] + term
+            if tok.kind == "end":
+                break
+            if not terminal:
+                raise ParseError(f"found {tok.text!r}", tok.pos, ("+", "-", "end of input"))
+        zero = self.field.zero()
+        return WittElement(algebra.m, {
+            exponent: CartanElement(tuple(zero if c is None else c for c in coeffs))
+            for exponent, coeffs in support.items()})
 
 
 def parse_element(text: str, algebra: WittAlgebra) -> WittElement:
     """Parse element text against the algebra's rank, prefix and field."""
-    return _Parser(text, algebra.field).element(algebra)
+    return _Parser(text, algebra.field, algebra.m).element(algebra)
 
 
 def parse_scalar(text: str, field: ScalarField) -> Scalar:
-    parser = _Parser(text, field)
-    value = parser.scalar_expr()
+    """Parse scalar text: an expression without t variables or directions."""
+    parser = _Parser(text, field, 0)
+    value = parser.expression()
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos, ("end of input",))
-    return value
+    return value.get((), field.zero())

@@ -35,6 +35,17 @@ def test_parse_echoes_canonical_form(capsys):
     assert out.strip() == "d2 + t1*d1"
 
 
+def test_parse_accepts_sign_runs_and_long_products(capsys):
+    # a run of signs may open any term
+    code, out, _ = run_cli(capsys, ["parse", "--arity", "2", "d1 + -d2 - +-t1*d1"])
+    assert (code, out.strip()) == (0, "d1 - d2 + t1*d1")
+    # 2^40 distributed summands, 41 collected terms
+    code, out, _ = run_cli(capsys, ["parse", "--arity", "1", "(t1 + 1)*" * 40 + "d1"])
+    terms = out.strip().split(" + ")
+    assert code == 0 and len(terms) == 41
+    assert terms[:3] == ["d1", "40*t1*d1", "780*t1^2*d1"] and terms[-1] == "t1^40*d1"
+
+
 def test_bracket_command(capsys):
     code, out, _ = run_cli(capsys, ["bracket", "--arity", "1", "t1^-1*d1", "t1*d1"])
     assert code == 0
@@ -84,6 +95,23 @@ def test_verify_element_flag_and_positional(capsys):
     second = run_cli(capsys, argv_flag)
     assert first[0] == 0
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--arity", "1", "lemma2.2", "--k", "1", "--x", "0"],
+    ["verify", "--arity", "2", "--box", "-1", "lemma3.3", "--k", "3"],
+    ["verify", "--arity", "2", "--k", "5", "lemma3.4", "t1*d1"],
+    ["parse", "--arity", "2", "--seed", "3", "d1"],
+    ["bracket", "--arity", "1", "--box", "1", "d1", "d1"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("does not take" in captured.err if argv[0] == "verify"
+            else "unrecognized arguments" in captured.err)
 
 
 def test_verify_lemma_4_1(capsys):

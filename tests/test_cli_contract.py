@@ -53,7 +53,9 @@ def argvs(draw):
     argv = [command, "--arity", str(arity)]
     prefix = option("--prefix", st.integers(1, 3))
     argv += prefix + option("--variant", st.sampled_from(VARIANTS))
-    argv += option("--box", st.integers(-1, 2)) + option("--format", st.sampled_from(["text", "json"]))
+    if command not in ("parse", "bracket"):  # the others read --box
+        argv += option("--box", st.integers(-1, 2))
+    argv += option("--format", st.sampled_from(["text", "json"]))
     table = None
     if command in ("parse", "centralize"):
         argv.append(draw(elements))

@@ -35,6 +35,12 @@ TABLES = {
 
 COMMANDS = {
     "parse": ["parse", "--arity", "2", "(t1 + mu2*t2^-1)*dmu - 1/3*t1*d2"],
+    # products of sums over t and mu, divided by a scalar sum
+    "parse-distribute": ["parse", "--arity", "2", "(t1 + 1)*(t1 - 1)*(mu1 + t2^-1)/(mu2 + 2)*d2"
+                         " - 3*(t1 + t2)*t1^-1*d1"],
+    # like terms that collide within and across products
+    "parse-collide": ["parse", "--arity", "2", "--variant", "wnmu",
+                      "-(t1 - mu2*t2)/(mu1 + 1)*t2^-2*dmu + (1 + t1)*(1 + t1)*dmu"],
     "bracket": ["bracket", "--arity", "2", "t1^2*t2^-1*d1", "(t1^3 + t2^3)*dmu"],
     "centralize": ["centralize", "--arity", "2", "--box", "1", "(t1 + t2)*dmu"],
     # every component of full column rank
@@ -86,7 +92,9 @@ COMMANDS = {
 # centralize-swell, which that elimination did not finish, is pinned from
 # the RREF pass; its one basis vector is z / mu2.  The *-collision and
 # lemma4.4-wide digests were recorded while the forcing verifiers still
-# adjoined one unknown per shift to the scalar field.
+# adjoined one unknown per shift to the scalar field.  parse-distribute
+# and parse-collide were recorded while the parser still distributed
+# every product into uncollected summands.
 DIGESTS = {
     "bracket": "5a77a4748307d9e99ac9ac83a191e603b11502e52628276793a7b43fc95a09ac",
     "centralize": "dfb8bf8687ea6d9ca881050f861da5ea3a624cfaacff3b5328702654df0029b7",
@@ -111,6 +119,8 @@ DIGESTS = {
     "lemma4.4": "4ab0e3cc66c43d6c2391e8dd7ffa49a4d1678895a72bd36416c801e19e248bd4",
     "lemma4.4-wide": "742d236805f4d88334303666cb92c1e39b8821602bbd20b6399111cd1b297848",
     "parse": "209813971551ea896f68154c3bd80a6ce7f859b0b9c82bff5e8d688eb7b804c3",
+    "parse-collide": "28fa3af90a97ec729072aa23b8ea6a91644bc00f40671eabb8afc3d511204914",
+    "parse-distribute": "eb4f9c17a1505ca577d8b75cd4b1085b531c2ffc1b798dd1f5124adaab28bc23",
     "rigidity-inner-winf": "8f0a54133d0bd982dd6304cdec73093168bccf843ff0a570b0e02249a42ff716",
     "rigidity-inner-wn": "568d65e3230fbe4cf5d83e58705d2ff4e2d1de2de299a46bfe93bfbb632e5369",
     "rigidity-inner-wnmu": "52398cb7a7c5cd4c4c8c421b99f34cf97f44beffe0b1b78f13e7cacebf9ff376",

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittkit import (
     AlgebraVariant,
@@ -170,3 +173,121 @@ def test_huge_scalar_powers_parse_at_once(monkeypatch):
     assert coeff.num.terms == {(100000, 0): 1} and coeff.den.is_constant()
     assert down.support[(0, 0)].coeffs[0] == coeff.inverse()
     assert W2.format(up) == "mu1^100000*d1"
+
+
+def test_products_of_sums_collect_like_terms(monkeypatch):
+    products = []
+    multiply = Scalar.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Scalar, "__mul__", counting)
+        parse_element("(t1 + 1)*" * 12 + "d1", W2)
+    # at most one product per pair of collected terms, 2 * (1 + ... + 12),
+    # where distributing first forms 2^12 summands
+    assert len(products) <= 2 * sum(range(1, 13))
+    expected = W2.zero()
+    for k in range(41):
+        expected = expected + W2.monomial((k, 0), 1, W2.field.from_int(comb(40, k)))
+    assert parse_element("(t1 + 1)*" * 40 + "d1", W2) == expected
+
+
+# Random expression trees, rendered as text beside their value built with
+# WittElement arithmetic.  A Laurent polynomial p in t is held as p*d1.
+
+FIELD = W2.field
+sign_runs = st.lists(st.sampled_from("+-"), max_size=3).map("".join)
+DIVISORS = {"2": FIELD.from_int(2), "3": FIELD.from_int(3), "mu1": FIELD.mu(1), "mu2": FIELD.mu(2)}
+
+
+def _times(p, x):
+    """p*x for a Laurent polynomial p held as p*d1 and any element x."""
+    total = W2.zero()
+    for exponent, cartan in p.support.items():
+        total = total + x.translate(exponent).scale(cartan.coeffs[0])
+    return total
+
+
+def _constant(value):
+    return W2.d(1).scale(value)
+
+
+@st.composite
+def factors(draw, depth, with_t):
+    kind = draw(st.sampled_from(["int", "mu"] + ["t"] * with_t + ["group"] * (depth > 0)))
+    if kind == "int":
+        k = draw(st.integers(0, 5))
+        return str(k), _constant(FIELD.from_int(k))
+    if kind == "group":
+        text, value = draw(expressions(depth - 1, with_t))
+        return f"({text})", value
+    i, e = draw(st.integers(1, 2)), draw(st.integers(-2, 2))
+    name = f"{'t' if kind == 't' else 'mu'}{i}" + ("" if e == 1 else f"^{e}")
+    if kind == "t":
+        return name, W2.monomial(tuple(e if j == i - 1 else 0 for j in range(2)), 1)
+    value = FIELD.one()
+    for _ in range(abs(e)):
+        value = value * FIELD.mu(i) if e > 0 else value / FIELD.mu(i)
+    return name, _constant(value)
+
+
+@st.composite
+def products(draw, depth, with_t):
+    signs = draw(sign_runs)
+    text, value = draw(factors(depth, with_t))
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            ftext, fvalue = draw(factors(depth, with_t))
+            text, value = f"{text}*{ftext}", _times(value, fvalue)
+        else:
+            divisor = draw(st.sampled_from(sorted(DIVISORS)))
+            text, value = f"{text}/{divisor}", value.scale(DIVISORS[divisor].inverse())
+    return signs + text, -value if signs.count("-") % 2 else value
+
+
+@st.composite
+def expressions(draw, depth, with_t):
+    text, value = draw(products(depth, with_t))
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from("+-"))
+        ptext, pvalue = draw(products(depth, with_t))
+        text, value = f"{text} {op} {ptext}", value + pvalue if op == "+" else value - pvalue
+    return text, value
+
+
+@st.composite
+def elements(draw):
+    """Terms of up to three products, groups nested 3 deep, each ending in a direction."""
+    text, value = "", W2.zero()
+    for n in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from("+-")) if n else "+"
+        direction = draw(st.sampled_from(["d1", "d2", "dmu"]))
+        base = {"d1": W2.d(1), "d2": W2.d(2), "dmu": W2.dmu()}[direction]
+        if draw(st.booleans()):
+            signs = draw(sign_runs)
+            term, term_value = signs + direction, -base if signs.count("-") % 2 else base
+        else:
+            ptext, pvalue = draw(products(3, True))
+            term, term_value = f"{ptext}*{direction}", _times(pvalue, base)
+        text += f" {op} {term}" if n else term
+        value = value + term_value if op == "+" else value - term_value
+    return text, value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(elements())
+def test_element_text_parses_to_its_tree(tree):
+    text, value = tree
+    assert parse_element(text, W2) == value
+    assert parse_element(W2.format(value), W2) == value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(expressions(3, False))
+def test_scalar_text_parses_to_its_tree(tree):
+    text, value = tree
+    expected = value.support[(0, 0)].coeffs[0] if value.support else FIELD.zero()
+    assert parse_scalar(text, FIELD) == expected
