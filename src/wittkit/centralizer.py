@@ -7,21 +7,22 @@ whatever monomials actually appear in the brackets, never clipped to the
 box, so kernel membership means "commutes with z in the full algebra",
 not merely "commutes up to truncation".
 
-The two verifiers here check the centralizer statements: the centralizer
-of the power-sum element (t_1^k + ... + t_n^k) d_mu is a single line in
-W_n, and acquires the predicted shift and h' families when the ambient
-algebra has extra variables beyond the first n.  Both prefer a cheap
-exact certificate: rank at a rational mu point, reduced mod a prime,
-bounds the generic rank from below, and together with symbolically
-verified kernel members that pins the kernel.
+`centralize` and the two verifiers pin kernels the same way: the rank
+of ad(z) at a rational mu point, reduced mod a prime, bounds its rank
+over Q(mu) from below, so exact kernel members whose rank meets ncols
+minus that rank span the kernel.  `centralize` takes as members z and
+the columns ad(z) sends to zero; the verifiers take the power-sum
+element (t_1^k + ... + t_n^k) d_mu, whose centralizer is one line in
+W_n, or the predicted shift and h' families when the ambient algebra
+has variables beyond the first n.  Only when no point certifies do they
+build the symbolic matrix and eliminate it.
 
 One builder, `_ad_entries`, reads x -> [x, z] off the bracket's structure
 constants.  It maps only the Cartan coefficients of z and d_mu: to
 themselves for the symbolic `ad_matrix` and `solve_inner`'s small
-system, to residues at a point for the certificate's matrix over F_p.
-The verifiers build the symbolic matrix only when no point certifies and
-they fall back to full symbolic elimination.  Their checks that members
-commute with z call `bracket`, so they do not rerun the builder.
+system, to residues at a point for the matrix over F_p.  Member checks
+and `centralize`'s self-check call `bracket`, so they check the builder
+rather than rerun it.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ArityMismatch, BadArity, BadK, PairOutsideBox
+from .errors import ArityMismatch, BadArity, BadK, PairOutsideBox, SelfCheckFailed
 from .linalg import (
     MODULUS,
     ScalarMatrix,
+    _canonical_rref,
     kernel as matrix_kernel,
     rank as matrix_rank,
     rank_mod_p,
@@ -202,11 +204,69 @@ class CentralizerResult:
         return len(self.basis)
 
 
+def _residue_rows(z: WittElement, space: TruncatedSpace,
+                  point: Tuple[Fraction, ...]) -> List[Dict[int, int]]:
+    """Rows of ad(z)'s nonzero residues at a point (errors as scalar_mod_p)."""
+    rows: Dict[RowKey, Dict[int, int]] = {}
+    for key, col, entry in _ad_entries(z, space, range(len(space)),
+                                       lambda c: scalar_mod_p(c, point, MODULUS)):
+        residue = entry % MODULUS
+        if residue:
+            rows.setdefault(key, {})[col] = residue
+    return list(rows.values())
+
+
+# Why a match certifies a kernel: at each point the F_p rank r0 is at
+# most the rank r of ad(z) over Q(mu) (`specialized_residues`), so
+# dim ker = ncols - r <= ncols - r0.  Exactly verified kernel members of
+# rank ncols - r0 therefore span it; a point short of that proves nothing.
+def _specialized_ranks(z: WittElement, space: TruncatedSpace,
+                       bound: int) -> Iterator[Tuple[int, List[Dict[int, int]]]]:
+    """(F_p rank, residue rows) of ad(z) at each point where it evaluates, for `bound`."""
+    for rows in specialized_residues(space.algebra.field.arity, bound,
+                                     lambda point: _residue_rows(z, space, point)):
+        yield rank_mod_p(rows, len(space)), rows
+
+
 def centralizer_basis(algebra: WittAlgebra, z: WittElement, box: int) -> CentralizerResult:
+    """Canonical kernel basis of ad(z) on the box, certified over F_p where a point allows.
+
+    The members, each checked exactly: z, when it fits the box and
+    [z, z] = 0, and the unit vector of every column with no nonzero
+    residue whose image is exactly zero.  A zero image has no nonzero
+    residue at any point, so the first point finds them all; a column
+    whose residues vanish only at the point is no member.  `kernel`'s
+    vector for free column f is 1 at f, 0 at the other free columns and
+    otherwise supported on pivot columns left of f, so on reversed
+    columns that basis is the unique RREF of the kernel: the members'
+    RREF on reversed columns, read back, is that basis.  When no point
+    certifies, the kernel is eliminated symbolically.
+    """
     space = TruncatedSpace(algebra, box)
-    matrix, _ = ad_matrix(z, space)
-    vectors = matrix_kernel(matrix)
+    ncols = len(space)
+    z_coords = space.coordinates_of(z) if space.contains(z) else {}
+    z_member = bool(z_coords) and bracket(z, z).is_zero
+    members = [z_coords] if z_member else []
+    # ad(z)'s entries are linear forms in mu with coefficients like beta_a - alpha_a.
+    bound = box + max((abs(e) for beta in z.support for e in beta), default=0)
+    rref = None
+    for r0, rows in _specialized_ranks(z, space, bound):
+        if rref is None:
+            live = {c for row in rows for c in row}
+            members += [{c: algebra.field.one()} for c in range(ncols)
+                        if c not in live and bracket(space.element(c), z).is_zero]
+            rref = _canonical_rref([{ncols - 1 - c: s for c, s in v.items()} for v in members])
+        if ncols - r0 == len(rref):
+            vectors = [{ncols - 1 - c: s for c, s in row.items()} for _, row in reversed(rref)]
+            break
+    else:
+        vectors = matrix_kernel(ad_matrix(z, space)[0])
     elements = [space.element_from_vector(v) for v in vectors]
+    for v, e in zip(vectors, elements):
+        if v in members or z_member and proportional(e, z) is not None:
+            continue  # [lam m, z] = lam [m, z] = 0 for a member m
+        if not bracket(e, z).is_zero:
+            raise SelfCheckFailed(f"centralizer: {algebra.format(e)} does not commute with z")
     return CentralizerResult(space, elements, vectors)
 
 
@@ -268,36 +328,6 @@ class VerificationReport:
         return out
 
 
-# Why a match certifies the kernel: the F_p rank r0 bounds the rank r of
-# ad(z) over Q(mu) from below (`specialized_residues`), so a match
-# r0 = ncols - corank gives dim ker = ncols - r <= corank, and `corank`
-# exactly verified, independent kernel members make the kernel their span.
-def _certified_corank(z: WittElement, space: TruncatedSpace, corank: int,
-                      bound: int) -> Optional[int]:
-    """Specialized rank matching ncols - corank, or None if no point certifies.
-
-    A match proves the generic kernel of ad(z) on the space has dimension
-    at most `corank`; callers must supply that many independent kernel
-    members themselves.  `bound` caps the exponent entries feeding the
-    matrix's linear forms.  When no point matches, the caller falls back
-    to the symbolic kernel.
-    """
-    def residues(point: Tuple[Fraction, ...]) -> List[Dict[int, int]]:
-        rows: Dict[RowKey, Dict[int, int]] = {}
-        for key, col, entry in _ad_entries(z, space, range(len(space)),
-                                           lambda c: scalar_mod_p(c, point, MODULUS)):
-            residue = entry % MODULUS
-            if residue:
-                rows.setdefault(key, {})[col] = residue
-        return list(rows.values())
-
-    for rows in specialized_residues(space.algebra.field.arity, bound, residues):
-        r0 = rank_mod_p(rows, len(space))
-        if r0 == len(space) - corank:
-            return r0
-    return None
-
-
 def verify_lemma_2_2(n: int, k: int, box: Optional[int] = None) -> VerificationReport:
     """Centralizer of the power-sum element in W_n is one line, the element itself."""
     if k == 0:
@@ -312,7 +342,8 @@ def verify_lemma_2_2(n: int, k: int, box: Optional[int] = None) -> VerificationR
     space = TruncatedSpace(algebra, box)
     parameters = {"n": n, "k": k, "box": box}
     member = bracket(z, z).is_zero and bool(space.coordinates_of(z))
-    certified = _certified_corank(z, space, 1, box) if member else None
+    ranks = _specialized_ranks(z, space, box) if member else ()
+    certified = next((r0 for r0, _ in ranks if r0 == len(space) - 1), None)
     if certified is not None:
         data: Dict[str, object] = {
             "dimension": 1,
@@ -360,9 +391,9 @@ def verify_lemma_4_1(n: int, m: int, k: int, box: Optional[int] = None) -> Verif
     parameters = {"n": n, "m": m, "k": k, "box": box}
     members = all(bracket(e, z).is_zero for e in predicted)
     rank_predicted = span_rank(space, predicted)
-    certified = None
-    if members and rank_predicted == len(predicted):
-        certified = _certified_corank(z, space, len(predicted), box)
+    independent = members and rank_predicted == len(predicted)
+    ranks = _specialized_ranks(z, space, box) if independent else ()
+    certified = next((r0 for r0, _ in ranks if r0 == len(space) - len(predicted)), None)
     data: Dict[str, object] = {
         "predicted_dimension": len(predicted),
         "rank_predicted": rank_predicted,

@@ -26,10 +26,10 @@ evaluate, and carries that argument.  `kernel` and `rank` use the bound
 first on every component: a component whose F_p rank is already
 min(rows, cols) has that rank over Q(mu), and with full column rank no
 kernel, so it skips symbolic elimination; any other component is
-eliminated symbolically.  The centralizer verifiers combine the bound
-with explicitly verified kernel members to pin kernels exactly without
-symbolic elimination, ranking residues read off the bracket's structure
-constants.  `rank_mod_p` is that rank on rows already reduced to
+eliminated symbolically.  `centralize` and the centralizer verifiers
+combine the bound with explicitly verified kernel members to pin kernels
+exactly without symbolic elimination, ranking residues read off the
+bracket's structure constants.  `rank_mod_p` is that rank on rows already reduced to
 residues, split into connected components; `modular_rank` feeds it a
 ScalarMatrix evaluated entry by entry.
 """

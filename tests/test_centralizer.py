@@ -14,6 +14,7 @@ from wittkit import (
     ad_matrix,
     bracket,
     centralizer_basis,
+    kernel,
     lemma_4_1_families,
     parse_element,
     predicted_centralizer_4_1,
@@ -25,7 +26,8 @@ from wittkit import (
     verify_lemma_4_1,
 )
 from wittkit import centralizer, linalg
-from wittkit.errors import BadK
+from wittkit.cli import main
+from wittkit.errors import BadK, SelfCheckFailed
 from wittkit.linalg import MODULUS, scalar_mod_p
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
@@ -73,8 +75,9 @@ def test_centralizer_of_dmu_is_cartan():
         assert bracket(e, W2.dmu()).is_zero
 
 
-def test_centralizer_of_power_sum_symbolic():
+def test_centralizer_of_power_sum_symbolic(monkeypatch):
     # direct kernel computation, no specialization shortcut
+    monkeypatch.setattr(linalg, "specialization_points", lambda arity, bound: [])
     ps = W2.power_sum_dmu(2)
     result = centralizer_basis(W2, ps, box=4)
     assert result.dimension == 1
@@ -200,13 +203,122 @@ def test_ad_builder_matches_bracket_oracle(variant, ad_matrix_oracle):
             assert {(key, c): e % MODULUS for key, c, e in entries if e % MODULUS} == expected
 
 
-def test_certified_corank_reduces_entries_mod_p():
+def test_specialized_ranks_reduce_entries_mod_p():
     # at column t1^2*t2*d1 the entry (e_1, beta) b_1 - (b, alpha) = 1 - (2 - 1) is zero,
     # but its residues give 1 - (2 + (p - 1)) = -p, which must be reduced away
     z = parse_element("t1*d1 - t1*d2", W2)
     space = TruncatedSpace(W2, box=2)
     r = rank(ad_matrix(z, space)[0])
-    assert centralizer._certified_corank(z, space, len(space) - r, space.box) == r
+    assert r in [r0 for r0, _ in centralizer._specialized_ranks(z, space, space.box)]
+
+
+def _count_fallbacks(monkeypatch):
+    """Counter of `centralizer_basis` calls that built the symbolic ad-matrix."""
+    calls = []
+    original = centralizer.ad_matrix
+    monkeypatch.setattr(centralizer, "ad_matrix", lambda z, space: calls.append(z) or
+                        original(z, space))
+    return calls
+
+
+def _symbolic_kernel(algebra, z, box):
+    return kernel(ad_matrix(z, TruncatedSpace(algebra, box))[0])
+
+
+def test_centralizer_basis_matches_symbolic_kernel(monkeypatch):
+    # z may stick out of the box and carry mu-dependent coefficients; a coefficient
+    # mu1 - 1 vanishes at every point (mu1 = 1 there), so some z must fall back
+    fallbacks = _count_fallbacks(monkeypatch)
+    certified = 0
+    for variant in [AlgebraVariant.wn(2), AlgebraVariant.winf(1, 2), AlgebraVariant.wnplus(2),
+                    AlgebraVariant.wnplusplus(2), AlgebraVariant.wnmu(2)]:
+        certified += _differential_trials(WittAlgebra(variant), fallbacks)
+    assert certified and fallbacks
+
+
+def _differential_trials(algebra, fallbacks):
+    """Random z checked against the symbolic kernel; returns how many certified."""
+    field = algebra.field
+    rng = random.Random(repr(algebra.variant))
+    coefficients = [lambda: field.from_fraction(Fraction(rng.randint(1, 9), rng.randint(1, 4))),
+                    lambda: _rational_coefficient(rng, field),
+                    lambda: field.mu(1) - field.one()]
+    certified = 0
+    for trial in range(8):
+        box = 1 + trial % 2
+        pairs = algebra._basis_pair_list(box + trial % 3 // 2)
+        z = algebra.zero()
+        for alpha, direction in rng.sample(pairs, rng.randint(1, 3)):
+            coeff = coefficients[0]() if trial % 3 == 0 else rng.choice(coefficients)()
+            z = z + algebra.pair_element(alpha, direction).scale(coeff)
+        if z.is_zero:
+            continue
+        before = len(fallbacks)
+        result = centralizer_basis(algebra, z, box)
+        certified += len(fallbacks) == before
+        assert result.vectors == _symbolic_kernel(algebra, z, box)
+        assert all(bracket(e, z).is_zero for e in result.basis)
+    return certified
+
+
+def test_centralizer_accidental_zero_column_is_no_member():
+    # every point sets mu1 = 1, where the columns t2^j*d2 and t1*t2^(+-1)*d1 lose their
+    # images, which come from (1 - mu1)*t2^3*d2 alone; counted as members beside the
+    # true zero column t1*d1 they would meet ncols - r0 and certify a wrong kernel
+    z = parse_element("t1*d1 + (1 - mu1)*t2^3*d2", W2)
+    space = TruncatedSpace(W2, box=1)
+    r0, rows = next(centralizer._specialized_ranks(z, space, 4))
+    silent = [c for c in range(len(space)) if not any(c in row for row in rows)]
+    exact = [c for c in silent if bracket(space.element(c), z).is_zero]
+    assert exact == [space.index[((1, 0), 0)]] and len(silent) == len(space) - r0 == 6
+    result = centralizer_basis(W2, z, 1)
+    assert result.vectors == _symbolic_kernel(W2, z, 1)
+    assert result.dimension == 1
+
+
+def test_centralizer_certifies_at_a_later_point(monkeypatch):
+    # at the first point, mu = (1, 8), the residues of ad(z) have rank 48 of 49
+    z = parse_element("(t1 + t2)*dmu + 3*t2*d1", W2)
+    fallbacks = _count_fallbacks(monkeypatch)
+    certified = centralizer_basis(W2, z, 2)
+    assert not fallbacks
+    first_only = linalg.specialization_points
+    monkeypatch.setattr(linalg, "specialization_points",
+                        lambda arity, bound: first_only(arity, bound)[:1])
+    assert centralizer_basis(W2, z, 2).vectors == certified.vectors
+    assert len(fallbacks) == 1
+
+
+def test_centralizer_falls_back_when_no_point_certifies(monkeypatch):
+    # mu = 0 kills every d_mu entry, so no point certifies and the symbolic kernel decides
+    z = parse_element("(t1 + t2)*dmu + 3*t1*t2^-1*d1", W2)
+    fallbacks = _count_fallbacks(monkeypatch)
+    certified = centralizer_basis(W2, z, 1)
+    assert not fallbacks
+    monkeypatch.setattr(linalg, "specialization_points",
+                        lambda arity, bound: [(0,) * arity])
+    assert centralizer_basis(W2, z, 1).vectors == certified.vectors
+    assert len(fallbacks) == 1
+    assert certified.vectors == _symbolic_kernel(W2, z, 1)
+
+
+@pytest.mark.parametrize("path", ["certified", "symbolic"])
+def test_centralizer_self_check_catches_a_corrupt_basis_vector(monkeypatch, capsys, path):
+    z_text = "(t1 + t2)*dmu"
+    one = W2.field.one()
+    if path == "certified":
+        rref = centralizer._canonical_rref
+        monkeypatch.setattr(centralizer, "_canonical_rref",
+                            lambda rows: [(pc, {**row, 0: one}) for pc, row in rref(rows)])
+    else:
+        monkeypatch.setattr(linalg, "specialization_points", lambda arity, bound: [])
+        kernel_of = centralizer.matrix_kernel
+        monkeypatch.setattr(centralizer, "matrix_kernel",
+                            lambda matrix: [{**v, 0: one} for v in kernel_of(matrix)])
+    with pytest.raises(SelfCheckFailed):
+        centralizer_basis(W2, parse_element(z_text, W2), 1)
+    assert main(["centralize", "--arity", "2", "--box", "1", z_text]) == 2
+    assert "does not commute" in capsys.readouterr().err
 
 
 def test_verify_falls_back_when_no_point_certifies(monkeypatch):

@@ -44,6 +44,8 @@ COMMANDS = {
     "bracket": ["bracket", "--arity", "2", "t1^2*t2^-1*d1", "(t1^3 + t2^3)*dmu"],
     "centralize": ["centralize", "--arity", "2", "--box", "1", "(t1 + t2)*dmu"],
     # every component of full column rank
+    "centralize-affine-coefficient":
+        "813abeddc394bc66b37a996ee2b8913bdf9b73ec1a0fb407450108ade48ff58a",
     "centralize-full-rank": ["centralize", "--arity", "2", "--box", "2",
                              "(t1^3 + t2^3)*dmu + 2*t1*t2^-1*d1"],
     # one 18-column component with a kernel
@@ -56,13 +58,25 @@ COMMANDS = {
     "centralize-large-component": ["centralize", "--arity", "2", "--box", "3",
                                    "(t1 + t2)*dmu + t1*t2^-1*d1"],
     # one 96x50 component whose fraction-free elimination swelled past 200 s
+    "centralize-outside-box":
+        "34c90d92a90b862069964cee664f995d33ce64d48752a9a6f3036092c373f975",
     "centralize-swell": ["centralize", "--arity", "2", "--box", "2",
                          "(3/7)*t2*d1 + (t1^2+t2^2)*dmu + (5/11)*t1*t2^-1*d2"],
     # rational-function coefficients on d_mu columns
+    "centralize-vanishing-coefficient":
+        "46fef0dd4c1c3044daff9ad934d493004e5655522d0c36786f40aa087cf0617d",
     "centralize-wnmu": ["centralize", "--arity", "2", "--variant", "wnmu", "--box", "1",
                         "t1*dmu + mu1/(mu2 + 1)*t2^-1*dmu"],
     "centralize-wnplus": ["centralize", "--arity", "2", "--variant", "wnplus", "--box", "2",
                           "t1^-1*d1 + t2*d2"],
+    # the d1 coefficient mu1 + 3 at t2 is an integer at every point, which sets mu1 = 1
+    "centralize-affine-coefficient": ["centralize", "--arity", "2", "--box", "3",
+                                      "(t1+t2)*dmu + 3*t2*d1"],
+    # z outside the box: the kernel is spanned by columns ad(z) sends to zero
+    "centralize-outside-box": ["centralize", "--arity", "2", "--box", "1", "t1^5*d1"],
+    # a coefficient that vanishes at every point
+    "centralize-vanishing-coefficient": ["centralize", "--arity", "2", "--box", "1",
+                                         "(1 - mu1)/2*t1*d2 + (t1+t2)*dmu"],
     "lemma2.2": ["verify", "--arity", "2", "--k", "2", "lemma2.2"],
     "lemma3.2": ["verify", "--arity", "2", "lemma3.2", "t1*d1 + t1*t2*d2"],
     "lemma3.3": ["verify", "--arity", "2", "--k", "3", "lemma3.3"],
@@ -94,17 +108,25 @@ COMMANDS = {
 # lemma4.4-wide digests were recorded while the forcing verifiers still
 # adjoined one unknown per shift to the scalar field.  parse-distribute
 # and parse-collide were recorded while the parser still distributed
-# every product into uncollected summands.
+# every product into uncollected summands.  centralize-affine-coefficient,
+# -outside-box and -vanishing-coefficient were recorded while every
+# centralizer still went through the symbolic ad-matrix and `kernel`.
 DIGESTS = {
     "bracket": "5a77a4748307d9e99ac9ac83a191e603b11502e52628276793a7b43fc95a09ac",
     "centralize": "dfb8bf8687ea6d9ca881050f861da5ea3a624cfaacff3b5328702654df0029b7",
+    "centralize-affine-coefficient":
+        "813abeddc394bc66b37a996ee2b8913bdf9b73ec1a0fb407450108ade48ff58a",
     "centralize-full-rank": "9f296ad12496ebd1673050cea8d661b0bc089f679bd6912650bf3b2639b31b26",
     "centralize-kernel-component":
         "3afbef0876a26bd969624e5c34eb2f9f763e1ca7ff4490f09ac8786e9350b135",
     "centralize-large-component":
         "9d04d78e16108ca8b4b3b2b7521ab45d0d6d2e88e2ad96cd85c794d2a91f3cc8",
     "centralize-mixed": "32b29042d318817c31e4c7970c5d6d775883f5db25229d866b89ff89302e1aeb",
+    "centralize-outside-box":
+        "34c90d92a90b862069964cee664f995d33ce64d48752a9a6f3036092c373f975",
     "centralize-swell": "ead0c496c995991d7409686719604356a3a00f13ed557778cc26a0d3baf9825f",
+    "centralize-vanishing-coefficient":
+        "46fef0dd4c1c3044daff9ad934d493004e5655522d0c36786f40aa087cf0617d",
     "centralize-wnmu": "c3fb507500a00b77d4c895d7ec7fe12b49db687f98529c6b5b98732c05c2e706",
     "centralize-wnplus": "9d3f5725e60c9f107d202ad2979c1ec1dbe31c3c2a8f04f22618aca971c137d1",
     "fuzz": "2bf06ad964379730fbf56b05184464a780920fe3e98ab90a7521b5bb20056fbd",
