@@ -3,7 +3,8 @@
 One logical command per invocation; every command is deterministic given
 its flags and seed.  Exit codes: 0 all checks pass, 1 a check failed,
 2 usage or parse error, or any other `WittkitError`, a failed self-check
-(`SelfCheckFailed`) included.  JSON output is printed with sorted keys so
+(`SelfCheckFailed`) included, 3 internal error (any other exception, a
+defect in wittkit).  JSON output is printed with sorted keys so
 identical invocations produce byte-identical reports.
 """
 
@@ -358,6 +359,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except WittkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

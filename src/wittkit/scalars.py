@@ -4,13 +4,18 @@ Every algebra in this package is defined over the field Q(mu1, ..., mun)
 of rational functions in the components of a generic vector mu, possibly
 extended by further named unknowns (undetermined coefficients introduced
 while verifying a lemma).  A scalar is a quotient num/den of multivariate
-polynomials with Fraction coefficients, held in a canonical form so that
+polynomials with integer coefficients, held in a canonical form so that
 equality is structural:
 
   * num == 0 implies den == 1,
-  * gcd(num, den) == 1,
-  * den is primitive (integer content 1) with positive leading
-    coefficient in graded lexicographic order.
+  * num and den are coprime over Z[mu], integer factors included,
+  * den has positive leading coefficient in graded lexicographic order.
+
+A rational a/b is thus the two ints a and b.  Fractions appear only at
+the boundary: `Scalar(num, den)` clears coefficient denominators,
+`from_fraction`, `as_fraction` and `evaluate` convert, and the text
+prints num over den's integer content, as it did when num had Fraction
+coefficients over a primitive den.
 
 Genericity of mu means mu . alpha != 0 for every nonzero integer vector
 alpha.  Treating the mu_i as independent indeterminates gives exactly
@@ -20,50 +25,37 @@ invertible here.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, DenominatorVanishes, DivisionByZero, ExactDivisionError
 
 Monomial = Tuple[int, ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _grlex_key(mono: Monomial) -> Tuple[int, Monomial]:
     return (sum(mono), mono)
 
 
-def _frac_gcd(values: Iterable[Fraction]) -> Fraction:
-    """Positive gcd of a nonempty set of nonzero Fractions.
-
-    gcd(a/b, c/d) = gcd(a, c) / lcm(b, d); this is the unique positive
-    rational q such that every value is an integer multiple of q and the
-    multiples are coprime.
-    """
-    num_gcd = 0
-    den_lcm = 1
-    for v in values:
-        num_gcd = math.gcd(num_gcd, abs(v.numerator))
-        den_lcm = den_lcm * v.denominator // math.gcd(den_lcm, v.denominator)
-    return Fraction(num_gcd, den_lcm)
-
-
 class MuPolynomial:
-    """Sparse polynomial in `arity` commuting variables over Q.
+    """Sparse polynomial in `arity` commuting variables over Z.
 
     Terms map exponent tuples (length == arity, entries >= 0) to nonzero
-    Fractions.  Instances are immutable by convention: nothing mutates
-    `terms` after construction.
+    ints.  The ring operations work on any rational coefficients (which
+    `Scalar(num, den)` clears); primitive parts, gcds and exact division
+    need integral ones.  Instances are immutable by convention: the
+    constructor takes `terms` over, dropping zeros, and nothing mutates
+    it after construction.
     """
 
     __slots__ = ("arity", "terms", "_hash")
 
-    def __init__(self, arity: int, terms: Dict[Monomial, Fraction]):
+    def __init__(self, arity: int, terms: Dict[Monomial, int]):
         self.arity = arity
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
         self._hash: Optional[int] = None
 
     # -- constructors -------------------------------------------------
@@ -73,22 +65,19 @@ class MuPolynomial:
         return cls(arity, {})
 
     @classmethod
-    def constant(cls, arity: int, value: Fraction) -> "MuPolynomial":
-        value = Fraction(value)
-        if not value:
-            return cls(arity, {})
+    def constant(cls, arity: int, value: int) -> "MuPolynomial":
         return cls(arity, {(0,) * arity: value})
 
     @classmethod
     def one(cls, arity: int) -> "MuPolynomial":
-        return cls.constant(arity, _ONE)
+        return cls.constant(arity, 1)
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "MuPolynomial":
         if not 0 <= index < arity:
             raise ArityMismatch(f"variable index {index} outside arity {arity}")
         mono = tuple(1 if i == index else 0 for i in range(arity))
-        return cls(arity, {mono: _ONE})
+        return cls(arity, {mono: 1})
 
     # -- predicates and views -----------------------------------------
 
@@ -104,15 +93,15 @@ class MuPolynomial:
         (mono,) = self.terms
         return not any(mono)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int:
         if not self.terms:
-            return _ZERO
+            return 0
         (mono, coeff), = self.terms.items()
         if any(mono):
             raise ExactDivisionError("polynomial is not constant")
         return coeff
 
-    def leading(self) -> Tuple[Monomial, Fraction]:
+    def leading(self) -> Tuple[Monomial, int]:
         mono = max(self.terms, key=_grlex_key)
         return mono, self.terms[mono]
 
@@ -137,49 +126,48 @@ class MuPolynomial:
         if self.arity != other.arity:
             raise ArityMismatch(f"polynomial arities {self.arity} != {other.arity}")
 
-    def __add__(self, other: "MuPolynomial") -> "MuPolynomial":
+    def _combine(self, other: "MuPolynomial", op) -> "MuPolynomial":
         self._check(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = terms.get(mono, _ZERO) + coeff
+            acc = op(terms.get(mono, 0), coeff)
             if acc:
                 terms[mono] = acc
             elif mono in terms:
                 del terms[mono]
         return MuPolynomial(self.arity, terms)
 
+    def __add__(self, other: "MuPolynomial") -> "MuPolynomial":
+        return self._combine(other, operator.add)
+
     def __sub__(self, other: "MuPolynomial") -> "MuPolynomial":
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, _ZERO) - coeff
-            if acc:
-                terms[mono] = acc
-            elif mono in terms:
-                del terms[mono]
-        return MuPolynomial(self.arity, terms)
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "MuPolynomial":
         return MuPolynomial(self.arity, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "MuPolynomial") -> "MuPolynomial":
         self._check(other)
-        if not self.terms or not other.terms:
-            return MuPolynomial(self.arity, {})
-        terms: Dict[Monomial, Fraction] = {}
+        if len(self.terms) > len(other.terms):
+            self, other = other, self
+        if len(self.terms) == 1:
+            (ma, ca), = self.terms.items()
+            if not any(ma):
+                return other.scale(ca)
+        terms: Dict[Monomial, int] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                mono = tuple(a + b for a, b in zip(ma, mb))
-                acc = terms.get(mono, _ZERO) + ca * cb
+                mono = tuple(map(operator.add, ma, mb))
+                acc = terms.get(mono, 0) + ca * cb
                 if acc:
                     terms[mono] = acc
                 elif mono in terms:
                     del terms[mono]
         return MuPolynomial(self.arity, terms)
 
-    def scale(self, value: Fraction) -> "MuPolynomial":
-        if not value:
-            return MuPolynomial(self.arity, {})
+    def scale(self, value) -> "MuPolynomial":
+        if value == 1:
+            return self
         return MuPolynomial(self.arity, {m: c * value for m, c in self.terms.items()})
 
     def shift(self, mono: Monomial) -> "MuPolynomial":
@@ -191,46 +179,42 @@ class MuPolynomial:
 
     # -- content, gcd, division ---------------------------------------
 
-    def content(self) -> Fraction:
-        """Positive rational content; 0 for the zero polynomial."""
-        if not self.terms:
-            return _ZERO
-        return _frac_gcd(self.terms.values())
+    def _quo(self, d: int) -> "MuPolynomial":
+        """Quotient by an integer that divides every coefficient."""
+        if d == 1:
+            return self
+        return MuPolynomial(self.arity, {m: c // d for m, c in self.terms.items()})
 
     def primitive(self) -> "MuPolynomial":
-        """Divide out the content and force a positive leading coefficient."""
+        """Divide out the integer content and force a positive leading coefficient."""
         if not self.terms:
             return self
-        c = self.content()
-        if self.leading()[1] < 0:
-            c = -c
-        if c == 1:
-            return self
-        return self.scale(1 / c)
+        c = math.gcd(*[c.numerator for c in self.terms.values()])
+        return self._quo(-c if self.leading()[1] < 0 else c)
 
     def exact_div(self, divisor: "MuPolynomial") -> "MuPolynomial":
-        """Quotient self / divisor, which must be exact."""
+        """Quotient self / divisor, which must be exact over Z."""
         self._check(divisor)
         if divisor.is_zero:
             raise ExactDivisionError("division by the zero polynomial")
-        if divisor.is_constant():
-            return self.scale(1 / divisor.constant_value())
-        quotient: Dict[Monomial, Fraction] = {}
-        rem = self
         dm, dc = divisor.leading()
+        if not any(dm) and not any(c % dc for c in self.terms.values()):
+            return self._quo(dc)
+        quotient: Dict[Monomial, int] = {}
+        rem = self
         while rem.terms:
             rm, rc = rem.leading()
             mono = tuple(a - b for a, b in zip(rm, dm))
-            if any(e < 0 for e in mono):
+            coeff, r = divmod(rc, dc)
+            if r or any(e < 0 for e in mono):
                 raise ExactDivisionError("inexact polynomial division")
-            coeff = rc / dc
             quotient[mono] = coeff
             rem = rem - divisor.shift(mono).scale(coeff)
         return MuPolynomial(self.arity, quotient)
 
     def _univariate_in(self, var: int) -> Dict[int, "MuPolynomial"]:
         """View as a polynomial in variable `var` with polynomial coefficients."""
-        coeffs: Dict[int, Dict[Monomial, Fraction]] = {}
+        coeffs: Dict[int, Dict[Monomial, int]] = {}
         for mono, coeff in self.terms.items():
             d = mono[var]
             rest = mono[:var] + (0,) + mono[var + 1 :]
@@ -250,7 +234,7 @@ class MuPolynomial:
         """Evaluate at a point of rationals (or of any ring the coefficients act on)."""
         if len(values) != self.arity:
             raise ArityMismatch(f"expected {self.arity} values, got {len(values)}")
-        total = _ZERO
+        total = 0
         for mono, coeff in self.terms.items():
             term = coeff
             for v, e in zip(values, mono):
@@ -310,7 +294,12 @@ def _pseudo_rem(a: MuPolynomial, b: MuPolynomial, var: int) -> MuPolynomial:
 
 
 def poly_gcd(a: MuPolynomial, b: MuPolynomial) -> MuPolynomial:
-    """Gcd over Q[mu...], primitive with positive leading coefficient."""
+    """Gcd of integral polynomials up to an integer: content 1, positive leading coefficient.
+
+    Their gcd over Z[mu] is this times the gcd of their contents.  Brown's
+    primitive pseudo-remainder sequence in the top variable, whose
+    coefficients, polynomials in the lower variables, recurse.
+    """
     if a.arity != b.arity:
         raise ArityMismatch(f"polynomial arities {a.arity} != {b.arity}")
     if a.is_zero:
@@ -333,71 +322,73 @@ def poly_gcd(a: MuPolynomial, b: MuPolynomial) -> MuPolynomial:
     while not r1.is_zero:
         rem = _pseudo_rem(r0, r1, var)
         if not rem.is_zero:
-            rem = rem.exact_div(rem._poly_content_in(var))
+            rem = rem.exact_div(rem._poly_content_in(var)).primitive()
         r0, r1 = r1, rem
     if r0.degree_in(var) == 0:
         return cont.primitive()
     return (cont * r0).primitive()
 
 
-_ONE_POLY_CACHE: Dict[int, MuPolynomial] = {}
+_one_poly = functools.lru_cache(maxsize=None)(MuPolynomial.one)
 
 
-def _one_poly(arity: int) -> MuPolynomial:
-    p = _ONE_POLY_CACHE.get(arity)
-    if p is None:
-        p = MuPolynomial.one(arity)
-        _ONE_POLY_CACHE[arity] = p
-    return p
+def _cancel(p: MuPolynomial, q: MuPolynomial) -> Tuple[MuPolynomial, MuPolynomial]:
+    """(p/g, q/g) for g = gcd(p, q) over Z[mu] with positive leading coefficient.
+
+    For p == 0 that is (0, 1) up to q's sign.
+    """
+    if not q.is_constant():
+        g = poly_gcd(p, q)
+        if not g.is_constant():
+            p, q = p.exact_div(g), q.exact_div(g)
+    c = math.gcd(*q.terms.values())
+    if c != 1:
+        c = math.gcd(c, *p.terms.values())
+        p, q = p._quo(c), q._quo(c)
+    return p, q
 
 
 class Scalar:
-    """Canonical quotient of two MuPolynomials of the same arity."""
+    """Canonical quotient num/den over Z[mu] (see the module docstring).
+
+    Products cancel across, gcd(a.num, b.den) and gcd(b.num, a.den), before
+    they multiply, so they come out canonical (Henrici; Knuth, TAOCP 4.5.1).
+    Sums take one reduction, an integer gcd when den is constant.
+    """
 
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: MuPolynomial, den: Optional[MuPolynomial] = None):
+        """num/den for polynomials with rational coefficients, cleared and reduced."""
         if den is None:
             den = _one_poly(num.arity)
         if num.arity != den.arity:
             raise ArityMismatch(f"num/den arities {num.arity} != {den.arity}")
         if den.is_zero:
             raise DivisionByZero("scalar with zero denominator")
-        if num.is_zero:
-            den = _one_poly(num.arity)
-        elif den.is_constant():
-            c = den.constant_value()
-            if c != 1:
-                num = num.scale(1 / c)
-            den = _one_poly(num.arity)
-        else:
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            c = den.content()
-            if den.leading()[1] < 0:
-                c = -c
-            if c != 1:
-                num = num.scale(1 / c)
-                den = den.scale(1 / c)
-        self.num = num
-        self.den = den
-        self._hash: Optional[int] = None
+        lcm = math.lcm(*[c.denominator for p in (num, den) for c in p.terms.values()])
+        num, den = (MuPolynomial(p.arity, {m: c.numerator * (lcm // c.denominator)
+                                           for m, c in p.terms.items()}) for p in (num, den))
+        num, den = _cancel(num, den)
+        if den.leading()[1] < 0:
+            num, den = -num, -den
+        self.num, self.den, self._hash = num, den, None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_fraction(cls, arity: int, value) -> "Scalar":
-        return cls(MuPolynomial.constant(arity, Fraction(value)))
+        """The constant value, an int or a Fraction."""
+        num, den = MuPolynomial(arity, {(0,) * arity: value.numerator}), value.denominator
+        return _make(num, _one_poly(arity) if den == 1 else MuPolynomial.constant(arity, den))
 
     @classmethod
     def zero(cls, arity: int) -> "Scalar":
-        return cls(MuPolynomial.zero(arity))
+        return _make(MuPolynomial.zero(arity), _one_poly(arity))
 
     @classmethod
     def one(cls, arity: int) -> "Scalar":
-        return cls(_one_poly(arity))
+        return _make(_one_poly(arity), _one_poly(arity))
 
     # -- predicates -----------------------------------------------------
 
@@ -410,42 +401,44 @@ class Scalar:
         return self.num.is_zero
 
     def is_one(self) -> bool:
-        return self.den.is_constant() and self.num.is_constant() and self.num.constant_value() == 1
+        # coprime num == den can only be 1/1
+        return self.num == self.den
 
     def is_rational(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
     def as_fraction(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+        return Fraction(self.num.constant_value(), self.den.constant_value())
 
     # -- field operations ----------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.arity != self.arity:
+            if other.num.arity != self.num.arity:
                 raise ArityMismatch(f"scalar arities {self.arity} != {other.arity}")
             return other
         if isinstance(other, (int, Fraction)):
             return Scalar.from_fraction(self.arity, other)
         return NotImplemented
 
-    def __add__(self, other) -> "Scalar":
+    def _combine(self, other, op) -> "Scalar":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+            num, den = op(self.num, other.num), self.den
+        else:
+            num, den = op(self.num * other.den, other.num * self.den), self.den * other.den
+        # one reduction: an integer gcd when den is constant
+        return _make(*_cancel(num, den))
+
+    def __add__(self, other) -> "Scalar":
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return Scalar(self.num - other.num, self.den)
-        return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other) -> "Scalar":
         other = self._coerce(other)
@@ -454,17 +447,16 @@ class Scalar:
         return other - self
 
     def __neg__(self) -> "Scalar":
-        result = Scalar.__new__(Scalar)
-        result.num = -self.num
-        result.den = self.den
-        result._hash = None
-        return result
+        return _make(-self.num, self.den)
 
     def __mul__(self, other) -> "Scalar":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.num * other.num, self.den * other.den)
+        # cancelling across first leaves a product already in lowest terms
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return _make(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -472,9 +464,7 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero:
-            raise DivisionByZero("scalar division by zero")
-        return Scalar(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other) -> "Scalar":
         other = self._coerce(other)
@@ -485,22 +475,20 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.is_zero:
             raise DivisionByZero("inverting the zero scalar")
-        return Scalar(self.den, self.num)
+        if self.num.leading()[1] < 0:
+            return _make(-self.den, -self.num)
+        return _make(self.den, self.num)
 
-    def evaluate(self, values: Sequence):
+    def evaluate(self, values: Sequence) -> Fraction:
         den_value = self.den.evaluate(values)
         if not den_value:
             raise DenominatorVanishes("denominator vanishes at the given point")
-        return self.num.evaluate(values) / den_value
+        return Fraction(self.num.evaluate(values), den_value)
 
     def lift(self, arity: int) -> "Scalar":
         if arity == self.arity:
             return self
-        result = Scalar.__new__(Scalar)
-        result.num = self.num.lift(arity)
-        result.den = self.den.lift(arity)
-        result._hash = None
-        return result
+        return _make(self.num.lift(arity), self.den.lift(arity))
 
     # -- object protocol ----------------------------------------------
 
@@ -521,6 +509,13 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.num!r}, {self.den!r})"
+
+
+def _make(num: MuPolynomial, den: MuPolynomial) -> Scalar:
+    """The Scalar num/den, which must already be in canonical form."""
+    scalar = object.__new__(Scalar)
+    scalar.num, scalar.den, scalar._hash = num, den, None
+    return scalar
 
 
 def _format_monomial(mono: Monomial, names: Sequence[str]) -> str:
@@ -555,11 +550,14 @@ def format_polynomial(poly: MuPolynomial, names: Sequence[str]) -> str:
 
 
 def format_scalar(scalar: Scalar, names: Sequence[str]) -> str:
-    num_str = format_polynomial(scalar.num, names)
-    if scalar.den.is_constant():
-        return num_str
-    den_str = format_polynomial(scalar.den, names)
-    return f"({num_str})/({den_str})"
+    """num over den's integer content, then "(num)/(den)" unless den is constant."""
+    num, den = scalar.num, scalar.den
+    c = math.gcd(*den.terms.values())
+    if c != 1:
+        num = MuPolynomial(num.arity, {m: Fraction(v, c) for m, v in num.terms.items()})
+    if den.is_constant():
+        return format_polynomial(num, names)
+    return f"({format_polynomial(num, names)})/({format_polynomial(den._quo(c), names)})"
 
 
 class ScalarField:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, BadArity, BadK, LengthMismatch
-from .scalars import Scalar, ScalarField, format_polynomial, format_scalar
+from .scalars import Scalar, ScalarField, format_scalar
 
 Exponent = Tuple[int, ...]
 
@@ -560,11 +560,8 @@ def _scalar_prefix(scalar: Scalar, names: Sequence[str]) -> Tuple[bool, str]:
     if scalar.den.is_constant() and len(scalar.num.terms) == 1:
         (_, coeff), = scalar.num.terms.items()
         negative = coeff < 0
-        body_poly = scalar.num.scale(-1) if negative else scalar.num
-        body = format_polynomial(body_poly, names)
-        if body == "1":
-            return negative, ""
-        return negative, body
+        body = format_scalar(-scalar if negative else scalar, names)
+        return negative, "" if body == "1" else body
     return False, "(" + format_scalar(scalar, names) + ")"
 
 

@@ -1,18 +1,34 @@
 """Shared oracles: the ad-matrix, the stacked anchor system, the certificate
-property and the forcing rank.
+property, the forcing rank and the Q-coefficient scalar normal form.
 
 The first three are rebuilt here from `bracket` over every column of the
 degree box, independently of the structure-constant builder behind
 `ad_matrix` and of how `solve_inner` organises its own solve.  The
 forcing rank is rebuilt by adjoining one unknown per family member to the
-scalar field, independently of the bilinear split the verifiers use.
+scalar field, independently of the bilinear split the verifiers use.  The
+scalar normal form is the one `Scalar` kept before its coefficients
+became integers: Fraction coefficients, a gcd over Q[mu] with its own
+Q-exact division, and a primitive denominator.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
-from wittkit import MuPolynomial, Scalar, ScalarMatrix, TruncatedSpace, WittAlgebra, bracket, rank
+from wittkit import (
+    MuPolynomial,
+    Scalar,
+    ScalarMatrix,
+    TruncatedSpace,
+    WittAlgebra,
+    bracket,
+    format_polynomial,
+    rank,
+)
 
 
 def _support_rows(w):
@@ -122,6 +138,104 @@ def adjoined_forcing(algebra, family, x):
     return set(image.support), rank(matrix)
 
 
+def _grlex(poly):
+    return max(poly.terms, key=lambda mono: (sum(mono), mono))
+
+
+def _q_content(poly):
+    """Positive rational content: gcd of the numerators over lcm of the denominators."""
+    num_gcd, den_lcm = 0, 1
+    for v in map(Fraction, poly.terms.values()):
+        num_gcd = math.gcd(num_gcd, v.numerator)
+        den_lcm = den_lcm * v.denominator // math.gcd(den_lcm, v.denominator)
+    return Fraction(num_gcd, den_lcm)
+
+
+def _q_primitive(poly):
+    if poly.is_zero:
+        return poly
+    c = _q_content(poly)
+    return poly.scale(1 / (-c if poly.terms[_grlex(poly)] < 0 else c))
+
+
+def _q_exact_div(a, b):
+    quotient = {}
+    dm = _grlex(b)
+    while not a.is_zero:
+        am = _grlex(a)
+        mono = tuple(x - y for x, y in zip(am, dm))
+        assert min(mono) >= 0, "inexact division"
+        quotient[mono] = Fraction(a.terms[am]) / b.terms[dm]
+        a = a - b.shift(mono).scale(quotient[mono])
+    return MuPolynomial(b.arity, quotient)
+
+
+def _q_parts(poly, var):
+    """Coefficients of `poly` as a polynomial in `var`, by degree."""
+    parts = {}
+    for mono, c in poly.terms.items():
+        parts.setdefault(mono[var], {})[mono[:var] + (0,) + mono[var + 1:]] = c
+    return {d: MuPolynomial(poly.arity, t) for d, t in parts.items()}
+
+
+def _q_content_in(poly, var):
+    acc = MuPolynomial.zero(poly.arity)
+    for part in _q_parts(poly, var).values():
+        acc = q_gcd(acc, part)
+    return acc
+
+
+def _q_pseudo_rem(a, b, var):
+    db = max(_q_parts(b, var))
+    lc_b = _q_parts(b, var)[db]
+    while not a.is_zero and max(_q_parts(a, var)) >= db:
+        da = max(_q_parts(a, var))
+        shift = tuple(da - db if i == var else 0 for i in range(a.arity))
+        a = a * lc_b - b * _q_parts(a, var)[da].shift(shift)
+    return a
+
+
+def q_gcd(a, b):
+    """Gcd over Q[mu], primitive with positive leading coefficient (Euclid on primitive parts)."""
+    if a.is_zero or b.is_zero:
+        return _q_primitive(a + b)
+    if a.is_constant() or b.is_constant():
+        return MuPolynomial.one(a.arity)
+    var = max(i for mono in [*a.terms, *b.terms] for i, e in enumerate(mono) if e)
+    cont = q_gcd(_q_content_in(a, var), _q_content_in(b, var))
+    r0 = _q_exact_div(a, _q_content_in(a, var))
+    r1 = _q_exact_div(b, _q_content_in(b, var))
+    while not r1.is_zero:
+        if max(_q_parts(r0, var)) < max(_q_parts(r1, var)):
+            r0, r1 = r1, r0
+        rem = _q_pseudo_rem(r0, r1, var)
+        r0, r1 = r1, rem if rem.is_zero else _q_exact_div(rem, _q_content_in(rem, var))
+    return _q_primitive(cont * r0 if max(_q_parts(r0, var)) else cont)
+
+
+def fraction_normal_form(num, den):
+    """(num, den) in the Q-coefficient normal form: coprime over Q[mu], den
+    primitive over Z with positive leading coefficient, and den == 1 when
+    constant or when num == 0."""
+    one = MuPolynomial.one(num.arity)
+    if num.is_zero:
+        return num, one
+    if den.is_constant():
+        return num.scale(1 / Fraction(den.constant_value())), one
+    g = q_gcd(num, den)
+    num, den = _q_exact_div(num, g), _q_exact_div(den, g)
+    c = _q_content(den)
+    c = -c if den.terms[_grlex(den)] < 0 else c
+    return num.scale(1 / c), den.scale(1 / c)
+
+
+def fraction_format(num, den, names):
+    """`format_scalar`'s text for a pair in the Q-coefficient normal form."""
+    if den.is_constant():
+        return format_polynomial(num, names)
+    return f"({format_polynomial(num, names)})/({format_polynomial(den, names)})"
+
+
 @pytest.fixture
 def ad_matrix_oracle():
     return bracket_ad_matrix
@@ -140,3 +254,8 @@ def certificate_holds():
 @pytest.fixture
 def forcing_oracle():
     return adjoined_forcing
+
+
+@pytest.fixture(scope="session")
+def fraction_oracle():
+    return SimpleNamespace(normal_form=fraction_normal_form, format=fraction_format, gcd=q_gcd)

@@ -348,3 +348,17 @@ def test_module_entry_point():
     result = run_module(["bracket", "--arity", "1", "t1^-1*d1", "t1*d1"])
     assert result.returncode == 0
     assert result.stdout.strip() == "2*d1"
+
+
+def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
+    # a defect (here a TypeError out of the handler) is neither a failed check (1)
+    # nor a usage error (2)
+    def slip(args, parser):
+        raise TypeError("'Fraction' object cannot be interpreted as an integer")
+
+    monkeypatch.setattr(wittkit.cli, "_algebra_from", slip)
+    code, out, err = run_cli(capsys, ["parse", "--arity", "1", "d1"])
+    assert code == 3 and out == ""
+    assert err.strip() == ("internal error: TypeError: "
+                           "'Fraction' object cannot be interpreted as an integer")
+    assert "Traceback" not in err

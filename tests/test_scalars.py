@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,13 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittkit import (
+    AlgebraVariant,
     DenominatorVanishes,
     MuPolynomial,
     Scalar,
     ScalarField,
+    WittAlgebra,
     format_polynomial,
+    parse_element,
+    parse_scalar,
     poly_gcd,
 )
+from wittkit.scalars import format_scalar
 
 F2 = ScalarField(2)
 MU1 = F2.mu(1)
@@ -188,3 +194,125 @@ def test_poly_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+# -- the integer form's traps, and text pinned before it ---------------------
+
+
+def test_a_seventh_is_not_one():
+    # an is_one() that asks num == 1 but not den == 1 reads 1/7 as one
+    assert not (F2.one() / 7).is_one()
+    assert (F2.from_int(7) / 7).is_one()
+
+
+def test_rational_keeps_its_denominator():
+    value = parse_scalar("3/7", F2)
+    assert value.num == MuPolynomial.constant(2, 3)
+    assert value.den == MuPolynomial.constant(2, 7)
+    assert value != F2.from_int(3)
+
+
+def test_as_fraction_returns_a_fraction():
+    for value in (Fraction(3, 7), Fraction(5), Fraction(-1, 2)):
+        exact = F2.from_fraction(value).as_fraction()
+        assert type(exact) is Fraction and exact == value
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("3/(7*mu2)", "(3/7)/(mu2)"),
+    ("mu1/2", "1/2*mu1"),
+    ("(3*mu1 + 2)/(6*mu1 + 6*mu2)", "(1/2*mu1 + 1/3)/(mu1 + mu2)"),
+    ("-6/(4*mu1 - 2*mu2)", "(-3)/(2*mu1 - mu2)"),
+])
+def test_format_scalar_pins(text, expected):
+    assert F2.format(parse_scalar(text, F2)) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("(3/7)*t1*d1", "3/7*t1*d1"),
+    ("-1/2*mu1*t2*d1", "-1/2*mu1*t2*d1"),
+    ("-mu1/2*t2*d1", "-1/2*mu1*t2*d1"),
+    ("(2*mu1)/(4*mu2 - 2)*t1*d2 - 5/3*d1", "-5/3*d1 + ((mu1)/(2*mu2 - 1))*t1*d2"),
+])
+def test_format_element_pins(text, expected):
+    algebra = WittAlgebra(AlgebraVariant.wn(2))
+    assert algebra.format(parse_element(text, algebra)) == expected
+
+
+# -- integer coefficients against the Q-coefficient normal form ---------------
+
+
+@st.composite
+def rational_functions(draw, arity):
+    """(num, den) with Fraction coefficients, degree <= 1 in each variable.
+
+    num draws 0-3 terms and den 1-3; a den whose terms cancel becomes 1.
+    """
+    def poly(min_terms):
+        terms = {}
+        for _ in range(draw(st.integers(min_value=min_terms, max_value=3))):
+            mono = tuple(draw(st.integers(min_value=0, max_value=1)) for _ in range(arity))
+            terms[mono] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+        return MuPolynomial(arity, terms)
+
+    num, den = poly(0), poly(1)
+    return num, den if den.terms else MuPolynomial.one(arity)
+
+
+def _leading_coefficient(poly):
+    return poly.terms[max(poly.terms, key=lambda mono: (sum(mono), mono))]
+
+
+def _assert_matches_oracle(oracle, scalar, pair, names):
+    num, den = scalar.num, scalar.den
+    # the canonical form over Z[mu]
+    assert all(type(c) is int for c in [*num.terms.values(), *den.terms.values()])
+    assert _leading_coefficient(den) > 0
+    assert math.gcd(*num.terms.values(), *den.terms.values()) == 1
+    assert oracle.gcd(num, den).is_constant()
+    if num.is_zero:
+        assert den == MuPolynomial.one(num.arity)
+    # the same value, and the Q-coefficient form is this one over den's content
+    onum, oden = pair
+    assert num * oden == onum * den
+    c = math.gcd(*den.terms.values())
+    assert {m: Fraction(v, c) for m, v in num.terms.items()} == onum.terms
+    assert {m: Fraction(v, c) for m, v in den.terms.items()} == oden.terms
+    assert format_scalar(scalar, names) == oracle.format(onum, oden, names)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]).flatmap(lambda arity: st.tuples(
+    rational_functions(arity), rational_functions(arity),
+    st.one_of(st.integers(-5, 5), st.fractions(max_denominator=6).filter(lambda q: abs(q) < 6)))))
+def test_integer_arithmetic_matches_fraction_normal_form(fraction_oracle, case):
+    normal = fraction_oracle.normal_form
+    (an, ad), (bn, bd), k = case
+    arity = an.arity
+    names = ScalarField(arity).names
+    a, b = Scalar(an, ad), Scalar(bn, bd)
+    oa, ob = normal(an, ad), normal(bn, bd)
+    ok = (MuPolynomial.constant(arity, Fraction(k)), MuPolynomial.one(arity))
+    checks = [
+        (a, oa),
+        (a + b, normal(oa[0] * ob[1] + ob[0] * oa[1], oa[1] * ob[1])),
+        (a - b, normal(oa[0] * ob[1] - ob[0] * oa[1], oa[1] * ob[1])),
+        (a * b, normal(oa[0] * ob[0], oa[1] * ob[1])),
+        (k + a, normal(ok[0] * oa[1] + oa[0], oa[1])),
+        (k - a, normal(ok[0] * oa[1] - oa[0], oa[1])),
+        (a * k, normal(oa[0] * ok[0], oa[1])),
+        (k * a, normal(oa[0] * ok[0], oa[1])),
+        (-a, normal(-oa[0], oa[1])),
+    ]
+    if not b.is_zero:
+        checks += [(a / b, normal(oa[0] * ob[1], oa[1] * ob[0])),
+                   (b.inverse(), normal(ob[1], ob[0])),
+                   (k / b, normal(ok[0] * ob[1], ob[0]))]
+    if k:
+        checks.append((a / k, normal(oa[0], oa[1] * ok[0])))
+    for scalar, pair in checks:
+        _assert_matches_oracle(fraction_oracle, scalar, pair, names)
+    lifted = ScalarField(arity + 1).lift(a)
+    pad = {m + (0,): c for m, c in oa[0].terms.items()}, {m + (0,): c for m, c in oa[1].terms.items()}
+    _assert_matches_oracle(fraction_oracle, lifted, tuple(MuPolynomial(arity + 1, t) for t in pad),
+                           ScalarField(arity + 1).names)
