@@ -13,19 +13,27 @@ element, a t variable; exponents may be negative ("t2^-1", unbracketed).
 Each expression and product is a Laurent polynomial in t whose like
 terms are added as they meet, so "(t1+t2)*dmu" is t1*dmu + t2*dmu and a
 product of sums costs the terms of its value, not its distributed
-summands.  A '/' divisor must be scalar, a term without a direction must
-be 0, and "dmu" expands against the algebra's mu prefix.  A scalar is an
-expression without t, which covers all the formatter emits ("p/q",
+summands.  Within a product, INT, mu_i^e and t_i^e, as factors or as
+divisors, only update the ints of one monomial num/den * mu^a * t^b, and
+its coefficient is built once, with no gcd over Z[mu]: for g =
+gcd(num, den) with den's sign, (num/g) mu^max(a,0) over (den/g)
+mu^max(-a,0) is canonical, the integers coprime, the mu parts of
+disjoint support, the denominator positive (`Scalar.monomial`).  Only
+parenthesized groups, as factors or divisors, multiply in Scalar
+arithmetic.  A '/' divisor must be scalar, a term without a direction
+must be 0, and "dmu" expands against the algebra's mu prefix.  A scalar
+is an expression without t, which covers all the formatter emits ("p/q",
 "mu1^2*mu3", polynomials, "(num)/(den)"); parse and format are mutually
 inverse on canonical forms.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import ParseError
-from .scalars import MuPolynomial, Scalar, ScalarField
+from .errors import DivisionByZero, ParseError
+from .scalars import Scalar, ScalarField
 from .witt import CartanElement, Exponent, WittAlgebra, WittElement
 
 
@@ -35,7 +43,13 @@ class _Token(NamedTuple):
     pos: int
 
 
-_OPS = "*^()+-/"
+# One alternative per token kind, then whitespace, then any other
+# character.  \d is exactly what int() reads (Unicode decimal digits), so
+# a superscript or subscript digit is no INT: it falls in the letter class
+# [^\W\d_], which holds every str.isalpha() character, and makes a NAME
+# that no rule accepts.
+_TOKEN = re.compile(r"(\d+)|([^\W\d_]+\d*)|([-+*/^()])|\s+|(.)", re.DOTALL)
+_KINDS = (None, "int", "ident", "op")
 
 # Deepest nesting of parentheses accepted; each level costs a few
 # interpreter frames, so this keeps deep input a ParseError rather than
@@ -50,43 +64,19 @@ _Poly = Dict[Exponent, Scalar]
 
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    pos = 0
-    size = len(text)
-    while pos < size:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch.isdigit():
-            end = pos + 1
-            while end < size and text[end].isdigit():
-                end += 1
-            tokens.append(_Token("int", text[pos:end], pos))
-            pos = end
-            continue
-        if ch.isalpha():
-            end = pos + 1
-            while end < size and text[end].isalpha():
-                end += 1
-            while end < size and text[end].isdigit():
-                end += 1
-            tokens.append(_Token("ident", text[pos:end], pos))
-            pos = end
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("end", "", size))
+    for match in _TOKEN.finditer(text):
+        kind = match.lastindex  # the group that matched; None for whitespace
+        if kind == 4:
+            raise ParseError(f"unexpected character {match.group()!r}", match.start())
+        if kind:
+            tokens.append(_Token(_KINDS[kind], match.group(), match.start()))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
-def _index(text: str, letter: str) -> Optional[int]:
-    """i for a name letter + digits ("t2", "d1"), else None."""
-    if text[0] == letter and text[1:].isdigit():
-        return int(text[1:])
-    return None
+def _index(text: str) -> Optional[int]:
+    """i for a name of one letter and digits ("t2", "d1"), else None."""
+    return int(text[1:]) if text[1:].isdecimal() else None
 
 
 def _times(c: Scalar, fc: Scalar) -> Scalar:
@@ -144,21 +134,6 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "op" and tok.text in chars
 
-    def open_group(self) -> None:
-        """Consume '(' and enter one nesting level."""
-        tok = self.advance()
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
-
-    def close_group(self) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != ")":
-            shown = "end of input" if tok.kind == "end" else repr(tok.text)
-            raise ParseError(f"found {shown}", tok.pos, (")",))
-        self.advance()
-        self.depth -= 1
-
     def exponent(self) -> int:
         """The optional '^' ['-'] INT after a variable; 1 when absent."""
         if not self.at_op("^"):
@@ -186,66 +161,70 @@ class _Parser:
         negative = False
         while self.at_op("+-"):
             negative ^= self.advance().text == "-"
-        value = {self.zero_exp: self.field.from_int(-1 if negative else 1)}
+        num, den, mu, t = -1 if negative else 1, 1, [0] * self.field.arity, [0] * self.rank
+        groups: Optional[_Poly] = None
+        slash = direction = None  # slash: the '/' before the current factor
         while True:
-            tok = self.peek()
-            if algebra is not None and tok.kind == "ident" and (
-                    tok.text == "dmu" or _index(tok.text, "d") is not None):
-                return value, self.direction(algebra)
-            value = _multiply(value, self.factor())
-            while self.at_op("/"):
-                slash = self.advance()
-                divisor = self.factor()
-                if any(exp != self.zero_exp for exp in divisor):
-                    raise ParseError("divisor must be a scalar", slash.pos)
-                inverse = divisor.get(self.zero_exp, self.field.zero()).inverse()
-                value = {exp: _times(c, inverse) for exp, c in value.items()}
-            if not self.at_op("*"):
-                return value, None
-            self.advance()
-
-    def factor(self) -> _Poly:
-        """One multiplicative factor: INT, NAME['^' e], or a parenthesized expression."""
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            value = int(tok.text)
-            return {self.zero_exp: self.field.from_int(value)} if value else {}
-        if tok.kind == "ident":
-            self.advance()
-            idx = _index(tok.text, "t") if self.rank else None
-            if idx is not None:
+            tok = self.advance()
+            idx = _index(tok.text) if tok.kind == "ident" else None
+            if tok.kind == "int":
+                value = int(tok.text)
+                if slash is None:
+                    num *= value
+                elif value:
+                    den *= value
+                else:
+                    raise DivisionByZero("inverting the zero scalar")
+            elif algebra is not None and slash is None and tok.text == "dmu":
+                direction = [(j, self.field.mu(j + 1)) for j in range(algebra.n)]
+                break
+            elif algebra is not None and slash is None and idx is not None and tok.text[0] == "d":
+                if not 1 <= idx <= algebra.m:
+                    raise ParseError(f"d index {idx} out of range 1..{algebra.m}", tok.pos)
+                direction = [(idx - 1, self.field.one())]
+                break
+            elif idx is not None and tok.text[0] == "t" and self.rank:
                 if not 1 <= idx <= self.rank:
                     raise ParseError(f"t index {idx} out of range 1..{self.rank}", tok.pos)
                 e = self.exponent()
-                return {tuple(e if j == idx - 1 else 0 for j in range(self.rank)):
-                        self.field.one()}
-            if tok.text not in self.field.names:
-                raise ParseError(f"unknown scalar variable {tok.text!r}", tok.pos)
-            # mu^e is built as the monomial or its reciprocal directly
-            e = self.exponent()
-            index = self.field.names.index(tok.text)
-            mono = tuple(abs(e) if i == index else 0 for i in range(self.field.arity))
-            power = Scalar(MuPolynomial.one(self.field.arity).shift(mono))
-            return {self.zero_exp: power if e >= 0 else power.inverse()}
-        if tok.kind == "op" and tok.text == "(":
-            self.open_group()
-            value = self.expression()
-            self.close_group()
-            return value
-        shown = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise ParseError(f"expected a factor, found {shown}", tok.pos,
-                         ("integer", "variable", "t<i>", "("))
-
-    def direction(self, algebra: WittAlgebra) -> List[Tuple[int, Scalar]]:
-        """d_i or d_mu as its nonzero Cartan coefficients (j, b), 0-based j."""
-        tok = self.advance()
-        if tok.text == "dmu":
-            return [(j, self.field.mu(j + 1)) for j in range(algebra.n)]
-        idx = _index(tok.text, "d")
-        if not 1 <= idx <= algebra.m:
-            raise ParseError(f"d index {idx} out of range 1..{algebra.m}", tok.pos)
-        return [(idx - 1, self.field.one())]
+                if slash is not None and e:
+                    raise ParseError("divisor must be a scalar", slash.pos)
+                t[idx - 1] += e
+            elif tok.kind == "ident":
+                if tok.text not in self.field.names:
+                    raise ParseError(f"unknown scalar variable {tok.text!r}", tok.pos)
+                e = self.exponent()
+                mu[self.field.names.index(tok.text)] += e if slash is None else -e
+            elif tok.text == "(":
+                self.depth += 1
+                if self.depth > MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
+                value = self.expression()
+                close = self.advance()
+                if close.text != ")":
+                    shown = "end of input" if close.kind == "end" else repr(close.text)
+                    raise ParseError(f"found {shown}", close.pos, (")",))
+                self.depth -= 1
+                if slash is not None:
+                    if any(exp != self.zero_exp for exp in value):
+                        raise ParseError("divisor must be a scalar", slash.pos)
+                    value = {self.zero_exp: value.get(self.zero_exp, self.field.zero()).inverse()}
+                groups = value if groups is None else _multiply(groups, value)
+            else:
+                shown = "end of input" if tok.kind == "end" else repr(tok.text)
+                raise ParseError(f"expected a factor, found {shown}", tok.pos,
+                                 ("integer", "variable", "t<i>", "("))
+            if not self.at_op("*/"):
+                break
+            op = self.advance()
+            slash = op if op.text == "/" else None
+        if not num:
+            return {}, direction
+        coeff = Scalar.monomial(num, den, mu)
+        if groups is None:
+            return {tuple(t): coeff}, direction
+        return {tuple(a + b for a, b in zip(exp, t)): _times(c, coeff)
+                for exp, c in groups.items()}, direction
 
     def element(self, algebra: WittAlgebra) -> WittElement:
         """Each exponent's Cartan coefficients are summed in place, then built once."""

@@ -72,13 +72,6 @@ class MuPolynomial:
     def one(cls, arity: int) -> "MuPolynomial":
         return cls.constant(arity, 1)
 
-    @classmethod
-    def variable(cls, arity: int, index: int) -> "MuPolynomial":
-        if not 0 <= index < arity:
-            raise ArityMismatch(f"variable index {index} outside arity {arity}")
-        mono = tuple(1 if i == index else 0 for i in range(arity))
-        return cls(arity, {mono: 1})
-
     # -- predicates and views -----------------------------------------
 
     @property
@@ -383,6 +376,24 @@ class Scalar:
         return _make(num, _one_poly(arity) if den == 1 else MuPolynomial.constant(arity, den))
 
     @classmethod
+    def monomial(cls, num: int, den: int, exponents: Sequence[int]) -> "Scalar":
+        """num/den * mu^exponents for ints num, den != 0 and a Laurent exponent vector.
+
+        Built with no polynomial gcd: for g = gcd(num, den) with den's sign,
+        (num/g) mu^pos over (den/g) mu^neg is canonical, since the integers
+        are coprime, mu^pos and mu^neg have disjoint supports, and den/g > 0.
+        """
+        arity = len(exponents)
+        if not num:
+            return cls.zero(arity)
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        num_poly = MuPolynomial(arity, {tuple([e if e > 0 else 0 for e in exponents]): num // g})
+        if den == g and min(exponents, default=0) >= 0:
+            return _make(num_poly, _one_poly(arity))
+        neg = tuple([-e if e < 0 else 0 for e in exponents])
+        return _make(num_poly, MuPolynomial(arity, {neg: den // g}))
+
+    @classmethod
     def zero(cls, arity: int) -> "Scalar":
         return _make(MuPolynomial.zero(arity), _one_poly(arity))
 
@@ -599,14 +610,14 @@ class ScalarField:
         """The generator mu_i, 1-based."""
         if not 1 <= i <= self.n_mu:
             raise ArityMismatch(f"mu index {i} outside 1..{self.n_mu}")
-        return Scalar(MuPolynomial.variable(self.arity, i - 1))
+        return self.var(self.names[i - 1])
 
     def var(self, name: str) -> Scalar:
         try:
             index = self.names.index(name)
         except ValueError:
             raise ArityMismatch(f"unknown variable {name!r}") from None
-        return Scalar(MuPolynomial.variable(self.arity, index))
+        return Scalar.monomial(1, 1, [int(i == index) for i in range(self.arity)])
 
     def lift(self, scalar: Scalar) -> Scalar:
         return scalar.lift(self.arity)

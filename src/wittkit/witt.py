@@ -120,14 +120,21 @@ class CartanElement:
     def _check(self, other: "CartanElement") -> None:
         if len(self.coeffs) != len(other.coeffs):
             raise LengthMismatch(f"Cartan lengths {len(self.coeffs)} != {len(other.coeffs)}")
+        self._check_arity(other.coeffs[0])
+
+    def _check_arity(self, scalar: Scalar) -> None:
+        # Once per operation, not per coefficient: + and - pass a zero's partner
+        # through and scale keeps a zero, so no Scalar operation compares them.
+        if self.coeffs[0].num.arity != scalar.num.arity:
+            raise ArityMismatch(f"scalar arities {self.coeffs[0].arity} != {scalar.arity}")
 
     def __add__(self, other: "CartanElement") -> "CartanElement":
         self._check(other)
-        return CartanElement(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CartanElement(tuple(b if a.is_zero else a if b.is_zero else a + b
+                                   for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CartanElement") -> "CartanElement":
-        self._check(other)
-        return CartanElement(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "CartanElement":
         return CartanElement(tuple(-a for a in self.coeffs))
@@ -135,7 +142,8 @@ class CartanElement:
     def scale(self, scalar: Scalar) -> "CartanElement":
         if scalar.is_zero:
             return CartanElement.zero(len(self.coeffs), scalar.arity)
-        return CartanElement(tuple(scalar * a for a in self.coeffs))
+        self._check_arity(scalar)
+        return CartanElement(tuple(a if a.is_zero else scalar * a for a in self.coeffs))
 
     def pairing(self, beta: Exponent) -> Scalar:
         """(d_a, beta) = sum_i a_i beta_i."""
@@ -207,14 +215,7 @@ class WittElement:
         return WittElement(self.m, support)
 
     def __sub__(self, other: "WittElement") -> "WittElement":
-        self._check(other)
-        support = dict(self.support)
-        for alpha, cartan in other.support.items():
-            if alpha in support:
-                support[alpha] = support[alpha] - cartan
-            else:
-                support[alpha] = -cartan
-        return WittElement(self.m, support)
+        return self + -other
 
     def __neg__(self) -> "WittElement":
         return WittElement(self.m, {a: -c for a, c in self.support.items()})
@@ -269,7 +270,14 @@ def bracket(x: WittElement, y: WittElement) -> WittElement:
     for alpha, da in x.support.items():
         for beta, db in y.support.items():
             gamma = tuple(a + b for a, b in zip(alpha, beta))
-            term = db.scale(da.pairing(beta)) - da.scale(db.pairing(alpha))
+            # the half whose pairing is zero is dropped, not computed
+            a_beta, b_alpha = da.pairing(beta), db.pairing(alpha)
+            if b_alpha.is_zero:
+                term = db.scale(a_beta)
+            elif a_beta.is_zero:
+                term = da.scale(-b_alpha)
+            else:
+                term = db.scale(a_beta) + da.scale(-b_alpha)
             if gamma in acc:
                 acc[gamma] = acc[gamma] + term
             else:

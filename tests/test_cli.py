@@ -219,6 +219,19 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("text", ["t\u2081*d1", "t1^\u00b2*d1", "\u00b2*d1"])
+def test_non_decimal_digits_are_parse_errors(capsys, text):
+    # str.isdigit() accepts these digits and int() rejects them: exit 2, not 3
+    code, out, err = run_cli(capsys, ["parse", "--arity", "2", text])
+    assert (code, out) == (2, "")
+    assert "parse error" in err and "internal error" not in err
+
+
+def test_decimal_digits_of_any_script_parse(capsys):
+    code, out, _ = run_cli(capsys, ["parse", "--arity", "2", "\u0663*d1"])
+    assert (code, out.strip()) == (0, "3*d1")
+
+
 def test_deep_nesting_is_parse_error(capsys):
     text = "(" * 3000 + "t1*d1" + ")" * 3000
     code, out, err = run_cli(capsys, ["parse", "--arity", "2", text])

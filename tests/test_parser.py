@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -19,6 +20,7 @@ from wittkit import (
     parse_element,
     parse_scalar,
 )
+from wittkit import scalars
 from wittkit.parsing import MAX_NESTING
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
@@ -82,6 +84,22 @@ def test_parse_errors():
                 "", "t1^x*d1", "2*2", "mu3*d1"):
         with pytest.raises(ParseError):
             parse_element(bad, W2)
+
+
+# str.isdigit() accepts superscript and subscript digits, which int() does not read
+NON_DECIMAL_DIGITS = ["t\u2081*d1", "t1^\u00b2*d1", "\u00b2*d1", "t1*d\u00b2", "mu\u2081*d1"]
+
+
+@pytest.mark.parametrize("text", NON_DECIMAL_DIGITS)
+def test_non_decimal_digits_are_parse_errors(text):
+    with pytest.raises(ParseError):
+        parse_element(text, W2)
+
+
+def test_decimal_digits_of_any_script_parse():
+    # Arabic-Indic three and one are decimal digits, read by int()
+    assert parse_element("\u0663*d1", W2) == W2.d(1).scale(W2.field.from_int(3))
+    assert parse_element("t\u0661*d1", W2) == W2.monomial((1, 0), 1)
 
 
 def test_error_position_reported():
@@ -175,6 +193,31 @@ def test_huge_scalar_powers_parse_at_once(monkeypatch):
     assert W2.format(up) == "mu1^100000*d1"
 
 
+def test_product_atoms_build_one_monomial(monkeypatch):
+    calls = []
+    multiply, gcd = Scalar.__mul__, scalars.poly_gcd
+
+    def counting_mul(self, other):
+        calls.append("mul")
+        return multiply(self, other)
+
+    def counting_gcd(a, b):
+        calls.append("gcd")
+        return gcd(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Scalar, "__mul__", counting_mul)
+        patch.setattr(scalars, "poly_gcd", counting_gcd)
+        x = parse_element("-105/4*mu1^2*mu2^-1*t1^-1*t2*d1", W2)
+    # integers, mu powers and t powers fold into one monomial, built once
+    assert calls == []
+    field = W2.field
+    value = field.from_fraction(Fraction(-105, 4)) * field.mu(1) * field.mu(1) / field.mu(2)
+    assert list(x.support) == [(-1, 1)]
+    assert [(c.num, c.den) for c in x.support[(-1, 1)].coeffs] == [
+        (value.num, value.den), (field.zero().num, field.zero().den)]
+
+
 def test_products_of_sums_collect_like_terms(monkeypatch):
     products = []
     multiply = Scalar.__mul__
@@ -200,7 +243,17 @@ def test_products_of_sums_collect_like_terms(monkeypatch):
 
 FIELD = W2.field
 sign_runs = st.lists(st.sampled_from("+-"), max_size=3).map("".join)
-DIVISORS = {"2": FIELD.from_int(2), "3": FIELD.from_int(3), "mu1": FIELD.mu(1), "mu2": FIELD.mu(2)}
+DIVISORS = {"2": FIELD.from_int(2), "3": FIELD.from_int(3), "6": FIELD.from_int(6),
+            "mu1": FIELD.mu(1), "mu2": FIELD.mu(2), "(mu1 + mu2)": FIELD.mu(1) + FIELD.mu(2)}
+
+
+def _assert_canonical(scalar, oracle):
+    """Int coefficients, num and den coprime over Z[mu], den's leading coefficient > 0."""
+    num, den = scalar.num, scalar.den
+    assert all(type(c) is int for c in [*num.terms.values(), *den.terms.values()])
+    assert math.gcd(*num.terms.values(), *den.terms.values()) == 1
+    assert oracle.gcd(num, den).is_constant()
+    assert den.terms[max(den.terms, key=lambda mono: (sum(mono), mono))] > 0
 
 
 def _times(p, x):
@@ -279,15 +332,21 @@ def elements(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(elements())
-def test_element_text_parses_to_its_tree(tree):
+def test_element_text_parses_to_its_tree(fraction_oracle, tree):
     text, value = tree
-    assert parse_element(text, W2) == value
+    parsed = parse_element(text, W2)
+    assert parsed == value
+    for cartan in parsed.support.values():
+        for coeff in cartan.coeffs:
+            _assert_canonical(coeff, fraction_oracle)
     assert parse_element(W2.format(value), W2) == value
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(expressions(3, False))
-def test_scalar_text_parses_to_its_tree(tree):
+def test_scalar_text_parses_to_its_tree(fraction_oracle, tree):
     text, value = tree
     expected = value.support[(0, 0)].coeffs[0] if value.support else FIELD.zero()
-    assert parse_scalar(text, FIELD) == expected
+    parsed = parse_scalar(text, FIELD)
+    assert parsed == expected
+    _assert_canonical(parsed, fraction_oracle)

@@ -10,7 +10,9 @@ import pytest
 from wittkit import (
     MU_DIRECTION,
     AlgebraVariant,
+    ArityMismatch,
     CartanElement,
+    ScalarField,
     WittAlgebra,
     WittElement,
     bracket,
@@ -73,6 +75,40 @@ def test_bracket_agrees_with_monomial_rule():
         x = W2.random_element(rng, box=3)
         y = W2.random_element(rng, box=3)
         assert bracket(x, y) == bracket_monomial_rule(x, y)
+    # other variants, mu-dependent coefficients, and pairs where one or both
+    # pairings (d_a, beta), (d_b, alpha) vanish, so bracket drops that half
+    for algebra in (WittAlgebra(AlgebraVariant.wnmu(2)), WittAlgebra(AlgebraVariant.winf(2, 3))):
+        mu = algebra.field.mu
+        coeffs = [mu(1), mu(1) - mu(2), mu(2) / (mu(1) + 3)]
+        for _ in range(40):
+            x = algebra.random_element(rng, box=2).scale(rng.choice(coeffs))
+            y = algebra.random_element(rng, box=2).scale(rng.choice(coeffs))
+            assert bracket(x, y) == bracket_monomial_rule(x, y)
+    mu = W2.field.mu
+    pairs = [
+        (W2.d(1), W2.monomial((1, 3), 2, mu(2))),  # (d_b, alpha) = 0 at alpha = 0
+        (W2.monomial((0, 1), 1, mu(1)), W2.monomial((0, 3), 2)),  # (d_a, beta) = 0
+        (W2.monomial((0, 2), 1), W2.monomial((0, -1), 1, mu(1) + mu(2))),  # both zero
+        (W2.dmu(), W2.monomial((2, -1), 1) + W2.dmu().translate((1, -1))),
+    ]
+    for x, y in pairs:
+        assert bracket(x, y) == bracket_monomial_rule(x, y)
+        assert bracket(y, x) == bracket_monomial_rule(y, x)
+    assert bracket(*pairs[2]).is_zero
+
+
+def test_cartan_arithmetic_checks_arity_on_zero_coefficients():
+    # a mismatched scalar on a zero coefficient meets no Scalar operation,
+    # so each operation compares the two fields once
+    f2, f3 = ScalarField(2), ScalarField(3)
+    a = CartanElement((f2.mu(1), f2.zero()))
+    b = CartanElement((f3.zero(), f3.mu(2)))
+    zero = CartanElement((f2.zero(), f2.zero()))
+    for operation in (lambda: a + b, lambda: b + a, lambda: a - b, lambda: b - a,
+                      lambda: zero + b, lambda: zero.scale(f3.mu(1)), lambda: a.scale(f3.mu(1))):
+        with pytest.raises(ArityMismatch):
+            operation()
+    assert a + zero == a and zero - a == -a and zero.scale(f2.mu(2)) == zero
 
 
 def test_bracket_axioms_random():
