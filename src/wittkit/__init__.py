@@ -42,7 +42,6 @@ from .witt import (
     check_closure,
     check_jacobi,
     proportional,
-    widen_element,
 )
 from .linalg import (
     ScalarMatrix,
@@ -138,5 +137,4 @@ __all__ = [
     "verify_lemma_4_1",
     "verify_lemma_4_3",
     "verify_lemma_4_4",
-    "widen_element",
 ]

@@ -14,8 +14,10 @@ minus that rank span the kernel.  `centralize` takes as members z and
 the columns ad(z) sends to zero; the verifiers take the power-sum
 element (t_1^k + ... + t_n^k) d_mu, whose centralizer is one line in
 W_n, or the predicted shift and h' families when the ambient algebra
-has variables beyond the first n.  Only when no point certifies do they
-build the symbolic matrix and eliminate it.
+has variables beyond the first n.  When no point certifies its members,
+a verifier takes the kernel from `centralizer_basis`, which tries its
+own members before it builds the symbolic matrix and eliminates it, and
+checks every basis it returns to commute with z.
 
 One builder, `_ad_entries`, reads x -> [x, z] off the bracket's structure
 constants.  It maps only the Cartan coefficients of z and d_mu: to
@@ -99,10 +101,7 @@ class TruncatedSpace:
         on_dmu_line = self.algebra.variant.kind is VariantKind.WN_MU
         for alpha, cartan in x.support.items():
             if on_dmu_line:
-                lam = proportional(
-                    WittElement(x.m, {alpha: cartan}),
-                    WittElement(x.m, {alpha: self.algebra.dmu_cartan()}),
-                )
+                lam = self.algebra.dmu_multiple(cartan)
                 if lam is None:
                     raise PairOutsideBox(f"Cartan part at {alpha} is not a multiple of d_mu")
                 i = self.index.get((alpha, MU_DIRECTION))
@@ -354,9 +353,7 @@ def verify_lemma_2_2(n: int, k: int, box: Optional[int] = None) -> VerificationR
             "columns": len(space),
         }
         return VerificationReport("2.2", parameters, True, data)
-    matrix, _ = ad_matrix(z, space)
-    vectors = matrix_kernel(matrix)
-    elements = [space.element_from_vector(v) for v in vectors]
+    elements = centralizer_basis(algebra, z, box).basis
     witness = proportional(elements[0], z) if len(elements) == 1 else None
     passed = len(elements) == 1 and witness is not None
     data = {
@@ -409,9 +406,7 @@ def verify_lemma_4_1(n: int, m: int, k: int, box: Optional[int] = None) -> Verif
             "specialized_rank": certified,
         })
         return VerificationReport("4.1", parameters, True, data)
-    matrix, _ = ad_matrix(z, space)
-    vectors = matrix_kernel(matrix)
-    elements = [space.element_from_vector(v) for v in vectors]
+    elements = centralizer_basis(algebra, z, box).basis
     rank_stacked = span_rank(space, predicted + elements)
     spans_equal = rank_stacked == rank_predicted == len(elements)
     passed = members and spans_equal and len(elements) == len(predicted)

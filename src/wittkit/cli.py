@@ -32,6 +32,7 @@ from .rigidity import (
 )
 from .witt import (
     AlgebraVariant,
+    VariantKind,
     WittAlgebra,
     WittElement,
     bracket,
@@ -74,6 +75,11 @@ def _variant_kind(text: str) -> str:
     return text.lower().replace("_", "").replace("-", "")
 
 
+# --variant names after `_variant_kind`, winftrunc an alias of winf.
+_VARIANT_KINDS = {**{kind.value: kind for kind in VariantKind},
+                  "winftrunc": VariantKind.W_INF_TRUNC}
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--arity", type=int, required=True, metavar="M",
                      help="ambient rank m (number of t variables)")
@@ -90,28 +96,18 @@ def _add_box_flag(sub: argparse.ArgumentParser, default: Optional[int] = 2) -> N
 
 
 def _algebra_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> WittAlgebra:
-    kind = _variant_kind(args.variant)
-    m = args.arity
-    n = args.prefix
+    kind = _VARIANT_KINDS.get(_variant_kind(args.variant))
+    if kind is None:
+        parser.error(f"unknown variant {args.variant!r}")
+    winf = kind is VariantKind.W_INF_TRUNC
+    if winf and args.prefix is None:
+        parser.error("--variant winf requires --prefix")
     try:
-        if kind == "wn":
-            variant = AlgebraVariant.wn(m)
-        elif kind == "wnplus":
-            variant = AlgebraVariant.wnplus(m)
-        elif kind == "wnplusplus":
-            variant = AlgebraVariant.wnplusplus(m)
-        elif kind == "wnmu":
-            variant = AlgebraVariant.wnmu(m)
-        elif kind in ("winf", "winftrunc"):
-            if n is None:
-                parser.error("--variant winf requires --prefix")
-            variant = AlgebraVariant.winf(n, m)
-        else:
-            parser.error(f"unknown variant {args.variant!r}")
-        if kind != "winf" and kind != "winftrunc" and n is not None and n != m:
-            parser.error("--prefix must equal --arity unless the variant is winf")
+        variant = AlgebraVariant(kind, args.prefix if winf else args.arity, args.arity)
     except WittkitError as exc:
         parser.error(str(exc))
+    if not winf and args.prefix is not None and args.prefix != args.arity:
+        parser.error("--prefix must equal --arity unless the variant is winf")
     return WittAlgebra(variant)
 
 

@@ -114,17 +114,19 @@ class ScalarMatrix:
         return f"ScalarMatrix({self.nrows}x{self.ncols}, {self.entry_count()} entries)"
 
 
-def specialization_points(arity: int, bound: int, tries: int = 3) -> List[Tuple[Fraction, ...]]:
-    """Deterministic geometric points mu_i = M^(i-1) with M > 2 * bound.
+def specialization_points(arity: int, bound: int) -> List[Tuple[Fraction, ...]]:
+    """Three deterministic geometric points mu_i = M^i, i = 1..arity, with M > 2 * bound.
 
-    No integer linear form with coefficients in [-bound, bound] vanishes
-    at such a point (the top digit dominates base M), so entry-level
+    No integer affine form c_0 + c_1 mu_1 + ... with coefficients in
+    [-bound, bound], not all zero, vanishes at such a point: it is a
+    number written in base M with digits c_i, c_0 the units digit, and
+    its top nonzero digit dominates the rest.  So entry-level
     degeneracies of matrices built from box-bounded exponents are ruled
     out.  Successive tries bump the base.
     """
     return [
-        tuple(Fraction((2 * bound + 2 + t) ** i) for i in range(arity))
-        for t in range(tries)
+        tuple(Fraction((2 * bound + 2 + t) ** i) for i in range(1, arity + 1))
+        for t in range(3)
     ]
 
 

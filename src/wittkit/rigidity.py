@@ -84,11 +84,6 @@ class PointwiseMap:
             self.pairs.append((x, dx))
             self.table[x] = dx
 
-    @classmethod
-    def from_inner(cls, algebra: WittAlgebra, a: WittElement,
-                   probes: Sequence[WittElement]) -> "PointwiseMap":
-        return cls(algebra, [(x, bracket(a, x)) for x in probes])
-
     def value_at(self, x: WittElement) -> Optional[WittElement]:
         return self.table.get(x)
 
@@ -502,10 +497,7 @@ def _dmu_coefficient(algebra: WittAlgebra, w: WittElement, gamma: Exponent) -> S
     cartan = w.support.get(gamma)
     if cartan is None:
         return algebra.field.zero()
-    lam = proportional(
-        WittElement(algebra.m, {gamma: cartan}),
-        WittElement(algebra.m, {gamma: algebra.dmu_cartan()}),
-    )
+    lam = algebra.dmu_multiple(cartan)
     if lam is None:
         raise WittkitError(f"part at {gamma} is not a multiple of d_mu")
     return lam

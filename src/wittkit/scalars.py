@@ -190,9 +190,16 @@ class MuPolynomial:
         self._check(divisor)
         if divisor.is_zero:
             raise ExactDivisionError("division by the zero polynomial")
+        if len(divisor.terms) == 1:
+            # a monomial divides term by term
+            (dm, dc), = divisor.terms.items()
+            if any(c % dc or any(map(operator.lt, m, dm)) for m, c in self.terms.items()):
+                raise ExactDivisionError("inexact polynomial division")
+            if not any(dm):
+                return self._quo(dc)
+            return MuPolynomial(self.arity, {tuple(map(operator.sub, m, dm)): c // dc
+                                             for m, c in self.terms.items()})
         dm, dc = divisor.leading()
-        if not any(dm) and not any(c % dc for c in self.terms.values()):
-            return self._quo(dc)
         quotient: Dict[Monomial, int] = {}
         rem = self
         while rem.terms:
@@ -301,6 +308,9 @@ def poly_gcd(a: MuPolynomial, b: MuPolynomial) -> MuPolynomial:
         return a.primitive()
     if a.is_constant() or b.is_constant():
         return MuPolynomial.one(a.arity)
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        # a monomial's divisors are monomials: the least power of each mu in a and b
+        return MuPolynomial(a.arity, {tuple(map(min, zip(*a.terms, *b.terms))): 1})
     var = max(a.max_variable(), b.max_variable())
     if a.degree_in(var) == 0 or b.degree_in(var) == 0:
         # One side does not involve the top variable: the gcd cannot either,

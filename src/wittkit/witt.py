@@ -10,17 +10,20 @@ exponents alpha to Cartan coefficients d_a, so a single stored term is
 t^alpha d_a rather than a pile of t^alpha d_i monomials; the bracket
 above then needs one pairing per pair of stored terms.
 
-Supported variants:
+Supported variants.  One rule (`_in_variant`) says which pairs t^alpha d_i
+(t^alpha d_mu in wnmu) each one keeps, for membership and for the basis
+of a degree box alike:
 
-  * wn          : all of W_n (m == n),
+  * wn          : all of W_n (m == n), every pair,
   * winf        : W_m with a distinguished first block of n < m
-                  coordinates (a finite slice of W_infinity),
-  * wnplus      : derivations of the polynomial ring C[t_1..t_n], i.e.
-                  t^alpha d_i with alpha + eps_i >= 0 (so alpha may have
-                  a single -1 entry, in the slot of its direction),
-  * wnplusplus  : sum over alpha >= 0 of t^alpha h_n,
+                  coordinates (a finite slice of W_infinity), every pair,
+  * wnplus      : derivations of the polynomial ring C[t_1..t_n]:
+                  alpha + eps_i >= 0, since t^alpha d_i = t^(alpha+eps_i) d/dt_i
+                  (so alpha may have a single -1 entry, in slot i),
+  * wnplusplus  : alpha >= 0, the sum over alpha >= 0 of t^alpha h_n,
   * wnmu        : A_n d_mu, the rank-one module of multiples of
-                  d_mu = mu_1 d_1 + ... + mu_n d_n.
+                  d_mu = mu_1 d_1 + ... + mu_n d_n: every alpha, with each
+                  Cartan part on the d_mu line (`WittAlgebra.dmu_multiple`).
 """
 
 from __future__ import annotations
@@ -339,72 +342,36 @@ def proportional(x: WittElement, y: WittElement) -> Optional[Scalar]:
     return None
 
 
-def widen_element(x: WittElement, m: int) -> WittElement:
-    """Reinterpret a rank-n element inside rank m >= n, padding with zeros."""
-    if m < x.m:
-        raise BadArity(f"cannot widen rank {x.m} into rank {m}")
-    if m == x.m:
-        return x
-    zero = Scalar.zero(max(x.scalar_arity(), 1))
-    pad = (0,) * (m - x.m)
-    support = {
-        alpha + pad: CartanElement(tuple(cartan.coeffs) + (zero,) * (m - x.m))
-        for alpha, cartan in x.support.items()
-    }
-    return WittElement(m, support)
-
-
 # ----------------------------------------------------------------------
-# Variant geometry: which basis pairs (alpha, direction) exist, and which
-# of them fall inside the degree box |alpha_j| <= N.
+# Variant geometry: one rule says which basis pairs (alpha, direction)
+# belong to a variant; the degree box |alpha_j| <= N cuts a window out.
 
 
-def iter_box_exponents(variant: AlgebraVariant, box: int) -> Iterator[Exponent]:
-    if box < 0:
-        raise BadArity(f"negative box size {box}")
-    m = variant.m
-    if variant.kind in (VariantKind.WN, VariantKind.W_INF_TRUNC, VariantKind.WN_MU):
-        yield from itertools.product(range(-box, box + 1), repeat=m)
-    elif variant.kind is VariantKind.WN_PLUS_PLUS:
-        yield from itertools.product(range(0, box + 1), repeat=m)
-    elif variant.kind is VariantKind.WN_PLUS:
-        # t^alpha d_i with alpha + eps_i >= 0: at most one entry equals -1
-        if box >= 1:
-            for i in range(m):
-                for rest in itertools.product(range(0, box + 1), repeat=m - 1):
-                    yield rest[:i] + (-1,) + rest[i:]
-        yield from itertools.product(range(0, box + 1), repeat=m)
-    else:  # pragma: no cover
-        raise BadArity(f"unhandled variant {variant.kind}")
+def _in_variant(variant: AlgebraVariant, alpha: Exponent, direction: int) -> bool:
+    """Whether t^alpha d_direction (t^alpha d_mu for MU_DIRECTION) lies in the variant."""
+    kind = variant.kind
+    if kind is VariantKind.WN_PLUS_PLUS:
+        return min(alpha) >= 0
+    if kind is VariantKind.WN_PLUS:
+        # t^alpha d_i = t^(alpha+eps_i) d/dt_i is a polynomial derivation
+        return all(a + (j == direction) >= 0 for j, a in enumerate(alpha))
+    return True
 
 
 def iter_basis_pairs(variant: AlgebraVariant, box: int) -> Iterator[Tuple[Exponent, int]]:
-    """Basis of the truncated variant: (exponent, direction) pairs.
+    """Basis of the truncated variant: (exponent, direction) pairs, in sorted order.
 
     Direction is a 0-based coordinate index, or MU_DIRECTION for the
     wnmu variant whose Cartan parts all lie on the d_mu line.
     """
+    if box < 0:
+        raise BadArity(f"negative box size {box}")
     m = variant.m
-    for alpha in iter_box_exponents(variant, box):
-        if variant.kind is VariantKind.WN_MU:
-            yield (alpha, MU_DIRECTION)
-        elif variant.kind is VariantKind.WN_PLUS and min(alpha) < 0:
-            yield (alpha, alpha.index(-1))
-        else:
-            for i in range(m):
-                yield (alpha, i)
-
-
-def exponent_in_variant(variant: AlgebraVariant, alpha: Exponent) -> bool:
-    if variant.kind in (VariantKind.WN, VariantKind.W_INF_TRUNC, VariantKind.WN_MU):
-        return True
-    if variant.kind is VariantKind.WN_PLUS_PLUS:
-        return min(alpha) >= 0
-    if variant.kind is VariantKind.WN_PLUS:
-        # polynomial derivations: t^alpha d_i = t^(alpha+eps_i) (d/dt_i),
-        # so a single -1 entry is allowed (in the active direction slot)
-        return min(alpha) >= 0 or (min(alpha) == -1 and alpha.count(-1) == 1)
-    raise BadArity(f"unhandled variant {variant.kind}")  # pragma: no cover
+    directions = (MU_DIRECTION,) if variant.kind is VariantKind.WN_MU else range(m)
+    for alpha in itertools.product(range(-box, box + 1), repeat=m):
+        for direction in directions:
+            if _in_variant(variant, alpha, direction):
+                yield (alpha, direction)
 
 
 class WittAlgebra:
@@ -467,30 +434,30 @@ class WittAlgebra:
 
     # -- membership -------------------------------------------------------
 
+    def dmu_multiple(self, cartan: CartanElement) -> Optional[Scalar]:
+        """The scalar lam with cartan == lam * d_mu, or None when there is none."""
+        (mu1, *mu), (c1, *c) = self.dmu_cartan().coeffs, cartan.coeffs
+        lam = c1 / mu1
+        return lam if all(x == lam * y for x, y in zip(c, mu)) else None
+
     def member(self, x: WittElement) -> bool:
         if x.m != self.m:
             return False
-        # In wnmu a Cartan part is on the d_mu line iff every 2x2 minor
-        # c_i mu_j - c_j mu_i vanishes; other variants have no pairs to test.
-        mu = self.dmu_cartan().coeffs if self.variant.kind is VariantKind.WN_MU else ()
-        pairs = [(i, j) for i in range(len(mu)) for j in range(i + 1, len(mu))]
+        on_dmu_line = self.variant.kind is VariantKind.WN_MU
         for alpha, cartan in x.support.items():
-            if not exponent_in_variant(self.variant, alpha):
+            if not all(c.is_zero or _in_variant(self.variant, alpha, j)
+                       for j, c in enumerate(cartan.coeffs)):
                 return False
-            if self.variant.kind is VariantKind.WN_PLUS and min(alpha) < 0:
-                i = alpha.index(-1)
-                if any(not c.is_zero for j, c in enumerate(cartan.coeffs) if j != i):
-                    return False
-            c = cartan.coeffs
-            if any(c[i] * mu[j] != c[j] * mu[i] for i, j in pairs):
+            if on_dmu_line and self.dmu_multiple(cartan) is None:
                 return False
         return True
 
     # -- random sampling ----------------------------------------------
 
-    def random_element(self, rng: random.Random, box: int, max_terms: int = 3) -> WittElement:
+    def random_element(self, rng: random.Random, box: int) -> WittElement:
+        """Sum of one to three random basis pairs of the box with small rational coefficients."""
         pairs = self._basis_pair_list(box)
-        count = rng.randint(1, max_terms)
+        count = rng.randint(1, 3)
         chosen = rng.sample(pairs, min(count, len(pairs)))
         total = self.zero()
         for alpha, direction in chosen:
@@ -505,7 +472,7 @@ class WittAlgebra:
             self._pair_cache = cache
         pairs = cache.get(box)
         if pairs is None:
-            pairs = sorted(iter_basis_pairs(self.variant, box))
+            pairs = list(iter_basis_pairs(self.variant, box))
             cache[box] = pairs
         return pairs
 

@@ -31,7 +31,6 @@ from wittkit import (
     verify_lemma_3_4,
     verify_lemma_4_1,
     verify_lemma_4_4,
-    widen_element,
 )
 from wittkit.centralizer import TruncatedSpace
 
@@ -163,7 +162,8 @@ def test_criterion_06_rigidity_round_trip():
     problems = []
     for trial in range(20):
         b = algebra.random_element(rng, box=2)
-        delta = PointwiseMap.from_inner(algebra, b, standard_probe_table(algebra, rng))
+        probes = standard_probe_table(algebra, rng)
+        delta = PointwiseMap(algebra, [(x, bracket(b, x)) for x in probes])
         report = rigidity_pipeline(delta, box=2)
         if report.verdict != "inner":
             problems.append((trial, report.verdict))
@@ -223,8 +223,8 @@ def test_criterion_09_variant_rigidity():
         algebra = WittAlgebra(getattr(AlgebraVariant, name)(2))
         for trial in range(5):
             b = algebra.random_element(rng, box=2)
-            delta = PointwiseMap.from_inner(
-                algebra, b, standard_probe_table(algebra, rng))
+            delta = PointwiseMap(
+                algebra, [(x, bracket(b, x)) for x in standard_probe_table(algebra, rng)])
             report = rigidity_pipeline(delta, box=2)
             if report.verdict != "inner":
                 problems.append((name, trial, report.verdict))
@@ -243,6 +243,7 @@ def test_criterion_09_variant_rigidity():
 def test_criterion_10_support_forcing():
     started = time.time()
     algebra = WittAlgebra(AlgebraVariant.wn(2))
+    wide_algebra = WittAlgebra(AlgebraVariant.winf(2, 3))
     rng = random.Random(905)
     problems = []
     for trial in range(20):
@@ -255,7 +256,7 @@ def test_criterion_10_support_forcing():
             problems.append((trial, "3.4", report.data))
         if report.data["forcing_rank"] != 1:
             problems.append((trial, "3.4 rank"))
-        wide = widen_element(x, 3)
+        wide = parse_element(algebra.format(x), wide_algebra)
         report4 = verify_lemma_4_4(wide, 2, 3)
         if not report4.passed or report4.parameters["k"] != 2 * n_x + 1:
             problems.append((trial, "4.4", report4.data))

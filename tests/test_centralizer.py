@@ -226,8 +226,8 @@ def _symbolic_kernel(algebra, z, box):
 
 
 def test_centralizer_basis_matches_symbolic_kernel(monkeypatch):
-    # z may stick out of the box and carry mu-dependent coefficients; a coefficient
-    # mu1 - 1 vanishes at every point (mu1 = 1 there), so some z must fall back
+    # z may stick out of the box and carry mu-dependent coefficients; z and the zero
+    # columns do not always span the kernel, so some z must fall back
     fallbacks = _count_fallbacks(monkeypatch)
     certified = 0
     for variant in [AlgebraVariant.wn(2), AlgebraVariant.winf(1, 2), AlgebraVariant.wnplus(2),
@@ -261,24 +261,29 @@ def _differential_trials(algebra, fallbacks):
     return certified
 
 
-def test_centralizer_accidental_zero_column_is_no_member():
-    # every point sets mu1 = 1, where the columns t2^j*d2 and t1*t2^(+-1)*d1 lose their
-    # images, which come from (1 - mu1)*t2^3*d2 alone; counted as members beside the
-    # true zero column t1*d1 they would meet ncols - r0 and certify a wrong kernel
-    z = parse_element("t1*d1 + (1 - mu1)*t2^3*d2", W2)
+def test_centralizer_accidental_zero_column_is_no_member(monkeypatch):
+    # the first point sets mu1 = 10, where the columns t2^j*d2 and t1*t2^(+-1)*d1 lose
+    # their images, which come from (10 - mu1)*t2^3*d2 alone; counted as members beside
+    # the true zero column t1*d1 they would meet ncols - r0 and certify a wrong kernel
+    z = parse_element("t1*d1 + (10 - mu1)*t2^3*d2", W2)
     space = TruncatedSpace(W2, box=1)
+    assert linalg.specialization_points(2, 4)[0][0] == 10
     r0, rows = next(centralizer._specialized_ranks(z, space, 4))
     silent = [c for c in range(len(space)) if not any(c in row for row in rows)]
     exact = [c for c in silent if bracket(space.element(c), z).is_zero]
     assert exact == [space.index[((1, 0), 0)]] and len(silent) == len(space) - r0 == 6
+    first_only = linalg.specialization_points
+    monkeypatch.setattr(linalg, "specialization_points",
+                        lambda arity, bound: first_only(arity, bound)[:1])
     result = centralizer_basis(W2, z, 1)
     assert result.vectors == _symbolic_kernel(W2, z, 1)
     assert result.dimension == 1
 
 
 def test_centralizer_certifies_at_a_later_point(monkeypatch):
-    # at the first point, mu = (1, 8), the residues of ad(z) have rank 48 of 49
-    z = parse_element("(t1 + t2)*dmu + 3*t2*d1", W2)
+    # at the first point, mu = (8, 64), the residues of ad(z) have rank 48 of 49
+    z = parse_element("(t1 + t2)*dmu - 8*t2*d1", W2)
+    assert linalg.specialization_points(2, 3)[0] == (8, 64)
     fallbacks = _count_fallbacks(monkeypatch)
     certified = centralizer_basis(W2, z, 2)
     assert not fallbacks
@@ -287,6 +292,15 @@ def test_centralizer_certifies_at_a_later_point(monkeypatch):
                         lambda arity, bound: first_only(arity, bound)[:1])
     assert centralizer_basis(W2, z, 2).vectors == certified.vectors
     assert len(fallbacks) == 1
+
+
+def test_centralizer_certifies_an_affine_coefficient(monkeypatch):
+    # the t2 term's Cartan coefficient mu1 - 1 vanished at every point while they set mu1 = 1
+    z = parse_element("(t1 + t2)*dmu - t2*d1", W2)
+    fallbacks = _count_fallbacks(monkeypatch)
+    result = centralizer_basis(W2, z, 3)
+    assert not fallbacks
+    assert result.vectors == _symbolic_kernel(W2, z, 3)
 
 
 def test_centralizer_falls_back_when_no_point_certifies(monkeypatch):
@@ -334,6 +348,17 @@ def test_verify_falls_back_when_no_point_certifies(monkeypatch):
     assert report.passed
     assert report.data["method"] == "symbolic-kernel"
     assert report.data["dimension"] == report.data["predicted_dimension"] == 6
+
+
+def test_verify_lemma_2_2_fallback_checks_its_kernel(monkeypatch):
+    # a corrupt kernel on the symbolic path no longer commutes with z
+    monkeypatch.setattr(linalg, "specialization_points", lambda arity, bound: [])
+    one = W2.field.one()
+    kernel_of = centralizer.matrix_kernel
+    monkeypatch.setattr(centralizer, "matrix_kernel",
+                        lambda matrix: [{**v, 0: one} for v in kernel_of(matrix)])
+    with pytest.raises(SelfCheckFailed, match="does not commute"):
+        verify_lemma_2_2(2, 2)
 
 
 def test_verify_lemma_4_1_box_below_k_compares_the_kernel(monkeypatch):

@@ -171,16 +171,18 @@ def test_wide_symbolic_kernel_satisfies_rank_nullity():
 def test_specialization_points_avoid_small_relations():
     for point in specialization_points(3, bound=4):
         assert len(point) == 3
-        assert point[0] == 1
-        base = point[1]
+        base = point[0]
         assert base > 8
-        assert point == tuple(base ** i for i in range(3))
-    # no small integer combination vanishes at the first point
+        assert point == tuple(base ** i for i in range(1, 4))
+    # no small affine combination vanishes at the first point, constant term included
     point = specialization_points(2, bound=4)[0]
-    for a in range(-4, 5):
-        for b in range(-4, 5):
-            if (a, b) != (0, 0):
-                assert a * point[0] + b * point[1] != 0
+    for c in range(-4, 5):
+        for a in range(-4, 5):
+            for b in range(-4, 5):
+                if (c, a, b) != (0, 0, 0):
+                    assert c + a * point[0] + b * point[1] != 0
+    # one with a coefficient past the bound does: mu1 - 10 at mu1 = 10
+    assert point[0] - 10 == 0
 
 
 def test_specialized_rank_bounds_symbolic_rank():
@@ -373,9 +375,10 @@ def test_check_keeps_large_component_kernel(monkeypatch, check_results):
 
 def test_check_declines_when_rank_drops_at_first_point(monkeypatch, check_results):
     mu1, mu2 = F2.mu(1), F2.mu(2)
-    assert specialization_points(2, linalg._CHECK_BOUND)[0][0] == 1
-    # mu1 - 1 vanishes at every geometric point, and the first point decides
-    matrix = build([(0, 0, mu1 - 1), (1, 1, mu2), (1, 2, mu1), (2, 2, mu2)], 3, 3)
+    first, second = specialization_points(2, linalg._CHECK_BOUND)[:2]
+    assert first[0] == 18 and second[0] == 19
+    # mu1 - 18 vanishes at the first point only, and the first point decides
+    matrix = build([(0, 0, mu1 - 18), (1, 1, mu2), (1, 2, mu1), (2, 2, mu2)], 3, 3)
     assert kernel(matrix) == [] and rank(matrix) == 3
     assert (kernel(matrix), rank(matrix)) == symbolic_only(monkeypatch, matrix)
     assert (1, 1, False) in check_results and (2, 2, True) in check_results
@@ -394,7 +397,10 @@ def test_check_skips_a_pole_at_the_first_point(monkeypatch):
 
 def test_check_declines_when_no_point_evaluates(monkeypatch):
     mu1 = F2.mu(1)
-    pole_everywhere = build([(0, 0, 1 / (mu1 - 1))], 1, 1)
+    # mu1 takes the values 18, 19 and 20 at the three points
+    points = specialization_points(2, linalg._CHECK_BOUND)
+    assert [point[0] for point in points] == [18, 19, 20]
+    pole_everywhere = build([(0, 0, 1 / ((mu1 - 18) * (mu1 - 19) * (mu1 - 20)))], 1, 1)
     modulus_in_denominator = build([(0, 0, F2.from_fraction(Fraction(1, MODULUS)))], 1, 1)
     for matrix in (pole_everywhere, modulus_in_denominator):
         assert not _full_rank_mod_p(matrix, [0], [0])

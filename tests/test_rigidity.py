@@ -29,7 +29,6 @@ from wittkit import (
     verify_lemma_3_4,
     verify_lemma_4_3,
     verify_lemma_4_4,
-    widen_element,
 )
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
@@ -187,7 +186,8 @@ def test_self_check_rejects_corrupted_certificate(monkeypatch):
 
 def test_self_check_rejects_wrong_realizer(monkeypatch):
     monkeypatch.setattr(rigidity, "realize_in_span", lambda algebra, span, x, target: algebra.d(1))
-    delta = PointwiseMap.from_inner(W2, W2.d(2), standard_probes(W2, random.Random(5), count=2))
+    probes = standard_probes(W2, random.Random(5), count=2)
+    delta = PointwiseMap(W2, [(x, bracket(W2.d(2), x)) for x in probes])
     with pytest.raises(SelfCheckFailed, match="realizer"):
         rigidity_pipeline(delta, box=1)
 
@@ -206,7 +206,7 @@ def test_pipeline_round_trip():
     rng = random.Random(15)
     for _ in range(5):
         b = W2.random_element(rng, box=2)
-        delta = PointwiseMap.from_inner(W2, b, standard_probes(W2, rng))
+        delta = PointwiseMap(W2, [(x, bracket(b, x)) for x in standard_probes(W2, rng)])
         report = rigidity_pipeline(delta, box=2)
         assert report.verdict == "inner"
         assert report.passed
@@ -330,7 +330,7 @@ def test_verify_lemma_4_3():
 
 def test_verify_lemma_4_4():
     x2 = W2.monomial((1, 0), 1) + W2.d(2)
-    x = widen_element(x2, 3)
+    x = parse_element("t1*d1 + d2", W3_2)
     report = verify_lemma_4_4(x, 2, 3)
     assert report.passed
     assert report.data["h_part_zero"]
@@ -342,6 +342,6 @@ def test_verify_lemma_4_4():
 @pytest.mark.parametrize("box", [-1, 0, 4])
 def test_verify_lemma_4_4_rejects_box_below_k(box):
     # n_x = 2, so k = 5: a box below 5 holds no shift, so the check would be vacuous
-    x = widen_element(W2.monomial((1, 0), 1) + W2.d(2), 3)
+    x = parse_element("t1*d1 + d2", W3_2)
     with pytest.raises(BadArity, match="power-5 shift family"):
         verify_lemma_4_4(x, 2, 3, box)

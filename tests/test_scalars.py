@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from wittkit import (
     AlgebraVariant,
     DenominatorVanishes,
+    ExactDivisionError,
     MuPolynomial,
     Scalar,
     ScalarField,
@@ -186,6 +187,21 @@ def test_gcd_divides_both(a, b):
         return
     assert a.exact_div(g) * g == a
     assert b.exact_div(g) * g == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       st.integers(-4, 4).filter(bool))
+def test_monomial_gcd_and_quotient_match_the_general_path(p, exponents, coeff):
+    # with a monomial both go term by term; times q, which no monomial
+    # divides, they take the general path, and must agree with it
+    m = MuPolynomial(2, {exponents: coeff})
+    q = MuPolynomial(2, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
+    assert poly_gcd(p * q, m * q) == poly_gcd(p, m) * q == poly_gcd(m, p) * q
+    assert (p * m).exact_div(m) == p == (p * m * q).exact_div(m * q)
+    if any(exponents) or abs(coeff) > 1:
+        with pytest.raises(ExactDivisionError):
+            (p * m + MuPolynomial.one(2)).exact_div(m)
 
 
 @settings(max_examples=60, deadline=None)

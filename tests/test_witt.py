@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,8 +23,8 @@ from wittkit import (
     check_closure,
     check_jacobi,
     proportional,
-    widen_element,
 )
+from wittkit.witt import VariantKind, iter_basis_pairs
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
 W1 = WittAlgebra(AlgebraVariant.wn(1))
@@ -137,6 +138,32 @@ def test_variant_membership():
     # W_n^{++}: nonnegative exponents only
     assert plusplus.member(plusplus.monomial((0, 2), 1))
     assert not plusplus.member(plusplus.monomial((-1, 0), 1))
+    # the box basis is the window's pairs that are members, in sorted order
+    for m in (1, 2, 3):
+        variants = [AlgebraVariant.wn(m), AlgebraVariant.wnplus(m),
+                    AlgebraVariant.wnplusplus(m), AlgebraVariant.wnmu(m)]
+        variants += [AlgebraVariant.winf(m - 1, m)] if m > 1 else []
+        for variant in variants:
+            algebra = WittAlgebra(variant)
+            on_dmu_line = variant.kind is VariantKind.WN_MU
+            for box in range(4):
+                window = list(itertools.product(range(-box, box + 1), repeat=m))
+                directions = [MU_DIRECTION] if on_dmu_line else range(m)
+                pairs = [(alpha, d) for alpha in window for d in directions
+                         if algebra.member(algebra.pair_element(alpha, d))]
+                assert list(iter_basis_pairs(variant, box)) == pairs
+                side, count = box + 1, m
+                if variant.kind in (VariantKind.WN, VariantKind.W_INF_TRUNC):
+                    side = 2 * box + 1
+                elif on_dmu_line:
+                    side, count = 2 * box + 1, 1
+                expected = side ** m * count
+                if variant.kind is VariantKind.WN_PLUS and box >= 1:
+                    expected += m * (box + 1) ** (m - 1)
+                assert len(pairs) == expected, (variant, box)
+                if on_dmu_line and m > 1:
+                    # a single coordinate direction is off the d_mu line
+                    assert not any(algebra.member(algebra.monomial(alpha, 1)) for alpha in window)
 
 
 def test_wnmu_membership_agrees_with_proportional():
@@ -189,18 +216,6 @@ def test_proportional():
     assert proportional(x, W2.monomial((1, 2), 2)) is None
     zero_ratio = proportional(W2.zero(), x)
     assert zero_ratio is not None and zero_ratio.is_zero
-
-
-def test_widen_element():
-    x = W2.monomial((1, -2), 1) + W2.d(2)
-    wide = widen_element(x, 4)
-    assert wide.m == 4
-    assert wide.coefficient((1, -2, 0, 0), 0) == x.coefficient((1, -2), 0)
-    assert bracket(wide, widen_element(W2.d(1), 4)) == widen_element(
-        bracket(x, W2.d(1)), 4
-    )
-    with pytest.raises(Exception):
-        widen_element(x, 1)
 
 
 def test_power_sum_dmu():
