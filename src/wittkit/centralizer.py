@@ -224,7 +224,7 @@ def _specialized_ranks(z: WittElement, space: TruncatedSpace,
     """(F_p rank, residue rows) of ad(z) at each point where it evaluates, for `bound`."""
     for rows in specialized_residues(space.algebra.field.arity, bound,
                                      lambda point: _residue_rows(z, space, point)):
-        yield rank_mod_p(rows, len(space)), rows
+        yield rank_mod_p(rows), rows
 
 
 def centralizer_basis(algebra: WittAlgebra, z: WittElement, box: int) -> CentralizerResult:

@@ -199,9 +199,10 @@ def _verify_report(args: argparse.Namespace, parser: argparse.ArgumentParser):
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    built = ("wn", "winf") if args.lemma in _WINF_LEMMAS else ("wn",)
-    if _variant_kind(args.variant) not in built:
-        parser.error(f"{args.lemma} is verified in {' or '.join(built)} only; "
+    built = ((VariantKind.WN, VariantKind.W_INF_TRUNC) if args.lemma in _WINF_LEMMAS
+             else (VariantKind.WN,))
+    if _VARIANT_KINDS.get(_variant_kind(args.variant)) not in built:
+        parser.error(f"{args.lemma} is verified in {' or '.join(k.value for k in built)} only; "
                      f"--variant {args.variant} is not supported")
     if args.lemma in _WINF_LEMMAS and args.prefix is not None:
         args.variant = "winf"

@@ -29,9 +29,11 @@ kernel, so it skips symbolic elimination; any other component is
 eliminated symbolically.  `centralize` and the centralizer verifiers
 combine the bound with explicitly verified kernel members to pin kernels
 exactly without symbolic elimination, ranking residues read off the
-bracket's structure constants.  `rank_mod_p` is that rank on rows already reduced to
-residues, split into connected components; `modular_rank` feeds it a
-ScalarMatrix evaluated entry by entry.
+bracket's structure constants.  `rank_mod_p` is that rank on rows already
+reduced to residues, one row-by-row echelon over the whole matrix, and
+the one F_p elimination here: `modular_rank` feeds it a ScalarMatrix
+evaluated entry by entry, and the full-rank check of `kernel` and
+`rank` a component's rows.
 """
 
 from __future__ import annotations
@@ -169,59 +171,35 @@ def scalar_mod_p(value: Scalar, values: Sequence[Fraction], prime: int) -> int:
     return v.numerator * pow(den, -1, prime) % prime
 
 
-def _modular_rank_block(rows: List[Dict[int, int]], prime: int) -> int:
-    """Forward elimination over F_prime, sparsest pivot column first.
+def rank_mod_p(rows: Sequence[Dict[int, int]], prime: int = MODULUS) -> int:
+    """Rank over F_prime of sparse rows of nonzero residues; the rows are not modified.
 
-    `col_rows` holds, per column, the rows not yet used as pivots that
-    have an entry there: a retired pivot row leaves every column's set
-    and a column whose set empties is dropped, so the pivot search reads
-    set sizes without intersecting.
+    One row-by-row echelon: the rows, taken in order of their last
+    column, are copied and reduced by the stored pivot row at their
+    leading column until they vanish or lead at a column with no pivot
+    row.  There they are scaled to a unit and stored, less that unit, as
+    the column's pivot row: it holds only later columns, so the leading
+    column grows at every step.  The rank does not depend on the order;
+    taking the rows by last column keeps the fill-in small.
     """
-    col_rows: Dict[int, set] = {}
-    for r, row in enumerate(rows):
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
-    count = 0
-    while col_rows:
-        _, pc = min((len(holders), c) for c, holders in col_rows.items())
-        live = col_rows[pc]
-        pr = min(live, key=lambda r: (len(rows[r]), r))
-        pivot_row = rows[pr]
-        inv = pow(pivot_row[pc], -1, prime)
-        for r in live - {pr}:
-            target = rows[r]
-            factor = target[pc] * inv % prime
-            for c, v in pivot_row.items():
-                acc = (target.get(c, 0) - factor * v) % prime
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in sorted(filter(None, rows), key=max):
+        row = dict(row)
+        while row:
+            lead = min(row)
+            factor = row.pop(lead)
+            tail = pivots.get(lead)
+            if tail is None:
+                inv = pow(factor, -1, prime)
+                pivots[lead] = {c: v * inv % prime for c, v in row.items()}
+                break
+            for c, v in tail.items():
+                acc = (row.get(c, 0) - factor * v) % prime
                 if acc:
-                    if c not in target:
-                        col_rows.setdefault(c, set()).add(r)
-                    target[c] = acc
-                elif c in target:
-                    del target[c]
-                    _leave(col_rows, c, r)
-        for c in pivot_row:
-            _leave(col_rows, c, pr)
-        count += 1
-    return count
-
-
-def _leave(col_rows: Dict[int, set], c: int, r: int) -> None:
-    holders = col_rows[c]
-    holders.discard(r)
-    if not holders:
-        del col_rows[c]
-
-
-def rank_mod_p(rows: Sequence[Dict[int, int]], ncols: int, prime: int = MODULUS) -> int:
-    """Rank over F_prime of sparse rows of nonzero residues, column indices < ncols.
-
-    The rows are split into connected components and each is eliminated
-    on its own; the input rows are not modified.
-    """
-    components, _ = _split_components(rows, ncols)
-    return sum(_modular_rank_block([dict(rows[r]) for r in row_idx], prime)
-               for row_idx, _ in components)
+                    row[c] = acc
+                elif c in row:
+                    del row[c]
+    return len(pivots)
 
 
 def modular_rank(matrix: ScalarMatrix, values: Sequence[Fraction],
@@ -233,7 +211,7 @@ def modular_rank(matrix: ScalarMatrix, values: Sequence[Fraction],
     Raises DenominatorVanishes at a bad point and ValueError when a
     denominator is divisible by the modulus.
     """
-    return rank_mod_p(_rows_mod_p(matrix.rows, values, prime), matrix.ncols, prime)
+    return rank_mod_p(_rows_mod_p(matrix.rows, values, prime), prime)
 
 
 def _rows_mod_p(rows: Sequence[Dict[int, Scalar]], values: Sequence[Fraction],
@@ -363,8 +341,10 @@ def _kernel_from_rref(rref: List[Tuple[int, Dict[int, Scalar]]], cols: Sequence[
 # rank r0 <= r, and r0 = min(rows, cols) forces r = r0; with r0 = cols
 # the kernel is zero.  The first point that evaluates decides, and a rank
 # short of full leaves the component to symbolic elimination, so the
-# answer never depends on this check.  Geometric points for bound 8 keep
-# integer linear forms in mu with coefficients in [-8, 8] nonzero.
+# answer never depends on this check.  The F_p rank is `rank_mod_p`'s
+# row-by-row echelon, the same as for `modular_rank` and the centralizer
+# certificates.  Geometric points for bound 8 keep integer linear forms
+# in mu with coefficients in [-8, 8] nonzero.
 _CHECK_BOUND = 8
 
 
@@ -373,7 +353,7 @@ def _full_rank_mod_p(matrix: ScalarMatrix, row_idx: List[int], cols: List[int]) 
     component = [matrix.rows[r] for r in row_idx]
     for rows in specialized_residues(matrix.arity, _CHECK_BOUND,
                                      lambda point: _rows_mod_p(component, point, MODULUS)):
-        return _modular_rank_block(rows, MODULUS) == min(len(row_idx), len(cols))
+        return rank_mod_p(rows) == min(len(row_idx), len(cols))
     return False
 
 

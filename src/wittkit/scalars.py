@@ -471,6 +471,14 @@ class Scalar:
         return _make(-self.num, self.den)
 
     def __mul__(self, other) -> "Scalar":
+        if type(other) is int:
+            # num and den are coprime, so only other and den's content can cancel
+            if other == 1:
+                return self
+            if not other:
+                return Scalar.zero(self.arity)
+            g = math.gcd(other, *self.den.terms.values())
+            return _make(self.num.scale(other // g), self.den._quo(g))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -205,6 +205,22 @@ def test_verify_winf_lemma_accepts_winf(capsys, argv):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_verify_accepts_winftrunc_as_winf(capsys):
+    outputs = []
+    for variant in ("winf", "winftrunc", "W-INF-TRUNC"):
+        code, out, err = run_cli(capsys, ["verify", "--arity", "2", "--prefix", "1",
+                                          "--variant", variant, "lemma4.1", "--k", "1",
+                                          "--box", "1", "--format", "json"])
+        assert code == 0
+        outputs.append((out, err))
+    assert outputs[0] == outputs[1] == outputs[2]
+    for variant in ("winftrunc", "W-INF-TRUNC"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--arity", "2", "--variant", variant, "lemma2.2", "--k", "1"])
+        assert exc.value.code == 2
+        assert f"--variant {variant} is not supported" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("count", ["-5", "0"])
 def test_fuzz_rejects_nonpositive_count(capsys, count):
     with pytest.raises(SystemExit) as exc:

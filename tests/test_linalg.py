@@ -18,8 +18,8 @@ from wittkit import (
     solve,
     specialization_points,
 )
-from wittkit import linalg
-from wittkit.linalg import MODULUS, _full_rank_mod_p, _modular_rank_block, rank_mod_p
+from wittkit import AlgebraVariant, TruncatedSpace, WittAlgebra, centralizer, linalg
+from wittkit.linalg import MODULUS, _full_rank_mod_p, rank_mod_p
 
 F2 = ScalarField(2)
 
@@ -219,8 +219,10 @@ def test_rank_drops_at_degenerate_point():
 
 
 # ----------------------------------------------------------------------
-# The F_p pivot search against the implementation it replaced, which
-# intersected every column's row set with the active rows at every step.
+# The F_p rank against two oracles: an earlier sparse elimination, which
+# picked the sparsest column as pivot by intersecting every column's row
+# set with the active rows at every step, and a dense Gaussian
+# elimination on lists; neither shares code with linalg.
 
 
 def _rank_block_by_intersection(rows, prime):
@@ -276,8 +278,61 @@ def test_rank_mod_p_matches_intersecting_search(prime):
                     combo[c] = v
             rows.append(combo)
         expected = _rank_block_by_intersection([dict(row) for row in rows], prime)
-        assert rank_mod_p(rows, ncols, prime) == expected
-        assert _modular_rank_block([dict(row) for row in rows], prime) == expected
+        assert rank_mod_p(rows, prime) == expected
+
+
+def _dense_rank_mod_p(rows, ncols, prime):
+    matrix = [[row.get(c, 0) % prime for c in range(ncols)] for row in rows]
+    count = 0
+    for c in range(ncols):
+        pr = next((r for r in range(count, len(matrix)) if matrix[r][c]), None)
+        if pr is None:
+            continue
+        matrix[count], matrix[pr] = matrix[pr], matrix[count]
+        inv = pow(matrix[count][c], -1, prime)
+        for r in range(count + 1, len(matrix)):
+            factor = matrix[r][c] * inv % prime
+            if factor:
+                matrix[r] = [(a - factor * b) % prime for a, b in zip(matrix[r], matrix[count])]
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("prime", [3, 7, MODULUS])
+def test_rank_mod_p_matches_dense_elimination(prime):
+    rng = random.Random(1000 + prime)
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 61), rng.randrange(1, 61)
+        density = rng.choice([0.03, 0.08, 0.2, 0.5])
+        rows = [{c: rng.randrange(1, prime) for c in range(ncols) if rng.random() < density}
+                for _ in range(nrows)]
+        # dependent rows: combinations of two earlier ones, reduced mod p
+        for _ in range(rng.randrange(0, nrows // 3 + 1)):
+            a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
+            x, y = rng.randrange(1, prime), rng.randrange(1, prime)
+            combo = {}
+            for c in set(rows[a]) | set(rows[b]):
+                v = (x * rows[a].get(c, 0) + y * rows[b].get(c, 0)) % prime
+                if v:
+                    combo[c] = v
+            rows.append(combo)
+        rows += [{} for _ in range(rng.randrange(0, 4))]
+        rng.shuffle(rows)
+        before = [dict(row) for row in rows]
+        assert rank_mod_p(rows, prime) == _dense_rank_mod_p(rows, ncols, prime)
+        # centralizer_basis reads the residue rows again after ranking them
+        assert rows == before
+
+
+def test_rank_mod_p_of_lemma_2_2_residues():
+    # n = 4, k = -1, box 2: 4,496 residue rows of ad(z) on 2,500 columns,
+    # whose kernel is the line of z
+    algebra = WittAlgebra(AlgebraVariant.wn(4))
+    z = algebra.power_sum_dmu(-1)
+    space = TruncatedSpace(algebra, 2)
+    rows = centralizer._residue_rows(z, space, specialization_points(4, 2)[0])
+    assert len(rows) == 4496
+    assert rank_mod_p(rows) == len(space) - 1
 
 
 # ----------------------------------------------------------------------

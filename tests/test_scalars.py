@@ -332,3 +332,22 @@ def test_integer_arithmetic_matches_fraction_normal_form(fraction_oracle, case):
     pad = {m + (0,): c for m, c in oa[0].terms.items()}, {m + (0,): c for m, c in oa[1].terms.items()}
     _assert_matches_oracle(fraction_oracle, lifted, tuple(MuPolynomial(arity + 1, t) for t in pad),
                            ScalarField(arity + 1).names)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 3]).flatmap(rational_functions), st.integers(-50, 50))
+def test_int_product_matches_the_general_path(pair, n):
+    s = Scalar(*pair)
+    general = s * Scalar.from_fraction(s.arity, n)
+    for product in (s * n, n * s):
+        assert (product.num, product.den) == (general.num, general.den)
+
+
+def test_int_product_cancels_the_denominator_content():
+    # 1/(2 mu1 + 2) * 4 = 2/(mu1 + 1)
+    s = Scalar(MuPolynomial.one(1), MuPolynomial(1, {(1,): 2, (0,): 2}))
+    product = s * 4
+    assert product.num == MuPolynomial.constant(1, 2)
+    assert product.den == MuPolynomial(1, {(1,): 1, (0,): 1})
+    assert s * 1 is s
+    assert (s * 0).is_zero and (s * 0).den == MuPolynomial.one(1)
