@@ -2,13 +2,15 @@
 
 Everything here is exact: kernels, ranks and solutions are computed with
 rational-function arithmetic, never floating point.  `kernel`, `rank`
-and `solve` split the matrix into connected components and reduce each
-one with the same Gauss-Jordan pass over Q(mu), `_canonical_rref`: the
-pivot is always the leftmost column left in any row, so its output is
-the unique RREF of the row space whatever the order of the rows, and
-dependent rows drop out as they reduce to zero.  Kernel bases read off
-from the RREF are canonical: one vector per free column, carrying a
-unit there, ordered by free column index.
+and `solve` reduce the whole matrix with one elimination over Q(mu),
+`_canonical_rref`: the row-by-row echelon of `rank_mod_p`, then back
+substitution from the rightmost pivot.  A row meets only the pivot rows
+of its own columns, so independent blocks of a matrix stay independent
+without being split apart.  Its output is the unique RREF of the row
+space whatever the order of the rows, and dependent rows drop out as
+they reduce to zero.  Kernel bases read off from the RREF are canonical:
+one vector per free column, carrying a unit there, ordered by free
+column index.
 
 `solve` carries b as an extra, last column.  With leftmost pivots that
 column becomes a pivot only when some row reduces to its b entry alone,
@@ -22,18 +24,12 @@ Specializing the mu parameters at a rational point and reducing mod a
 prime can only lower the rank, so the rank over F_p is a certified lower
 bound for the generic rank.  `specialized_residues` is the one loop over
 the specialization points that skips a point where some entry does not
-evaluate, and carries that argument.  `kernel` and `rank` use the bound
-first on every component: a component whose F_p rank is already
-min(rows, cols) has that rank over Q(mu), and with full column rank no
-kernel, so it skips symbolic elimination; any other component is
-eliminated symbolically.  `centralize` and the centralizer verifiers
-combine the bound with explicitly verified kernel members to pin kernels
-exactly without symbolic elimination, ranking residues read off the
-bracket's structure constants.  `rank_mod_p` is that rank on rows already
-reduced to residues, one row-by-row echelon over the whole matrix, and
-the one F_p elimination here: `modular_rank` feeds it a ScalarMatrix
-evaluated entry by entry, and the full-rank check of `kernel` and
-`rank` a component's rows.
+evaluate, and carries that argument.  `centralize` and the centralizer
+verifiers combine the bound with explicitly verified kernel members to
+pin kernels exactly without symbolic elimination, ranking residues read
+off the bracket's structure constants.  `rank_mod_p` is that rank on
+rows already reduced to residues, and the one F_p elimination here:
+`modular_rank` feeds it a ScalarMatrix evaluated entry by entry.
 """
 
 from __future__ import annotations
@@ -211,176 +207,82 @@ def modular_rank(matrix: ScalarMatrix, values: Sequence[Fraction],
     Raises DenominatorVanishes at a bad point and ValueError when a
     denominator is divisible by the modulus.
     """
-    return rank_mod_p(_rows_mod_p(matrix.rows, values, prime), prime)
-
-
-def _rows_mod_p(rows: Sequence[Dict[int, Scalar]], values: Sequence[Fraction],
-                prime: int) -> List[Dict[int, int]]:
-    """The rows' nonzero residues at a rational point (errors as scalar_mod_p)."""
-    reduced: List[Dict[int, int]] = []
-    for row in rows:
-        out: Dict[int, int] = {}
-        for c, s in row.items():
-            v = scalar_mod_p(s, values, prime)
-            if v:
-                out[c] = v
-        reduced.append(out)
-    return reduced
-
-
-# ----------------------------------------------------------------------
-# Connected components.  Rows tie their columns together; splitting the
-# matrix into independent blocks keeps elimination local.
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def _split_components(rows: Sequence[Dict], ncols: int
-                      ) -> Tuple[List[Tuple[List[int], List[int]]], List[int]]:
-    """(components, zero_columns); a component is (row_indices, col_indices)."""
-    uf = _UnionFind(ncols)
-    seen_cols = set()
-    for row in rows:
-        cols = list(row)
-        seen_cols.update(cols)
-        for c in cols[1:]:
-            uf.union(cols[0], c)
-    groups: Dict[int, List[int]] = {}
-    for c in sorted(seen_cols):
-        groups.setdefault(uf.find(c), []).append(c)
-    comp_of_col = {}
-    for root, cols in groups.items():
-        for c in cols:
-            comp_of_col[c] = root
-    rows_by_comp: Dict[int, List[int]] = {root: [] for root in groups}
-    for r, row in enumerate(rows):
-        if row:
-            rows_by_comp[comp_of_col[next(iter(row))]].append(r)
-    components = [(rows_by_comp[root], groups[root]) for root in sorted(groups)]
-    zero_cols = [c for c in range(ncols) if c not in seen_cols]
-    return components, zero_cols
+    return rank_mod_p([{c: v for c, s in row.items() if (v := scalar_mod_p(s, values, prime))}
+                       for row in matrix.rows], prime)
 
 
 # ----------------------------------------------------------------------
 # Canonical form and read-off.
 
 
+def _subtract(row: Dict[int, Scalar], factor: Scalar, tail: Dict[int, Scalar]) -> None:
+    """row -= factor * tail, dropping the entries that cancel."""
+    for c, v in tail.items():
+        acc = row.get(c)
+        acc = -(factor * v) if acc is None else acc - factor * v
+        if acc.is_zero:
+            del row[c]
+        else:
+            row[c] = acc
+
+
 def _canonical_rref(rows: Sequence[Dict[int, Scalar]]) -> List[Tuple[int, Dict[int, Scalar]]]:
     """Unique RREF of the span of `rows`: leftmost pivots, pivot entries 1.
 
-    The rows may be dependent: a row that reduces to zero drops out.  The
-    pivot column is the smallest column left in any row, so pivots come
-    out in increasing order and each new pivot row clears its column from
-    the pending rows and from those already emitted alike.  A right-hand
-    side carried as the last column becomes a pivot only when some row
-    reduces to it alone, that is, when the system is inconsistent.
+    The rows are not modified, and they may be dependent.  First
+    `rank_mod_p`'s echelon over Q(mu): the rows, taken in order of their
+    last column, are copied and reduced by the stored pivot row at their
+    leading column until they vanish or lead at a column with no pivot
+    row, where they are scaled to a unit and stored, less that unit.
+    Then back substitution from the rightmost pivot clears the later
+    pivot columns from each stored row with rows already cleared, so
+    every row ends on free columns.  A right-hand side carried as the
+    last column becomes a pivot only when some row reduces to it alone,
+    that is, when the system is inconsistent.
     """
-    work = [dict(row) for row in rows if row]
-    result: List[Tuple[int, Dict[int, Scalar]]] = []
-    while work:
-        pc = min(c for row in work for c in row)
-        # Any row holding pc yields the same RREF; the shortest fills in least.
-        pr = min((i for i, row in enumerate(work) if pc in row), key=lambda i: len(work[i]))
-        pivot_row = work.pop(pr)
-        inv = pivot_row[pc].inverse()
-        pivot_row = {c: inv * v for c, v in pivot_row.items()}
-        for row in work + [row for _, row in result]:
-            lead = row.pop(pc, None)
-            if lead is None:
-                continue
-            for c, v in pivot_row.items():
-                if c == pc:
-                    continue
-                acc = row.get(c)
-                acc = -(lead * v) if acc is None else acc - lead * v
-                if acc.is_zero:
-                    row.pop(c, None)
-                else:
-                    row[c] = acc
-        work = [row for row in work if row]
-        result.append((pc, pivot_row))
-    return result
+    work = sorted(filter(None, rows), key=max)
+    if not work:
+        return []
+    tails: Dict[int, Dict[int, Scalar]] = {}
+    for row in work:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            factor = row.pop(lead)
+            tail = tails.get(lead)
+            if tail is None:
+                inv = factor.inverse()
+                tails[lead] = {c: inv * v for c, v in row.items()}
+                break
+            _subtract(row, factor, tail)
+    for pc in sorted(tails, reverse=True):
+        tail = tails[pc]
+        for c in [c for c in tail if c in tails]:
+            _subtract(tail, tail.pop(c), tails[c])
+    one = Scalar.one(next(iter(work[0].values())).arity)
+    return [(pc, {pc: one, **tails[pc]}) for pc in sorted(tails)]
 
 
-def _kernel_from_rref(rref: List[Tuple[int, Dict[int, Scalar]]], cols: Sequence[int],
-                      arity: int) -> List[Tuple[int, KernelVector]]:
-    """(free column, vector) pairs; each vector has a unit at its free column."""
+def _kernel_from_rref(rref: List[Tuple[int, Dict[int, Scalar]]], ncols: int,
+                      arity: int) -> List[KernelVector]:
+    """One vector per free column below ncols, unit there, by free column."""
     pivot_cols = {pc for pc, _ in rref}
     one = Scalar.one(arity)
-    vectors = []
-    for f in cols:
-        if f in pivot_cols:
-            continue
-        v: KernelVector = {f: one}
-        for pc, row in rref:
-            coeff = row.get(f)
-            if coeff is not None and not coeff.is_zero:
-                v[pc] = -coeff
-        vectors.append((f, v))
-    return vectors
-
-
-# Why a full rank mod p is the generic rank of a component: at any
-# point where its entries evaluate, `specialized_residues` gives an F_p
-# rank r0 <= r, and r0 = min(rows, cols) forces r = r0; with r0 = cols
-# the kernel is zero.  The first point that evaluates decides, and a rank
-# short of full leaves the component to symbolic elimination, so the
-# answer never depends on this check.  The F_p rank is `rank_mod_p`'s
-# row-by-row echelon, the same as for `modular_rank` and the centralizer
-# certificates.  Geometric points for bound 8 keep integer linear forms
-# in mu with coefficients in [-8, 8] nonzero.
-_CHECK_BOUND = 8
-
-
-def _full_rank_mod_p(matrix: ScalarMatrix, row_idx: List[int], cols: List[int]) -> bool:
-    """True when the component provably has rank min(rows, cols) over Q(mu)."""
-    component = [matrix.rows[r] for r in row_idx]
-    for rows in specialized_residues(matrix.arity, _CHECK_BOUND,
-                                     lambda point: _rows_mod_p(component, point, MODULUS)):
-        return rank_mod_p(rows) == min(len(row_idx), len(cols))
-    return False
+    vectors = {f: {f: one} for f in range(ncols) if f not in pivot_cols}
+    for pc, row in rref:
+        for c, v in row.items():
+            if c in vectors:
+                vectors[c][pc] = -v
+    return list(vectors.values())
 
 
 def kernel(matrix: ScalarMatrix) -> List[KernelVector]:
     """Canonical kernel basis: one vector per free column, unit there."""
-    components, zero_cols = _split_components(matrix.rows, matrix.ncols)
-    one = Scalar.one(matrix.arity)
-    tagged: List[Tuple[int, KernelVector]] = [(c, {c: one}) for c in zero_cols]
-    for row_idx, cols in components:
-        # Fewer rows than columns always leave a kernel.
-        if len(row_idx) >= len(cols) and _full_rank_mod_p(matrix, row_idx, cols):
-            continue
-        rref = _canonical_rref([matrix.rows[r] for r in row_idx])
-        tagged.extend(_kernel_from_rref(rref, cols, matrix.arity))
-    tagged.sort(key=lambda item: item[0])
-    return [v for _, v in tagged]
+    return _kernel_from_rref(_canonical_rref(matrix.rows), matrix.ncols, matrix.arity)
 
 
 def rank(matrix: ScalarMatrix) -> int:
-    components, _ = _split_components(matrix.rows, matrix.ncols)
-    total = 0
-    for row_idx, cols in components:
-        if _full_rank_mod_p(matrix, row_idx, cols):
-            total += min(len(row_idx), len(cols))
-        else:
-            total += len(_canonical_rref([matrix.rows[r] for r in row_idx]))
-    return total
+    return len(_canonical_rref(matrix.rows))
 
 
 @dataclass
@@ -406,28 +308,20 @@ class SolveResult:
 def solve(matrix: ScalarMatrix, rhs: Dict[int, Scalar]) -> SolveResult:
     """Solve A x = b exactly, with a certificate when inconsistent.
 
-    Each connected component of A is reduced to its unique RREF with its
-    part of b riding along as column ncols.  The returned solution is
-    canonical: free variables are set to zero.  The system is
-    inconsistent when a row with an empty A-part has a nonzero b entry,
-    or when column ncols becomes a pivot: with leftmost pivots, that
-    happens exactly when some row reduces to its b entry alone.
+    A is reduced to its unique RREF with b riding along as column ncols.
+    The returned solution is canonical: free variables are set to zero.
+    The system is inconsistent when column ncols becomes a pivot: with
+    leftmost pivots, that happens exactly when some row reduces to its b
+    entry alone, a zero row of A with a nonzero b entry among them.
     """
     b = matrix.ncols
     rhs = {r: v for r, v in rhs.items() if not v.is_zero}
-    if any(not matrix.rows[r] for r in rhs):
+    rref = _canonical_rref([{**row, b: rhs[r]} if r in rhs else row
+                            for r, row in enumerate(matrix.rows)])
+    if rref and rref[-1][0] == b:
         return _inconsistent(matrix, rhs)
-    components, _ = _split_components(matrix.rows, matrix.ncols)
-    rref: List[Tuple[int, Dict[int, Scalar]]] = []
-    for row_idx, _ in components:
-        rows = [{**matrix.rows[r], b: rhs[r]} if r in rhs else matrix.rows[r] for r in row_idx]
-        reduced = _canonical_rref(rows)
-        if reduced[-1][0] == b:
-            return _inconsistent(matrix, rhs)
-        rref.extend(reduced)
-    rref.sort(key=lambda item: item[0])
     solution = {pc: row[b] for pc, row in rref if b in row}
-    homogeneous = [v for _, v in _kernel_from_rref(rref, range(matrix.ncols), matrix.arity)]
+    homogeneous = _kernel_from_rref(rref, matrix.ncols, matrix.arity)
     return SolveResult(solution, None, homogeneous, len(rref))
 
 

@@ -18,8 +18,8 @@ from wittkit import (
     solve,
     specialization_points,
 )
-from wittkit import AlgebraVariant, TruncatedSpace, WittAlgebra, centralizer, linalg
-from wittkit.linalg import MODULUS, _full_rank_mod_p, rank_mod_p
+from wittkit import AlgebraVariant, TruncatedSpace, WittAlgebra, centralizer
+from wittkit.linalg import MODULUS, _canonical_rref, rank_mod_p
 
 F2 = ScalarField(2)
 
@@ -49,6 +49,15 @@ def test_kernel_of_identity_is_empty():
     eye = build([(i, i, F2.one()) for i in range(3)], 3, 3)
     assert kernel(eye) == []
     assert rank(eye) == 3
+    # the elimination never evaluates entries: one with a pole at each
+    # point of bound 8 (mu1 = 18, 19, 20), one with the modulus in its
+    # denominator
+    mu1 = F2.mu(1)
+    assert [point[0] for point in specialization_points(2, 8)] == [18, 19, 20]
+    pole_everywhere = build([(0, 0, 1 / ((mu1 - 18) * (mu1 - 19) * (mu1 - 20)))], 1, 1)
+    modulus_in_denominator = build([(0, 0, F2.from_fraction(Fraction(1, MODULUS)))], 1, 1)
+    for matrix in (pole_everywhere, modulus_in_denominator):
+        assert (kernel(matrix), rank(matrix)) == ([], 1)
 
 
 def test_kernel_of_zero_matrix():
@@ -208,6 +217,13 @@ def test_modular_rank_certifies_generic_case():
     point = specialization_points(2, bound=2)[0]
     assert modular_rank(matrix, point) == 2
     assert modular_rank(matrix, point, prime=101) == 2
+    # a pole at the first point raises; the next point evaluates
+    first, second = specialization_points(2, 8)[:2]
+    matrix = build([(0, 0, 1 / (mu2 - first[1])), (0, 1, mu1), (1, 1, mu2)], 2, 2)
+    with pytest.raises(DenominatorVanishes):
+        modular_rank(matrix, first)
+    assert modular_rank(matrix, second) == 2
+    assert (kernel(matrix), rank(matrix)) == ([], 2)
 
 
 def test_rank_drops_at_degenerate_point():
@@ -336,30 +352,8 @@ def test_rank_mod_p_of_lemma_2_2_residues():
 
 
 # ----------------------------------------------------------------------
-# kernel and rank with the full-rank check against the same calls with the
-# check declining, so that every component is eliminated symbolically, and
-# against the dense Gauss-Jordan oracle `dense_solve` below, which shares
-# no code with linalg.
-
-
-@pytest.fixture
-def check_results(monkeypatch):
-    """Record what the full-rank check answered, component by component."""
-    answers = []
-
-    def spy(matrix, row_idx, cols):
-        answer = _full_rank_mod_p(matrix, row_idx, cols)
-        answers.append((len(row_idx), len(cols), answer))
-        return answer
-
-    monkeypatch.setattr(linalg, "_full_rank_mod_p", spy)
-    return answers
-
-
-def symbolic_only(monkeypatch, matrix):
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_full_rank_mod_p", lambda *args: False)
-        return kernel(matrix), rank(matrix)
+# kernel, rank and the canonical RREF against the dense Gauss-Jordan
+# oracle `dense_rref` below, which shares no code with linalg.
 
 
 def dense_kernel_and_rank(matrix):
@@ -398,7 +392,7 @@ def planted_matrix(rng, arity, blocks, density=0.3):
 
 
 @pytest.mark.parametrize("arity", [0, 2])
-def test_check_keeps_kernel_and_rank(monkeypatch, check_results, arity):
+def test_kernel_and_rank_match_dense_oracle(arity):
     rng = random.Random(400 + arity)
     for _ in range(6):
         blocks = [(rng.randrange(2, 6), rng.randrange(2, 5), 0) for _ in range(3)]
@@ -407,68 +401,43 @@ def test_check_keeps_kernel_and_rank(monkeypatch, check_results, arity):
         rng.shuffle(blocks)
         matrix = planted_matrix(rng, arity, blocks)
         vectors = kernel(matrix)
-        assert (vectors, rank(matrix)) == symbolic_only(monkeypatch, matrix)
         assert (vectors, rank(matrix)) == dense_kernel_and_rank(matrix)
         assert len(vectors) >= sum(b[2] for b in blocks)
         for vec in vectors:
             assert is_zero_vector(matrix.apply(vec))
-    # both outcomes happened: full-rank blocks skipped, planted ones eliminated
-    assert {answer for _, _, answer in check_results} == {True, False}
 
 
-def test_check_keeps_large_component_kernel(monkeypatch, check_results):
-    # two 13-column components: the square one is full rank mod p, the
-    # other has a planted kernel and is eliminated symbolically
+def test_large_block_kernel_matches_dense_oracle():
+    # two 13-column blocks, one square and one with a planted kernel
     rng = random.Random(77)
     matrix = planted_matrix(rng, 2, [(13, 13, 0), (14, 13, 1), (3, 2, 0)], density=0.0)
     vectors = kernel(matrix)
-    assert (vectors, rank(matrix)) == symbolic_only(monkeypatch, matrix)
     assert (vectors, rank(matrix)) == dense_kernel_and_rank(matrix)
     assert len(vectors) >= 1
-    assert (13, 13, True) in check_results and (14, 13, False) in check_results
 
 
-def test_check_declines_when_rank_drops_at_first_point(monkeypatch, check_results):
-    mu1, mu2 = F2.mu(1), F2.mu(2)
-    first, second = specialization_points(2, linalg._CHECK_BOUND)[:2]
-    assert first[0] == 18 and second[0] == 19
-    # mu1 - 18 vanishes at the first point only, and the first point decides
-    matrix = build([(0, 0, mu1 - 18), (1, 1, mu2), (1, 2, mu1), (2, 2, mu2)], 3, 3)
-    assert kernel(matrix) == [] and rank(matrix) == 3
-    assert (kernel(matrix), rank(matrix)) == symbolic_only(monkeypatch, matrix)
-    assert (1, 1, False) in check_results and (2, 2, True) in check_results
-
-
-def test_check_skips_a_pole_at_the_first_point(monkeypatch):
-    mu1, mu2 = F2.mu(1), F2.mu(2)
-    first, second = specialization_points(2, linalg._CHECK_BOUND)[:2]
-    matrix = build([(0, 0, 1 / (mu2 - first[1])), (0, 1, mu1), (1, 1, mu2)], 2, 2)
-    assert _full_rank_mod_p(matrix, [0, 1], [0, 1])
-    with pytest.raises(DenominatorVanishes):
-        modular_rank(matrix, first)
-    assert modular_rank(matrix, second) == 2
-    assert (kernel(matrix), rank(matrix)) == ([], 2) == symbolic_only(monkeypatch, matrix)
-
-
-def test_check_declines_when_no_point_evaluates(monkeypatch):
-    mu1 = F2.mu(1)
-    # mu1 takes the values 18, 19 and 20 at the three points
-    points = specialization_points(2, linalg._CHECK_BOUND)
-    assert [point[0] for point in points] == [18, 19, 20]
-    pole_everywhere = build([(0, 0, 1 / ((mu1 - 18) * (mu1 - 19) * (mu1 - 20)))], 1, 1)
-    modulus_in_denominator = build([(0, 0, F2.from_fraction(Fraction(1, MODULUS)))], 1, 1)
-    for matrix in (pole_everywhere, modulus_in_denominator):
-        assert not _full_rank_mod_p(matrix, [0], [0])
-        assert (kernel(matrix), rank(matrix)) == ([], 1) == symbolic_only(monkeypatch, matrix)
-
-
-def test_check_skips_wide_components_in_kernel(monkeypatch, check_results):
-    mu1, mu2 = F2.mu(1), F2.mu(2)
-    matrix = build([(0, 0, mu1), (0, 1, mu2), (0, 2, F2.one()), (1, 1, mu1), (1, 2, mu2)], 2, 3)
-    vectors = kernel(matrix)
-    assert len(vectors) == 1 and check_results == []
-    assert rank(matrix) == 2 and check_results == [(2, 3, True)]
-    assert (vectors, 2) == symbolic_only(monkeypatch, matrix)
+@pytest.mark.parametrize("arity", [0, 2])
+def test_canonical_rref_is_unique_and_leaves_rows_alone(arity):
+    rng = random.Random(600 + arity)
+    for _ in range(4):
+        blocks = [(rng.randrange(2, 5), rng.randrange(2, 5), 0),
+                  (rng.randrange(3, 6), rng.randrange(3, 5), rng.randrange(1, 3)),
+                  (rng.randrange(1, 4), rng.randrange(1, 4), 0)]
+        matrix = planted_matrix(rng, arity, blocks)
+        pivots, work = dense_rref(matrix, {})
+        expected = [(pc, {c: v for c, v in enumerate(work[i]) if not v.is_zero})
+                    for i, pc in enumerate(pivots)]
+        rows = matrix.rows
+        before = [dict(row) for row in rows]
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        orders = [rows, shuffled, rows[::-1], rows + shuffled[:3], [{}] + rows + [{}, {}]]
+        for order in orders:
+            rref = _canonical_rref(order)
+            assert rref == expected
+            assert all(row[pc].is_one() for pc, row in rref)
+        assert rows == before
+    assert _canonical_rref([{}, {}]) == []
 
 
 # ----------------------------------------------------------------------
@@ -477,15 +446,15 @@ def test_check_skips_wide_components_in_kernel(monkeypatch, check_results):
 # kernel read off directly.
 
 
-def dense_solve(matrix, rhs):
-    """(solution, homogeneous, rank) from the unique RREF of [A | b], or None
-    when some row reduces to b alone."""
+def dense_rref(matrix, rhs):
+    """(pivot columns, pivot rows) of the unique RREF of [A | b] as dense lists,
+    by Gauss-Jordan with leftmost pivots; b is column ncols."""
     zero = Scalar.zero(matrix.arity)
     b = matrix.ncols
     work = [[row.get(c, zero) for c in range(b)] + [rhs.get(r, zero)]
             for r, row in enumerate(matrix.rows)]
     pivots = []
-    for c in range(b):
+    for c in range(b + 1):
         pr = next((r for r in range(len(pivots), len(work)) if not work[r][c].is_zero), None)
         if pr is None:
             continue
@@ -498,7 +467,15 @@ def dense_solve(matrix, rhs):
                 lead = work[r][c]
                 work[r] = [v - lead * p for v, p in zip(work[r], work[top])]
         pivots.append(c)
-    if any(not row[b].is_zero for row in work[len(pivots):]):
+    return pivots, work[:len(pivots)]
+
+
+def dense_solve(matrix, rhs):
+    """(solution, homogeneous, rank) from the unique RREF of [A | b], or None
+    when some row reduces to b alone."""
+    b = matrix.ncols
+    pivots, work = dense_rref(matrix, rhs)
+    if pivots and pivots[-1] == b:
         return None
     solution = {pc: work[i][b] for i, pc in enumerate(pivots) if not work[i][b].is_zero}
     homogeneous = []
@@ -575,6 +552,33 @@ def test_solve_one_inconsistent_component_among_several():
     assert result.solution == {0: one, 2: one, 3: mu2 / mu1}
     assert result.homogeneous == [{0: -one, 1: one}]
     assert result.rank == 3
+
+
+@pytest.mark.parametrize("arity", [0, 2])
+def test_solve_block_diagonal_inconsistent_in_one_block(arity):
+    rng = random.Random(700 + arity)
+    # the middle block has more rows than columns, so some row of it leaves
+    # the column space when its right-hand side is perturbed
+    blocks = [(3, 3, 0), (5, 3, 1), (2, 3, 0)]
+    matrix = planted_matrix(rng, arity, blocks)
+    x = {c: _random_entry(rng, arity) for c in range(matrix.ncols)}
+    consistent = matrix.apply(x)
+    assert solve(matrix, consistent).consistent
+    middle = range(3, 8)
+    for r in middle:
+        rhs = dict(consistent)
+        rhs[r] = rhs.get(r, Scalar.zero(arity)) + Scalar.one(arity)
+        if dense_solve(matrix, rhs) is None:
+            break
+    else:
+        raise AssertionError("no row of the middle block leaves the column space")
+    result = solve(matrix, rhs)
+    assert not result.consistent
+    u = result.certificate
+    assert u and set(u) <= set(middle)
+    assert is_zero_vector(matrix.left_apply(u))
+    assert not dot(u, rhs, arity).is_zero
+    assert_certificate(matrix, rhs, result)
 
 
 def test_solve_zero_row_with_nonzero_rhs():
