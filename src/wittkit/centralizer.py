@@ -29,10 +29,9 @@ rather than rerun it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, BadArity, BadK, PairOutsideBox, SelfCheckFailed
 from .linalg import (
@@ -91,7 +90,7 @@ class TruncatedSpace:
                 support[alpha] = support[alpha] + cartan
             else:
                 support[alpha] = cartan
-        return WittElement(algebra.m, support)
+        return WittElement(algebra.m, support, algebra.field.arity)
 
     def coordinates_of(self, x: WittElement) -> Dict[int, Scalar]:
         """Coordinates in this basis; PairOutsideBox if x does not fit."""
@@ -190,8 +189,7 @@ def ad_matrix(z: WittElement, space: TruncatedSpace) -> Tuple[ScalarMatrix, List
     return matrix, ordered_keys
 
 
-@dataclass
-class CentralizerResult:
+class CentralizerResult(NamedTuple):
     """Kernel of ad(z) on a truncated space, as elements."""
 
     space: TruncatedSpace
@@ -311,8 +309,7 @@ def predicted_centralizer_4_1(algebra: WittAlgebra, k: int, box: int) -> List[Wi
     return [e for _, e in shifts] + [e for _, _, e in h_family]
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Uniform pass/fail payload for the lemma verifiers."""
 
     lemma: str

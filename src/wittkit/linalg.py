@@ -34,9 +34,8 @@ rows already reduced to residues, and the one F_p elimination here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DenominatorVanishes, LengthMismatch
 from .scalars import Scalar
@@ -285,8 +284,7 @@ def rank(matrix: ScalarMatrix) -> int:
     return len(_canonical_rref(matrix.rows))
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of an exact linear solve A x = b.
 
     Exactly one of `solution` and `certificate` is set.  The certificate

@@ -30,17 +30,16 @@ inverse on canonical forms.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DivisionByZero, ParseError
 from .scalars import Scalar, ScalarField
 from .witt import CartanElement, Exponent, WittAlgebra, WittElement
 
 
-class _Token(NamedTuple):
-    kind: str  # "int" | "ident" | "op" | "end"
-    text: str
-    pos: int
+# A token is a plain (kind, text, position) tuple, kind one of "int",
+# "ident", "op" and "end".
+_Token = Tuple[str, str, int]
 
 
 # One alternative per token kind, then whitespace, then any other
@@ -69,8 +68,8 @@ def _tokenize(text: str) -> List[_Token]:
         if kind == 4:
             raise ParseError(f"unexpected character {match.group()!r}", match.start())
         if kind:
-            tokens.append(_Token(_KINDS[kind], match.group(), match.start()))
-    tokens.append(_Token("end", "", len(text)))
+            tokens.append((_KINDS[kind], match.group(), match.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -131,8 +130,8 @@ class _Parser:
         return tok
 
     def at_op(self, chars: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in chars
+        kind, text, _ = self.tokens[self.i]
+        return kind == "op" and text in chars
 
     def exponent(self) -> int:
         """The optional '^' ['-'] INT after a variable; 1 when absent."""
@@ -142,10 +141,10 @@ class _Parser:
         negative = self.at_op("-")
         if negative:
             self.advance()
-        tok = self.advance()
-        if tok.kind != "int":
-            raise ParseError("expected an integer", tok.pos, ("integer",))
-        return -int(tok.text) if negative else int(tok.text)
+        kind, text, pos = self.advance()
+        if kind != "int":
+            raise ParseError("expected an integer", pos, ("integer",))
+        return -int(text) if negative else int(text)
 
     def expression(self) -> _Poly:
         value, _ = self.product()
@@ -160,64 +159,64 @@ class _Parser:
         """A signed product and, given the algebra, the direction ending it, if any."""
         negative = False
         while self.at_op("+-"):
-            negative ^= self.advance().text == "-"
+            negative ^= self.advance()[1] == "-"
         num, den, mu, t = -1 if negative else 1, 1, [0] * self.field.arity, [0] * self.rank
         groups: Optional[_Poly] = None
-        slash = direction = None  # slash: the '/' before the current factor
+        slash = direction = None  # slash: position of the '/' before the current factor
         while True:
-            tok = self.advance()
-            idx = _index(tok.text) if tok.kind == "ident" else None
-            if tok.kind == "int":
-                value = int(tok.text)
+            kind, text, pos = self.advance()
+            idx = _index(text) if kind == "ident" else None
+            if kind == "int":
+                value = int(text)
                 if slash is None:
                     num *= value
                 elif value:
                     den *= value
                 else:
                     raise DivisionByZero("inverting the zero scalar")
-            elif algebra is not None and slash is None and tok.text == "dmu":
+            elif algebra is not None and slash is None and text == "dmu":
                 direction = [(j, self.field.mu(j + 1)) for j in range(algebra.n)]
                 break
-            elif algebra is not None and slash is None and idx is not None and tok.text[0] == "d":
+            elif algebra is not None and slash is None and idx is not None and text[0] == "d":
                 if not 1 <= idx <= algebra.m:
-                    raise ParseError(f"d index {idx} out of range 1..{algebra.m}", tok.pos)
+                    raise ParseError(f"d index {idx} out of range 1..{algebra.m}", pos)
                 direction = [(idx - 1, self.field.one())]
                 break
-            elif idx is not None and tok.text[0] == "t" and self.rank:
+            elif idx is not None and text[0] == "t" and self.rank:
                 if not 1 <= idx <= self.rank:
-                    raise ParseError(f"t index {idx} out of range 1..{self.rank}", tok.pos)
+                    raise ParseError(f"t index {idx} out of range 1..{self.rank}", pos)
                 e = self.exponent()
                 if slash is not None and e:
-                    raise ParseError("divisor must be a scalar", slash.pos)
+                    raise ParseError("divisor must be a scalar", slash)
                 t[idx - 1] += e
-            elif tok.kind == "ident":
-                if tok.text not in self.field.names:
-                    raise ParseError(f"unknown scalar variable {tok.text!r}", tok.pos)
+            elif kind == "ident":
+                if text not in self.field.names:
+                    raise ParseError(f"unknown scalar variable {text!r}", pos)
                 e = self.exponent()
-                mu[self.field.names.index(tok.text)] += e if slash is None else -e
-            elif tok.text == "(":
+                mu[self.field.names.index(text)] += e if slash is None else -e
+            elif text == "(":
                 self.depth += 1
                 if self.depth > MAX_NESTING:
-                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
+                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
                 value = self.expression()
-                close = self.advance()
-                if close.text != ")":
-                    shown = "end of input" if close.kind == "end" else repr(close.text)
-                    raise ParseError(f"found {shown}", close.pos, (")",))
+                kind, text, pos = self.advance()
+                if text != ")":
+                    shown = "end of input" if kind == "end" else repr(text)
+                    raise ParseError(f"found {shown}", pos, (")",))
                 self.depth -= 1
                 if slash is not None:
                     if any(exp != self.zero_exp for exp in value):
-                        raise ParseError("divisor must be a scalar", slash.pos)
+                        raise ParseError("divisor must be a scalar", slash)
                     value = {self.zero_exp: value.get(self.zero_exp, self.field.zero()).inverse()}
                 groups = value if groups is None else _multiply(groups, value)
             else:
-                shown = "end of input" if tok.kind == "end" else repr(tok.text)
-                raise ParseError(f"expected a factor, found {shown}", tok.pos,
+                shown = "end of input" if kind == "end" else repr(text)
+                raise ParseError(f"expected a factor, found {shown}", pos,
                                  ("integer", "variable", "t<i>", "("))
             if not self.at_op("*/"):
                 break
-            op = self.advance()
-            slash = op if op.text == "/" else None
+            _, op, pos = self.advance()
+            slash = pos if op == "/" else None
         if not num:
             return {}, direction
         coeff = Scalar.monomial(num, den, mu)
@@ -231,23 +230,23 @@ class _Parser:
         support: Dict[Exponent, List[Optional[Scalar]]] = {}
         while True:
             value, direction = self.product(algebra)
-            tok = self.peek()
-            terminal = tok.kind == "end" or self.at_op("+-")
+            kind, text, pos = self.peek()
+            terminal = kind == "end" or self.at_op("+-")
             if direction is None and (value or not terminal):
-                raise ParseError("term must end with a direction", tok.pos, ("*", "d<i>", "dmu"))
+                raise ParseError("term must end with a direction", pos, ("*", "d<i>", "dmu"))
             for exponent, coeff in value.items():  # none when there is no direction
                 coeffs = support.setdefault(exponent, [None] * algebra.m)
                 for j, b in direction:
                     term = _times(coeff, b)
                     coeffs[j] = term if coeffs[j] is None else coeffs[j] + term
-            if tok.kind == "end":
+            if kind == "end":
                 break
             if not terminal:
-                raise ParseError(f"found {tok.text!r}", tok.pos, ("+", "-", "end of input"))
+                raise ParseError(f"found {text!r}", pos, ("+", "-", "end of input"))
         zero = self.field.zero()
         return WittElement(algebra.m, {
             exponent: CartanElement(tuple(zero if c is None else c for c in coeffs))
-            for exponent, coeffs in support.items()})
+            for exponent, coeffs in support.items()}, self.field.arity)
 
 
 def parse_element(text: str, algebra: WittAlgebra) -> WittElement:
@@ -259,7 +258,7 @@ def parse_scalar(text: str, field: ScalarField) -> Scalar:
     """Parse scalar text: an expression without t variables or directions."""
     parser = _Parser(text, field, 0)
     value = parser.expression()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos, ("end of input",))
+    kind, text, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {text!r}", pos, ("end of input",))
     return value.get((), field.zero())

@@ -21,9 +21,8 @@ coefficient as a multiple of its c_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .centralizer import TruncatedSpace, VerificationReport, _ad_entries, _same, lemma_4_1_families
 from .errors import (
@@ -169,8 +168,7 @@ def _certificate_problem(space: TruncatedSpace,
     return None
 
 
-@dataclass
-class InnerSolveResult:
+class InnerSolveResult(NamedTuple):
     """Outcome of solving [a, x_q] = y_q over a in a box.
 
     Exactly one of solution and certificate is set.  The homogeneous
@@ -346,8 +344,7 @@ def realize_in_span(algebra: WittAlgebra, span: Sequence[WittElement], x: WittEl
     return b
 
 
-@dataclass
-class ResidualRecord:
+class ResidualRecord(NamedTuple):
     """One probe's leftover after subtracting ad(recovered_a)."""
 
     probe: WittElement
@@ -360,8 +357,7 @@ class ResidualRecord:
         return self.realizer is not None
 
 
-@dataclass
-class RigidityReport:
+class RigidityReport(NamedTuple):
     """Verdict of the pipeline on one probe table.
 
     verdict is "inner" (every residual is realizable inside the common
@@ -600,8 +596,7 @@ def verify_lemma_3_2(x: WittElement, box: int = 2) -> VerificationReport:
         "3.2", {"n": n, "x": algebra.format(x), "box": box}, passed, data)
 
 
-@dataclass
-class ObstructionData:
+class ObstructionData(NamedTuple):
     """Bracket [c*(t_1+...+t_n)d_mu, (t_1^k+...+t_n^k)d_mu] with symbolic c.
 
     probe_coefficient is read off the single product

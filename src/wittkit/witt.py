@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -53,22 +52,38 @@ class VariantKind(enum.Enum):
     WN_MU = "wnmu"
 
 
-@dataclass(frozen=True)
 class AlgebraVariant:
-    """Which algebra we are working in: kind plus ranks n <= m."""
+    """Which algebra we are working in: kind plus ranks n <= m; immutable and hashable."""
 
-    kind: VariantKind
-    n: int
-    m: int
+    __slots__ = ("kind", "n", "m")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise BadArity(f"need n >= 1, got {self.n}")
-        if self.kind is VariantKind.W_INF_TRUNC:
-            if not self.n < self.m:
-                raise BadArity(f"winf needs n < m, got n={self.n}, m={self.m}")
-        elif self.n != self.m:
-            raise BadArity(f"{self.kind.value} needs n == m, got n={self.n}, m={self.m}")
+    def __init__(self, kind: VariantKind, n: int, m: int):
+        if n < 1:
+            raise BadArity(f"need n >= 1, got {n}")
+        if kind is VariantKind.W_INF_TRUNC:
+            if not n < m:
+                raise BadArity(f"winf needs n < m, got n={n}, m={m}")
+        elif n != m:
+            raise BadArity(f"{kind.value} needs n == m, got n={n}, m={m}")
+        for name, value in (("kind", kind), ("n", n), ("m", m)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.n, self.m) == (other.kind, other.n, other.m)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.n, self.m))
+
+    def __repr__(self) -> str:
+        return f"AlgebraVariant(kind={self.kind!r}, n={self.n!r}, m={self.m!r})"
 
     @classmethod
     def wn(cls, n: int) -> "AlgebraVariant":
@@ -182,9 +197,9 @@ class CartanElement:
 class WittElement:
     """Sparse element: exponent alpha -> Cartan coefficient, zero terms pruned."""
 
-    __slots__ = ("m", "support", "_hash")
+    __slots__ = ("m", "support", "_hash", "_arity")
 
-    def __init__(self, m: int, support: Dict[Exponent, CartanElement]):
+    def __init__(self, m: int, support: Dict[Exponent, CartanElement], arity: int = 0):
         self.m = m
         pruned = {}
         for alpha, cartan in support.items():
@@ -194,10 +209,12 @@ class WittElement:
                 pruned[alpha] = cartan
         self.support = pruned
         self._hash: Optional[int] = None
+        # the scalar arity: the given coefficients', else `arity`; a zero element keeps it
+        self._arity = next(iter(support.values())).coeffs[0].arity if support else arity
 
     @classmethod
-    def zero(cls, m: int) -> "WittElement":
-        return cls(m, {})
+    def zero(cls, m: int, arity: int = 0) -> "WittElement":
+        return cls(m, {}, arity)
 
     @property
     def is_zero(self) -> bool:
@@ -211,34 +228,29 @@ class WittElement:
         self._check(other)
         support = dict(self.support)
         for alpha, cartan in other.support.items():
-            if alpha in support:
-                support[alpha] = support[alpha] + cartan
-            else:
-                support[alpha] = cartan
-        return WittElement(self.m, support)
+            support[alpha] = support[alpha] + cartan if alpha in support else cartan
+        return WittElement(self.m, support, max(self._arity, other._arity))
 
     def __sub__(self, other: "WittElement") -> "WittElement":
         return self + -other
 
     def __neg__(self) -> "WittElement":
-        return WittElement(self.m, {a: -c for a, c in self.support.items()})
+        return WittElement(self.m, {a: -c for a, c in self.support.items()}, self._arity)
 
     def scale(self, scalar: Scalar) -> "WittElement":
-        if scalar.is_zero:
-            return WittElement.zero(self.m)
-        return WittElement(self.m, {a: c.scale(scalar) for a, c in self.support.items()})
+        support = {} if scalar.is_zero else {a: c.scale(scalar) for a, c in self.support.items()}
+        return WittElement(self.m, support, self._arity)
 
     def translate(self, gamma: Exponent) -> "WittElement":
         """Multiply by the monomial t^gamma."""
         if len(gamma) != self.m:
             raise LengthMismatch(f"exponent length {len(gamma)} != {self.m}")
-        return WittElement(
-            self.m,
-            {tuple(a + g for a, g in zip(alpha, gamma)): c for alpha, c in self.support.items()},
-        )
+        support = {tuple(a + g for a, g in zip(alpha, gamma)): c
+                   for alpha, c in self.support.items()}
+        return WittElement(self.m, support, self._arity)
 
     def lift(self, arity: int) -> "WittElement":
-        return WittElement(self.m, {a: c.lift(arity) for a, c in self.support.items()})
+        return WittElement(self.m, {a: c.lift(arity) for a, c in self.support.items()}, arity)
 
     def coefficient(self, alpha: Exponent, i: int) -> Scalar:
         """Coefficient of t^alpha d_i (0-based i)."""
@@ -248,9 +260,7 @@ class WittElement:
         return cartan.coeffs[i]
 
     def scalar_arity(self) -> int:
-        for cartan in self.support.values():
-            return cartan.coeffs[0].arity
-        return 0
+        return self._arity
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WittElement):
@@ -281,11 +291,8 @@ def bracket(x: WittElement, y: WittElement) -> WittElement:
                 term = da.scale(-b_alpha)
             else:
                 term = db.scale(a_beta) + da.scale(-b_alpha)
-            if gamma in acc:
-                acc[gamma] = acc[gamma] + term
-            else:
-                acc[gamma] = term
-    return WittElement(x.m, acc)
+            acc[gamma] = acc[gamma] + term if gamma in acc else term
+    return WittElement(x.m, acc, max(x._arity, y._arity))
 
 
 def bracket_monomial_rule(x: WittElement, y: WittElement) -> WittElement:
@@ -390,7 +397,7 @@ class WittAlgebra:
     # -- constructors ---------------------------------------------------
 
     def zero(self) -> WittElement:
-        return WittElement.zero(self.m)
+        return WittElement.zero(self.m, self.field.arity)
 
     def d(self, i: int) -> WittElement:
         """d_i, 1-based."""

@@ -209,7 +209,9 @@ def q_gcd(a, b):
         if max(_q_parts(r0, var)) < max(_q_parts(r1, var)):
             r0, r1 = r1, r0
         rem = _q_pseudo_rem(r0, r1, var)
-        r0, r1 = r1, rem if rem.is_zero else _q_exact_div(rem, _q_content_in(rem, var))
+        # primitive over Q too: rational constants are units, and the PRS swells without it
+        r0, r1 = r1, (rem if rem.is_zero
+                      else _q_primitive(_q_exact_div(rem, _q_content_in(rem, var))))
     return _q_primitive(cont * r0 if max(_q_parts(r0, var)) else cont)
 
 

@@ -43,21 +43,27 @@ COMMANDS = {
                       "-(t1 - mu2*t2)/(mu1 + 1)*t2^-2*dmu + (1 + t1)*(1 + t1)*dmu"],
     "bracket": ["bracket", "--arity", "2", "t1^2*t2^-1*d1", "(t1^3 + t2^3)*dmu"],
     "centralize": ["centralize", "--arity", "2", "--box", "1", "(t1 + t2)*dmu"],
-    # every component of full column rank
+    # Shapes below are ad(z)'s rows x columns on the box.  Every centralize-*
+    # kernel but centralize-wnplus's is certified over F_p at a specialisation
+    # point; centralize-wnplus falls back to the exact `kernel` over Q(mu).
+    # The three bare digest strings in this dict repeat DIGESTS; the argv
+    # lists of the same names further down replace them.
+    # ad(z) of full column rank (113x50): the kernel is empty
     "centralize-affine-coefficient":
         "813abeddc394bc66b37a996ee2b8913bdf9b73ec1a0fb407450108ade48ff58a",
     "centralize-full-rank": ["centralize", "--arity", "2", "--box", "2",
                              "(t1^3 + t2^3)*dmu + 2*t1*t2^-1*d1"],
-    # one 18-column component with a kernel
+    # 32x18 with a one-dimensional kernel
     "centralize-kernel-component": ["centralize", "--arity", "2", "--box", "1",
                                     "(t1 + t2)*dmu + 3*t1*t2^-1*d1"],
-    # full-rank components beside one with a kernel
+    # 93x50, rank one short of full
     "centralize-mixed": ["centralize", "--arity", "2", "--box", "2",
                          "(t1^2 + t2^2)*dmu + 2*t1*t2^-1*d1"],
-    # one 98-column component with a kernel
+    # 137x98 at box 3, rank one short of full
     "centralize-large-component": ["centralize", "--arity", "2", "--box", "3",
                                    "(t1 + t2)*dmu + t1*t2^-1*d1"],
-    # one 96x50 component whose fraction-free elimination swelled past 200 s
+    # 96x50 with rational coefficients, which a fraction-free elimination
+    # once swelled past 200 s
     "centralize-outside-box":
         "34c90d92a90b862069964cee664f995d33ce64d48752a9a6f3036092c373f975",
     "centralize-swell": ["centralize", "--arity", "2", "--box", "2",
@@ -98,8 +104,9 @@ COMMANDS = {
 }
 
 # Recorded before the diagonal-anchor solve replaced the stacked one; the
-# three centralize-* digests of W_n before the full-rank check mod p was
-# added to kernel and rank, and the wnmu and wnplus ones before ad_matrix
+# three centralize-* digests of W_n before kernel and rank had an F_p
+# full-rank check (since deleted: one row-by-row echelon over Q(mu) now
+# serves kernel, rank and solve), and the wnmu and wnplus ones before ad_matrix
 # was built from structure constants instead of one bracket per column;
 # lemma4.4 at its default box and centralize-large-component before the
 # fraction-free elimination gave way to the canonical RREF pass alone.

@@ -346,7 +346,7 @@ def test_element_text_parses_to_its_tree(fraction_oracle, tree):
 @given(expressions(3, False))
 def test_scalar_text_parses_to_its_tree(fraction_oracle, tree):
     text, value = tree
-    expected = value.support[(0, 0)].coeffs[0] if value.support else FIELD.zero()
+    expected = value.coefficient((0, 0), 0)
     parsed = parse_scalar(text, FIELD)
     assert parsed == expected
     _assert_canonical(parsed, fraction_oracle)

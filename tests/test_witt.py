@@ -12,6 +12,7 @@ from wittkit import (
     MU_DIRECTION,
     AlgebraVariant,
     ArityMismatch,
+    BadArity,
     CartanElement,
     ScalarField,
     WittAlgebra,
@@ -22,6 +23,7 @@ from wittkit import (
     check_bilinearity,
     check_closure,
     check_jacobi,
+    parse_element,
     proportional,
 )
 from wittkit.witt import VariantKind, iter_basis_pairs
@@ -251,3 +253,36 @@ def test_truncated_variant_membership():
     x = winf.monomial((1, 0, 2, -1), 3)
     assert winf.member(x)
     assert x.m == 4
+
+
+def test_algebra_variant_is_an_immutable_value():
+    # The repr is pinned: tests/test_centralizer.py seeds its trials with it.
+    assert repr(AlgebraVariant.wn(2)) == "AlgebraVariant(kind=<VariantKind.WN: 'wn'>, n=2, m=2)"
+    assert repr(AlgebraVariant.winf(1, 3)) == (
+        "AlgebraVariant(kind=<VariantKind.W_INF_TRUNC: 'winf'>, n=1, m=3)")
+    a, b = AlgebraVariant.winf(1, 3), AlgebraVariant(VariantKind.W_INF_TRUNC, 1, 3)
+    assert a == b and hash(a) == hash(b) and len({a, b, AlgebraVariant.wn(2)}) == 2
+    assert a != AlgebraVariant.winf(1, 4) and a != AlgebraVariant.wnplus(1)
+    assert a != (VariantKind.W_INF_TRUNC, 1, 3)
+    with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
+        a.n = 2
+    with pytest.raises(AttributeError, match="cannot delete field 'm'"):
+        del a.m
+    assert (a.kind, a.n, a.m) == (VariantKind.W_INF_TRUNC, 1, 3)
+    with pytest.raises(BadArity, match="winf needs n < m, got n=2, m=2"):
+        AlgebraVariant.winf(2, 2)
+    with pytest.raises(BadArity, match="need n >= 1, got 0"):
+        AlgebraVariant.wn(0)
+    with pytest.raises(BadArity, match="wnmu needs n == m, got n=1, m=2"):
+        AlgebraVariant(VariantKind.WN_MU, 1, 2)
+
+
+def test_zero_element_keeps_the_scalar_arity():
+    zero = W2.field.zero()
+    x = W2.monomial((1, 0), 1)
+    for z in [W2.zero(), x - x, x.scale(zero), W2.zero().scale(W2.field.mu(1)),
+              -W2.zero(), W2.zero().translate((1, 1)), bracket(W2.d(1), W2.d(2)),
+              bracket(W2.zero(), W2.zero()), W2.zero() + W2.zero(),
+              parse_element("0", W2), parse_element("d1 - d1", W2)]:
+        assert z.is_zero and z.coefficient((0, 0), 0) == zero, z
+    assert W1.zero().lift(3).coefficient((0,), 0) == ScalarField(3).zero()
