@@ -397,11 +397,11 @@ class Scalar:
         if not num:
             return cls.zero(arity)
         g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-        num_poly = MuPolynomial(arity, {tuple([e if e > 0 else 0 for e in exponents]): num // g})
         if den == g and min(exponents, default=0) >= 0:
-            return _make(num_poly, _one_poly(arity))
+            return _make(MuPolynomial(arity, {tuple(exponents): num // g}), _one_poly(arity))
+        pos = tuple([e if e > 0 else 0 for e in exponents])
         neg = tuple([-e if e < 0 else 0 for e in exponents])
-        return _make(num_poly, MuPolynomial(arity, {neg: den // g}))
+        return _make(MuPolynomial(arity, {pos: num // g}), MuPolynomial(arity, {neg: den // g}))
 
     @classmethod
     def zero(cls, arity: int) -> "Scalar":
@@ -547,30 +547,32 @@ def _make(num: MuPolynomial, den: MuPolynomial) -> Scalar:
     return scalar
 
 
-def _format_monomial(mono: Monomial, names: Sequence[str]) -> str:
-    parts = []
-    for name, e in zip(names, mono):
-        if e == 1:
-            parts.append(name)
-        elif e:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
-
-
 def format_polynomial(poly: MuPolynomial, names: Sequence[str]) -> str:
+    return _format_over(poly, 1, names)
+
+
+def _format_over(poly: MuPolynomial, over: int, names: Sequence[str]) -> str:
+    """poly / over for an int over > 0, each coefficient "p/q" in lowest terms or "p",
+    read off the ints; at over == 1 any coefficient prints with str(), a Fraction too."""
     if poly.is_zero:
         return "0"
+    terms = poly.terms
     pieces = []
-    for mono in sorted(poly.terms, key=_grlex_key, reverse=True):
-        coeff = poly.terms[mono]
-        mono_str = _format_monomial(mono, names)
+    for mono in sorted(terms, key=_grlex_key, reverse=True) if len(terms) > 1 else terms:
+        coeff = terms[mono]
         mag = abs(coeff)
+        if over == 1:
+            mag_text = str(mag)
+        else:
+            g = math.gcd(mag, over)
+            mag_text = str(mag // g) if g == over else f"{mag // g}/{over // g}"
+        mono_str = "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono) if e])
         if not mono_str:
-            body = str(mag)
-        elif mag == 1:
+            body = mag_text
+        elif mag_text == "1":
             body = mono_str
         else:
-            body = f"{mag}*{mono_str}"
+            body = f"{mag_text}*{mono_str}"
         if not pieces:
             pieces.append(body if coeff > 0 else "-" + body)
         else:
@@ -582,11 +584,9 @@ def format_scalar(scalar: Scalar, names: Sequence[str]) -> str:
     """num over den's integer content, then "(num)/(den)" unless den is constant."""
     num, den = scalar.num, scalar.den
     c = math.gcd(*den.terms.values())
-    if c != 1:
-        num = MuPolynomial(num.arity, {m: Fraction(v, c) for m, v in num.terms.items()})
     if den.is_constant():
-        return format_polynomial(num, names)
-    return f"({format_polynomial(num, names)})/({format_polynomial(den._quo(c), names)})"
+        return _format_over(num, c, names)
+    return f"({_format_over(num, c, names)})/({_format_over(den, c, names)})"
 
 
 class ScalarField:

@@ -152,7 +152,9 @@ class CartanElement:
                                    for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CartanElement") -> "CartanElement":
-        return self + -other
+        self._check(other)
+        return CartanElement(tuple(-b if a.is_zero else a if b.is_zero else a - b
+                                   for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CartanElement":
         return CartanElement(tuple(-a for a in self.coeffs))
@@ -232,7 +234,12 @@ class WittElement:
         return WittElement(self.m, support, max(self._arity, other._arity))
 
     def __sub__(self, other: "WittElement") -> "WittElement":
-        return self + -other
+        # self + -other's support order: row order picks `_inconsistent`'s certificate
+        self._check(other)
+        support = dict(self.support)
+        for alpha, cartan in other.support.items():
+            support[alpha] = support[alpha] - cartan if alpha in support else -cartan
+        return WittElement(self.m, support, max(self._arity, other._arity))
 
     def __neg__(self) -> "WittElement":
         return WittElement(self.m, {a: -c for a, c in self.support.items()}, self._arity)
@@ -533,39 +540,29 @@ def check_monomial_rule_agreement(x: WittElement, y: WittElement) -> Optional[st
 
 # ----------------------------------------------------------------------
 # Canonical text form.  Terms are sorted by (exponent, direction); each
-# term is  [scalar*] t1^e1*...*d_i  with zero exponents dropped.  The
-# output parses back to an equal element.
-
-
-def _scalar_prefix(scalar: Scalar, names: Sequence[str]) -> Tuple[bool, str]:
-    """(negative, body) where body omits the sign and a bare 1."""
-    if scalar.den.is_constant() and len(scalar.num.terms) == 1:
-        (_, coeff), = scalar.num.terms.items()
-        negative = coeff < 0
-        body = format_scalar(-scalar if negative else scalar, names)
-        return negative, "" if body == "1" else body
-    return False, "(" + format_scalar(scalar, names) + ")"
+# term is  [scalar*] t1^e1*...*d_i  with zero exponents dropped, its sign
+# read off the scalar's text and a scalar that is a sum or a quotient of
+# polynomials bracketed.  The output parses back to an equal element.
 
 
 def format_element(x: WittElement, field: ScalarField) -> str:
     if x.is_zero:
         return "0"
-    names = field.names
     pieces = []
     for alpha in sorted(x.support):
-        cartan = x.support[alpha]
-        t_part = "*".join(
-            f"t{j + 1}^{e}" if e != 1 else f"t{j + 1}"
-            for j, e in enumerate(alpha)
-            if e
-        )
-        for i, coeff in enumerate(cartan.coeffs):
+        t_part = "".join([f"t{j}*" if e == 1 else f"t{j}^{e}*"
+                          for j, e in enumerate(alpha, 1) if e])
+        for i, coeff in enumerate(x.support[alpha].coeffs, 1):
             if coeff.is_zero:
                 continue
-            negative, prefix = _scalar_prefix(coeff, names)
-            body = "*".join(p for p in (prefix, t_part, f"d{i + 1}") if p)
-            if not pieces:
-                pieces.append(("-" if negative else "") + body)
-            else:
+            text = format_scalar(coeff, field.names)
+            if len(coeff.num.terms) > 1 or text[0] == "(":  # a sum, or "(num)/(den)"
+                text = f"({text})"
+            negative = text[0] == "-"
+            prefix = text[1:] if negative else text
+            body = f"{t_part}d{i}" if prefix == "1" else f"{prefix}*{t_part}d{i}"
+            if pieces:
                 pieces.append(("- " if negative else "+ ") + body)
+            else:
+                pieces.append(("-" if negative else "") + body)
     return " ".join(pieces)

@@ -46,11 +46,7 @@ COMMANDS = {
     # Shapes below are ad(z)'s rows x columns on the box.  Every centralize-*
     # kernel but centralize-wnplus's is certified over F_p at a specialisation
     # point; centralize-wnplus falls back to the exact `kernel` over Q(mu).
-    # The three bare digest strings in this dict repeat DIGESTS; the argv
-    # lists of the same names further down replace them.
     # ad(z) of full column rank (113x50): the kernel is empty
-    "centralize-affine-coefficient":
-        "813abeddc394bc66b37a996ee2b8913bdf9b73ec1a0fb407450108ade48ff58a",
     "centralize-full-rank": ["centralize", "--arity", "2", "--box", "2",
                              "(t1^3 + t2^3)*dmu + 2*t1*t2^-1*d1"],
     # 32x18 with a one-dimensional kernel
@@ -64,18 +60,14 @@ COMMANDS = {
                                    "(t1 + t2)*dmu + t1*t2^-1*d1"],
     # 96x50 with rational coefficients, which a fraction-free elimination
     # once swelled past 200 s
-    "centralize-outside-box":
-        "34c90d92a90b862069964cee664f995d33ce64d48752a9a6f3036092c373f975",
     "centralize-swell": ["centralize", "--arity", "2", "--box", "2",
                          "(3/7)*t2*d1 + (t1^2+t2^2)*dmu + (5/11)*t1*t2^-1*d2"],
     # rational-function coefficients on d_mu columns
-    "centralize-vanishing-coefficient":
-        "46fef0dd4c1c3044daff9ad934d493004e5655522d0c36786f40aa087cf0617d",
     "centralize-wnmu": ["centralize", "--arity", "2", "--variant", "wnmu", "--box", "1",
                         "t1*dmu + mu1/(mu2 + 1)*t2^-1*dmu"],
     "centralize-wnplus": ["centralize", "--arity", "2", "--variant", "wnplus", "--box", "2",
                           "t1^-1*d1 + t2*d2"],
-    # the d1 coefficient mu1 + 3 at t2 is an integer at every point, which sets mu1 = 1
+    # the d1 coefficient mu1 + 3 at t2 is an integer at every point
     "centralize-affine-coefficient": ["centralize", "--arity", "2", "--box", "3",
                                       "(t1+t2)*dmu + 3*t2*d1"],
     # z outside the box: the kernel is spanned by columns ad(z) sends to zero

@@ -102,13 +102,67 @@ def test_decimal_digits_of_any_script_parse():
     assert parse_element("t\u0661*d1", W2) == W2.monomial((1, 0), 1)
 
 
+# Exact text of each ParseError, recorded before the parser took one token
+# per factor.  Element texts parse in W2 unless they hold "dmu" (then in
+# WMU); "scalar:" texts go through parse_scalar.
+PARSE_ERROR_TEXT = {
+    "t1*d3": "d index 3 out of range 1..2 (at position 3)",
+    "d0": "d index 0 out of range 1..2 (at position 0)",
+    "t3*d1": "t index 3 out of range 1..2 (at position 0)",
+    "t1": "term must end with a direction (at position 2) expected one of: *, d<i>, dmu",
+    "t1*": "expected a factor, found end of input (at position 3)"
+           " expected one of: integer, variable, t<i>, (",
+    "(t1+t2": "found end of input (at position 6) expected one of: )",
+    "d1 +": "expected a factor, found end of input (at position 4)"
+            " expected one of: integer, variable, t<i>, (",
+    "q*w": "unknown scalar variable 'q' (at position 0)",
+    "": "expected a factor, found end of input (at position 0)"
+        " expected one of: integer, variable, t<i>, (",
+    "t1^x*d1": "expected an integer (at position 3) expected one of: integer",
+    "2*2": "term must end with a direction (at position 3) expected one of: *, d<i>, dmu",
+    "mu3*d1": "unknown scalar variable 'mu3' (at position 0)",
+    "d1/t1": "found '/' (at position 2) expected one of: +, -, end of input",
+    "d1/(t1 + 1)": "found '/' (at position 2) expected one of: +, -, end of input",
+    "d1/0": "found '/' (at position 2) expected one of: +, -, end of input",
+    "2/t1*d1": "divisor must be a scalar (at position 1)",
+    "1/(t1 + 1)*d1": "divisor must be a scalar (at position 1)",
+    "t\u2081*d1": "unknown scalar variable 't\u2081' (at position 0)",
+    "t1^\u00b2*d1": "expected an integer (at position 3) expected one of: integer",
+    "\u00b2*d1": "unknown scalar variable '\u00b2' (at position 0)",
+    "t1*d\u00b2": "unknown scalar variable 'd\u00b2' (at position 3)",
+    "mu\u2081*d1": "unknown scalar variable 'mu\u2081' (at position 0)",
+    "d1 + t9*d1": "t index 9 out of range 1..2 (at position 5)",
+    "t1 ^ - x*d1": "expected an integer (at position 7) expected one of: integer",
+    "t1 ^ -- 2*d1": "expected an integer (at position 6) expected one of: integer",
+    "t1^-": "expected an integer (at position 4) expected one of: integer",
+    "mu1 ^": "expected an integer (at position 5) expected one of: integer",
+    "t1 ^ 2 ^ 3*d1": "term must end with a direction (at position 7)"
+                     " expected one of: *, d<i>, dmu",
+    "d1 ^ 2": "found '^' (at position 3) expected one of: +, -, end of input",
+    "dmu ^ -1": "found '^' (at position 4) expected one of: +, -, end of input",
+    "(t1 t2)*d1": "found 't2' (at position 4) expected one of: )",
+    "d1 t1^2": "found 't1' (at position 3) expected one of: +, -, end of input",
+    "d1 + $": "unexpected character '$' (at position 5)",
+    "t1 ^ -x*d1 + _": "unexpected character '_' (at position 13)",
+    ")": "expected a factor, found ')' (at position 0)"
+         " expected one of: integer, variable, t<i>, (",
+    "scalar:t1": "unknown scalar variable 't1' (at position 0)",
+    "scalar:mu1 mu2^2": "unexpected trailing input 'mu2' (at position 4)"
+                        " expected one of: end of input",
+    "scalar:mu1 ^ -": "expected an integer (at position 7) expected one of: integer",
+    "scalar:(mu1": "found end of input (at position 4) expected one of: )",
+}
+
+
 def test_error_position_reported():
-    try:
-        parse_element("d1 + t9*d1", W2)
-    except ParseError as err:
-        assert "position" in str(err) or err.pos >= 4
-    else:  # pragma: no cover
-        raise AssertionError("expected ParseError")
+    for text, message in PARSE_ERROR_TEXT.items():
+        with pytest.raises(ParseError) as caught:
+            if text.startswith("scalar:"):
+                parse_scalar(text[len("scalar:"):], W2.field)
+            else:
+                parse_element(text, WMU if "dmu" in text else W2)
+        assert str(caught.value) == message, text
+        assert caught.value.position == int(message.split("(at position ")[1].split(")")[0])
 
 
 def test_parse_scalar():
@@ -240,11 +294,20 @@ def test_products_of_sums_collect_like_terms(monkeypatch):
 
 # Random expression trees, rendered as text beside their value built with
 # WittElement arithmetic.  A Laurent polynomial p in t is held as p*d1.
+# Elements are drawn in W2, in W2(mu), in W3 and in winf(2, 3), where dmu
+# covers only the first two of three directions.
 
 FIELD = W2.field
+ALGEBRAS = [W2, WMU, WittAlgebra(AlgebraVariant.wn(3)),
+            WittAlgebra(AlgebraVariant.winf(2, 3))]
 sign_runs = st.lists(st.sampled_from("+-"), max_size=3).map("".join)
-DIVISORS = {"2": FIELD.from_int(2), "3": FIELD.from_int(3), "6": FIELD.from_int(6),
-            "mu1": FIELD.mu(1), "mu2": FIELD.mu(2), "(mu1 + mu2)": FIELD.mu(1) + FIELD.mu(2)}
+spaces = st.sampled_from(["", "", " "])
+
+
+def _divisors(field):
+    mu1, mu2 = field.mu(1), field.mu(2)
+    return {"2": field.from_int(2), "3": field.from_int(3), "6": field.from_int(6),
+            "mu1": mu1, "mu2": mu2, "(mu1 + mu2)": mu1 + mu2}
 
 
 def _assert_canonical(scalar, oracle):
@@ -256,94 +319,111 @@ def _assert_canonical(scalar, oracle):
     assert den.terms[max(den.terms, key=lambda mono: (sum(mono), mono))] > 0
 
 
-def _times(p, x):
+def _times(algebra, p, x):
     """p*x for a Laurent polynomial p held as p*d1 and any element x."""
-    total = W2.zero()
+    total = algebra.zero()
     for exponent, cartan in p.support.items():
         total = total + x.translate(exponent).scale(cartan.coeffs[0])
     return total
 
 
-def _constant(value):
-    return W2.d(1).scale(value)
+@st.composite
+def exponents(draw):
+    """(text, e) for an optional exponent, at times spaced ("t1 ^ - 2")."""
+    e = draw(st.integers(-2, 2))
+    if e == 1 and draw(st.booleans()):
+        return "", 1
+    before, after, sign = draw(spaces), draw(spaces), draw(spaces)
+    return f"{before}^{after}" + (f"-{sign}{-e}" if e < 0 else str(e)), e
 
 
 @st.composite
-def factors(draw, depth, with_t):
+def factors(draw, algebra, depth, with_t):
+    field = algebra.field
     kind = draw(st.sampled_from(["int", "mu"] + ["t"] * with_t + ["group"] * (depth > 0)))
     if kind == "int":
         k = draw(st.integers(0, 5))
-        return str(k), _constant(FIELD.from_int(k))
+        return str(k), algebra.d(1).scale(field.from_int(k))
     if kind == "group":
-        text, value = draw(expressions(depth - 1, with_t))
+        text, value = draw(expressions(algebra, depth - 1, with_t))
         return f"({text})", value
-    i, e = draw(st.integers(1, 2)), draw(st.integers(-2, 2))
-    name = f"{'t' if kind == 't' else 'mu'}{i}" + ("" if e == 1 else f"^{e}")
+    etext, e = draw(exponents())
+    i = draw(st.integers(1, algebra.m if kind == "t" else field.n_mu))
     if kind == "t":
-        return name, W2.monomial(tuple(e if j == i - 1 else 0 for j in range(2)), 1)
-    value = FIELD.one()
+        exponent = tuple(e if j == i - 1 else 0 for j in range(algebra.m))
+        return f"t{i}{etext}", algebra.monomial(exponent, 1)
+    value = field.one()
     for _ in range(abs(e)):
-        value = value * FIELD.mu(i) if e > 0 else value / FIELD.mu(i)
-    return name, _constant(value)
+        value = value * field.mu(i) if e > 0 else value / field.mu(i)
+    return f"mu{i}{etext}", algebra.d(1).scale(value)
 
 
 @st.composite
-def products(draw, depth, with_t):
+def products(draw, algebra, depth, with_t):
     signs = draw(sign_runs)
-    text, value = draw(factors(depth, with_t))
+    text, value = draw(factors(algebra, depth, with_t))
+    divisors = _divisors(algebra.field)
     for _ in range(draw(st.integers(0, 2))):
         if draw(st.booleans()):
-            ftext, fvalue = draw(factors(depth, with_t))
-            text, value = f"{text}*{ftext}", _times(value, fvalue)
+            ftext, fvalue = draw(factors(algebra, depth, with_t))
+            text, value = f"{text}*{ftext}", _times(algebra, value, fvalue)
         else:
-            divisor = draw(st.sampled_from(sorted(DIVISORS)))
-            text, value = f"{text}/{divisor}", value.scale(DIVISORS[divisor].inverse())
+            divisor = draw(st.sampled_from(sorted(divisors)))
+            text, value = f"{text}/{divisor}", value.scale(divisors[divisor].inverse())
     return signs + text, -value if signs.count("-") % 2 else value
 
 
 @st.composite
-def expressions(draw, depth, with_t):
-    text, value = draw(products(depth, with_t))
+def expressions(draw, algebra, depth, with_t):
+    text, value = draw(products(algebra, depth, with_t))
     for _ in range(draw(st.integers(0, 2))):
         op = draw(st.sampled_from("+-"))
-        ptext, pvalue = draw(products(depth, with_t))
+        ptext, pvalue = draw(products(algebra, depth, with_t))
         text, value = f"{text} {op} {ptext}", value + pvalue if op == "+" else value - pvalue
     return text, value
 
 
 @st.composite
 def elements(draw):
-    """Terms of up to three products, groups nested 3 deep, each ending in a direction."""
-    text, value = "", W2.zero()
+    """An algebra, then terms of up to three products, groups nested 3 deep,
+    each ending in a direction."""
+    algebra = draw(st.sampled_from(ALGEBRAS))
+    bases = {f"d{j}": algebra.d(j) for j in range(1, algebra.m + 1)}
+    bases["dmu"] = algebra.dmu()
+    text, value = "", algebra.zero()
     for n in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from("+-")) if n else "+"
-        direction = draw(st.sampled_from(["d1", "d2", "dmu"]))
-        base = {"d1": W2.d(1), "d2": W2.d(2), "dmu": W2.dmu()}[direction]
+        direction = draw(st.sampled_from(sorted(bases)))
+        base = bases[direction]
         if draw(st.booleans()):
             signs = draw(sign_runs)
             term, term_value = signs + direction, -base if signs.count("-") % 2 else base
         else:
-            ptext, pvalue = draw(products(3, True))
-            term, term_value = f"{ptext}*{direction}", _times(pvalue, base)
+            ptext, pvalue = draw(products(algebra, 3, True))
+            term, term_value = f"{ptext}*{direction}", _times(algebra, pvalue, base)
         text += f" {op} {term}" if n else term
         value = value + term_value if op == "+" else value - term_value
-    return text, value
+    return algebra, text, value
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(elements())
 def test_element_text_parses_to_its_tree(fraction_oracle, tree):
-    text, value = tree
-    parsed = parse_element(text, W2)
+    algebra, text, value = tree
+    parsed = parse_element(text, algebra)
     assert parsed == value
     for cartan in parsed.support.values():
         for coeff in cartan.coeffs:
             _assert_canonical(coeff, fraction_oracle)
-    assert parse_element(W2.format(value), W2) == value
+    # the printed text parses back to the element and prints as itself again
+    formatted = algebra.format(value)
+    reparsed = parse_element(formatted, algebra)
+    assert reparsed == value
+    assert algebra.format(reparsed) == formatted
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(expressions(3, False))
+@given(expressions(W2, 3, False))
 def test_scalar_text_parses_to_its_tree(fraction_oracle, tree):
     text, value = tree
     expected = value.coefficient((0, 0), 0)
