@@ -22,15 +22,17 @@ checks every basis it returns to commute with z.
 One builder, `_ad_entries`, reads x -> [x, z] off the bracket's structure
 constants.  It maps only the Cartan coefficients of z and d_mu: to
 themselves for the symbolic `ad_matrix` and `solve_inner`'s small
-system, to residues at a point for the matrix over F_p.  Member checks
-and `centralize`'s self-check call `bracket`, so they check the builder
-rather than rerun it.
+system, to residues at a point for the matrix over F_p.  What does not
+depend on a column's exponent alpha it forms once per term of z.
+Member checks and `centralize`'s self-check call `bracket`, so they
+check the builder rather than rerun it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, BadArity, BadK, PairOutsideBox, SelfCheckFailed
@@ -131,56 +133,68 @@ def _same(value):
 
 def _dot(u, v):
     """Sum of u_i v_i over the pairs with both factors nonzero; 0 when there is none."""
-    pieces = [x * y for x, y in zip(u, v) if x and y]
-    return sum(pieces[1:], pieces[0]) if pieces else 0
+    total = 0
+    for x, y in zip(u, v):
+        if x and y:
+            total = total + x * y if total else x * y
+    return total
 
 
 def _ad_entries(z: WittElement, space: TruncatedSpace, columns: Iterable[int],
-                value: Callable) -> Iterator[Tuple[RowKey, int, object]]:
-    """Nonzero entries (row key, column, entry) of x -> [x, z] on the given columns.
+                value: Callable) -> Iterator[Tuple[Exponent, int, Tuple[Tuple[int, object], ...]]]:
+    """(gamma, column, entries) of x -> [x, z], per column and term of z that meet.
 
-    Built from the structure constants of the bracket: for the column
-    t^alpha d_a and a term t^beta d_b of z, the entry at row
-    (alpha + beta, j) is (a, beta) b_j - (b, alpha) a_j, where a is the
-    unit e_i, or d_mu for wnmu.  `value` maps each Cartan coefficient of
-    z and of d_mu, once: to itself for the matrix over Q(mu), to its
-    residue at a point for F_p, where entries come out unreduced.
-    From one column, distinct terms of z reach distinct rows, so a
-    (row, column) pair occurs at most once.
+    From the bracket's structure constants: for the column t^alpha d_a
+    and a term t^beta b of z, the entry at row (gamma = alpha + beta, j)
+    is (a, beta) b_j - (b, alpha) a_j, where a is the unit e_d, or d_mu
+    for wnmu; `entries` holds the nonzero ones as (j, entry) pairs.
+    (a, beta) b is formed once per term and direction; per alpha only
+    gamma and (b, alpha) are, and on e_d (b, alpha) meets j = d alone.
+    `value` maps each Cartan coefficient of z and of d_mu: to itself for
+    Q(mu), to its residue at a point for F_p, where entries come out
+    unreduced.  From one column, distinct terms of z reach distinct
+    gamma, so a (row, column) pair occurs at most once.
     """
     algebra = space.algebra
     if z.m != algebra.m:
         raise ArityMismatch(f"element rank {z.m} != ambient {algebra.m}")
-    m = algebra.m
-    # a for each column direction, and (a, beta) for each term of z.
-    directions = {i: [int(j == i) for j in range(m)] for i in range(m)}
-    directions[MU_DIRECTION] = [value(c) for c in algebra.dmu_cartan().coeffs]
-    terms = [([value(c) for c in cartan.coeffs], beta,
-              {d: _dot(a, beta) for d, a in directions.items()})
-             for beta, cartan in z.support.items()]
+    dmu = [value(c) for c in algebra.dmu_cartan().coeffs]
+    terms = []
+    for beta, cartan in z.support.items():
+        b = [value(c) for c in cartan.coeffs]
+        # (a, beta) b per column direction a; on e_d, as the pairs off j = d and the entry at d.
+        if algebra.variant.kind is VariantKind.WN_MU:
+            a_beta = _dot(dmu, beta)
+            fixed = {MU_DIRECTION: [a_beta * x if a_beta and x else 0 for x in b]}
+        else:
+            scaled = [[a_beta * x if a_beta and x else 0 for x in b] for a_beta in beta]
+            fixed = {d: (tuple((j, x) for j, x in enumerate(ab) if x and j != d), ab[d])
+                     for d, ab in enumerate(scaled)}
+        terms.append((beta, b, fixed))
     last_alpha = None
     for col in columns:
-        alpha, direction = space.basis[col]
+        alpha, d = space.basis[col]
         if alpha != last_alpha:
-            # The columns at alpha share each term's row exponent and (b, alpha).
+            # The columns at alpha share each term's gamma and (b, alpha).
             last_alpha = alpha
-            shared = [(tuple(x + y for x, y in zip(alpha, beta)), -_dot(b, alpha))
-                      for b, beta, _ in terms]
-        a = directions[direction]
-        for (b, _, a_betas), (gamma, minus) in zip(terms, shared):
-            a_beta = a_betas[direction]
-            for j in range(m):
-                # Zero factors are skipped: an int 0 times a Scalar costs a Scalar.
-                x = a_beta * b[j] if a_beta and b[j] else 0
-                y = minus * a[j] if minus and a[j] else 0
-                entry = x + y if x and y else x or y
-                if entry:
-                    yield (gamma, j), col, entry
+            shared = [(tuple(map(add, alpha, beta)), _dot(b, alpha), fixed)
+                      for beta, b, fixed in terms]
+        for gamma, b_alpha, fixed in shared:
+            if d == MU_DIRECTION:
+                entries = tuple((j, e) for j, (x, a) in enumerate(zip(fixed[d], dmu))
+                                if (e := x - b_alpha * a if b_alpha and a else x))
+            else:
+                others, own = fixed[d]
+                own = own - b_alpha if own and b_alpha else own or -b_alpha
+                entries = others + ((d, own),) if own else others
+            if entries:
+                yield gamma, col, entries
 
 
 def ad_matrix(z: WittElement, space: TruncatedSpace) -> Tuple[ScalarMatrix, List[RowKey]]:
     """Matrix of x -> [x, z] on the space; rows cover the untruncated image."""
-    entries = list(_ad_entries(z, space, range(len(space)), _same))
+    entries = [((gamma, j), col, e) for gamma, col, pairs in
+               _ad_entries(z, space, range(len(space)), _same) for j, e in pairs]
     ordered_keys = sorted({key for key, _, _ in entries})
     row_index = {key: r for r, key in enumerate(ordered_keys)}
     matrix = ScalarMatrix(len(ordered_keys), len(space), space.algebra.field.arity)
@@ -203,14 +217,26 @@ class CentralizerResult(NamedTuple):
 
 def _residue_rows(z: WittElement, space: TruncatedSpace,
                   point: Tuple[Fraction, ...]) -> List[Dict[int, int]]:
-    """Rows of ad(z)'s nonzero residues at a point (errors as scalar_mod_p)."""
-    rows: Dict[RowKey, Dict[int, int]] = {}
-    for key, col, entry in _ad_entries(z, space, range(len(space)),
-                                       lambda c: scalar_mod_p(c, point, MODULUS)):
-        residue = entry % MODULUS
-        if residue:
-            rows.setdefault(key, {})[col] = residue
-    return list(rows.values())
+    """Rows of ad(z)'s nonzero residues at a point (errors as scalar_mod_p).
+
+    Each distinct coefficient is reduced once; a gamma's m rows take consecutive ids.
+    """
+    coeffs = {c for cartan in [space.algebra.dmu_cartan(), *z.support.values()]
+              for c in cartan.coeffs}
+    residues = {c: scalar_mod_p(c, point, MODULUS) for c in coeffs}
+    m = space.algebra.m
+    ids: Dict[Exponent, int] = {}
+    rows: List[Dict[int, int]] = []
+    for gamma, col, entries in _ad_entries(z, space, range(len(space)), residues.__getitem__):
+        base = ids.get(gamma)
+        if base is None:
+            base = ids[gamma] = len(rows)
+            rows += [{} for _ in range(m)]
+        for j, e in entries:
+            e %= MODULUS
+            if e:
+                rows[base + j][col] = e
+    return [row for row in rows if row]
 
 
 # Why a match certifies a kernel: at each point the F_p rank r0 is at

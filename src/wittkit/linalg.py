@@ -1,16 +1,16 @@
 """Exact sparse linear algebra over the scalar field.
 
 Everything here is exact: kernels, ranks and solutions are computed with
-rational-function arithmetic, never floating point.  `kernel`, `rank`
-and `solve` reduce the whole matrix with one elimination over Q(mu),
-`_canonical_rref`: the row-by-row echelon of `rank_mod_p`, then back
-substitution from the rightmost pivot.  A row meets only the pivot rows
-of its own columns, so independent blocks of a matrix stay independent
-without being split apart.  Its output is the unique RREF of the row
-space whatever the order of the rows, and dependent rows drop out as
-they reduce to zero.  Kernel bases read off from the RREF are canonical:
-one vector per free column, carrying a unit there, ordered by free
-column index.
+rational-function arithmetic, never floating point.  One row-by-row
+echelon, `_echelon`, serves `rank_mod_p` over F_p and `_canonical_rref`
+over Q(mu), which `kernel`, `rank` and `solve` run on the whole matrix
+and which adds back substitution from the rightmost pivot.  A row meets
+only the pivot rows of its own columns, so independent blocks stay
+independent without being split apart, and a row reduced to its lead
+alone settles that column for later rows.  `_canonical_rref` gives the
+unique RREF of the row space whatever the order of the rows.  Kernel
+bases read off from the RREF are canonical: one vector per free column,
+carrying a unit there, ordered by free column index.
 
 `solve` carries b as an extra, last column.  With leftmost pivots that
 column becomes a pivot only when some row reduces to its b entry alone,
@@ -28,12 +28,14 @@ evaluate, and carries that argument.  `centralize` and the centralizer
 verifiers combine the bound with explicitly verified kernel members to
 pin kernels exactly without symbolic elimination, ranking residues read
 off the bracket's structure constants.  `rank_mod_p` is that rank on
-rows already reduced to residues, and the one F_p elimination here:
-`modular_rank` feeds it a ScalarMatrix evaluated entry by entry.
+rows already reduced to residues: `modular_rank` feeds it a
+ScalarMatrix evaluated entry by entry, `scalar_mod_p` evaluating num
+and den with integers mod p wherever p divides no denominator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -157,8 +159,16 @@ def scalar_mod_p(value: Scalar, values: Sequence[Fraction], prime: int) -> int:
     """Residue mod `prime` of a scalar evaluated at a rational point.
 
     Raises DenominatorVanishes at a pole and ValueError when the value's
-    denominator is divisible by the modulus.
+    denominator is divisible by the modulus.  num and den are evaluated
+    mod p, unless p divides a denominator of the point or den's value.
     """
+    if len(values) == value.arity and all(v.denominator % prime for v in values):
+        point = [v.numerator * pow(v.denominator, -1, prime) for v in values]
+        num, den = (sum(c * math.prod(pow(x, e, prime) for x, e in zip(point, mono))
+                        for mono, c in poly.terms.items()) % prime
+                    for poly in (value.num, value.den))
+        if den:
+            return num * pow(den, -1, prime) % prime
     v = Fraction(value.evaluate(values))
     den = v.denominator % prime
     if den == 0:
@@ -166,35 +176,53 @@ def scalar_mod_p(value: Scalar, values: Sequence[Fraction], prime: int) -> int:
     return v.numerator * pow(den, -1, prime) % prime
 
 
-def rank_mod_p(rows: Sequence[Dict[int, int]], prime: int = MODULUS) -> int:
-    """Rank over F_prime of sparse rows of nonzero residues; the rows are not modified.
+def _echelon(rows: Sequence[Dict[int, object]], inverse: Callable,
+             subtract: Callable) -> Dict[int, Dict[int, object]]:
+    """Pivot rows of the row-by-row echelon, less their unit, by pivot column.
 
-    One row-by-row echelon: the rows, taken in order of their last
-    column, are copied and reduced by the stored pivot row at their
-    leading column until they vanish or lead at a column with no pivot
-    row.  There they are scaled to a unit and stored, less that unit, as
-    the column's pivot row: it holds only later columns, so the leading
-    column grows at every step.  The rank does not depend on the order;
-    taking the rows by last column keeps the fill-in small.
+    The rows, taken in order of their last column, are copied and
+    reduced by the stored pivot row at their leading column until they
+    vanish or lead at a column with no pivot row, where they are scaled
+    to a unit and stored less it: a pivot row holds only later columns.
+    A row that reduces to its lead alone settles that column, and later
+    rows drop its entries in the copy instead of in one step each.  The
+    rows are not modified.  The pivot columns do not depend on the
+    order; taking the rows by last column keeps the fill-in small.
     """
-    pivots: Dict[int, Dict[int, int]] = {}
+    tails: Dict[int, Dict[int, object]] = {}
+    settled = set()
     for row in sorted(filter(None, rows), key=max):
-        row = dict(row)
+        row = {c: v for c, v in row.items() if c not in settled}
         while row:
             lead = min(row)
             factor = row.pop(lead)
-            tail = pivots.get(lead)
+            tail = tails.get(lead)
             if tail is None:
-                inv = pow(factor, -1, prime)
-                pivots[lead] = {c: v * inv % prime for c, v in row.items()}
+                if row:
+                    inv = inverse(factor)
+                    row = {c: inv * v for c, v in row.items()}
+                else:
+                    settled.add(lead)
+                tails[lead] = row
                 break
-            for c, v in tail.items():
-                acc = (row.get(c, 0) - factor * v) % prime
-                if acc:
-                    row[c] = acc
-                elif c in row:
-                    del row[c]
-    return len(pivots)
+            subtract(row, factor, tail)
+    return tails
+
+
+def rank_mod_p(rows: Sequence[Dict[int, int]], prime: int = MODULUS) -> int:
+    """Rank over F_prime of sparse rows of nonzero residues; the rows are not modified.
+
+    `_echelon`'s pivot rows hold products of two residues, reduced where used.
+    """
+    def subtract(row: Dict[int, int], factor: int, tail: Dict[int, int]) -> None:
+        for c, v in tail.items():
+            acc = (row.get(c, 0) - factor * v) % prime
+            if acc:
+                row[c] = acc
+            elif c in row:
+                del row[c]
+
+    return len(_echelon(rows, lambda factor: pow(factor, -1, prime), subtract))
 
 
 def modular_rank(matrix: ScalarMatrix, values: Sequence[Fraction],
@@ -229,36 +257,21 @@ def _canonical_rref(rows: Sequence[Dict[int, Scalar]]) -> List[Tuple[int, Dict[i
     """Unique RREF of the span of `rows`: leftmost pivots, pivot entries 1.
 
     The rows are not modified, and they may be dependent.  First
-    `rank_mod_p`'s echelon over Q(mu): the rows, taken in order of their
-    last column, are copied and reduced by the stored pivot row at their
-    leading column until they vanish or lead at a column with no pivot
-    row, where they are scaled to a unit and stored, less that unit.
-    Then back substitution from the rightmost pivot clears the later
-    pivot columns from each stored row with rows already cleared, so
-    every row ends on free columns.  A right-hand side carried as the
-    last column becomes a pivot only when some row reduces to it alone,
-    that is, when the system is inconsistent.
+    `_echelon` over Q(mu), the echelon of `rank_mod_p`.  Then back
+    substitution from the rightmost pivot clears the later pivot columns
+    from each stored row with rows already cleared, so every row ends on
+    free columns.  A right-hand side carried as the last column becomes
+    a pivot only when some row reduces to it alone, that is, when the
+    system is inconsistent.
     """
-    work = sorted(filter(None, rows), key=max)
-    if not work:
+    tails = _echelon(rows, Scalar.inverse, _subtract)
+    if not tails:
         return []
-    tails: Dict[int, Dict[int, Scalar]] = {}
-    for row in work:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            factor = row.pop(lead)
-            tail = tails.get(lead)
-            if tail is None:
-                inv = factor.inverse()
-                tails[lead] = {c: inv * v for c, v in row.items()}
-                break
-            _subtract(row, factor, tail)
     for pc in sorted(tails, reverse=True):
         tail = tails[pc]
         for c in [c for c in tail if c in tails]:
             _subtract(tail, tail.pop(c), tails[c])
-    one = Scalar.one(next(iter(work[0].values())).arity)
+    one = Scalar.one(next(v for row in rows for v in row.values()).arity)
     return [(pc, {pc: one, **tails[pc]}) for pc in sorted(tails)]
 
 

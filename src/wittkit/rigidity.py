@@ -250,7 +250,7 @@ def _lift_certificate(space: TruncatedSpace,
     for c, s in _left_product(space, constraints, reduced).items():
         first = next(_ad_entries(constraints[0][0], space, [c], _same), None)
         if first is not None:  # else c has eigenvalue zero, and the self-check fails
-            (gamma, j), _, pivot = first
+            gamma, _, ((j, pivot), *_) = first
             weights[(0, gamma, j)] = -s / pivot
     return sorted(weights.items())
 
@@ -291,8 +291,8 @@ def solve_inner(algebra: WittAlgebra, constraints: Sequence[Tuple[WittElement, W
     position = {c: k for k, c in enumerate(zero_cols)}
     columns: List[Dict[ConstraintRow, Scalar]] = [{} for _ in zero_cols]
     for q, (x, _) in enumerate(constraints[1:], 1):
-        for (gamma, j), c, entry in _ad_entries(x, space, zero_cols, _same):
-            columns[position[c]][(q, gamma, j)] = entry
+        for gamma, c, entries in _ad_entries(x, space, zero_cols, _same):
+            columns[position[c]].update(((q, gamma, j), entry) for j, entry in entries)
     nonzero = len(space) - len(zero_cols)
     try:
         coords = space.coordinates_of(constraints[0][1])

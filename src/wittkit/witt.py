@@ -380,12 +380,13 @@ def iter_basis_pairs(variant: AlgebraVariant, box: int) -> Iterator[Tuple[Expone
     """
     if box < 0:
         raise BadArity(f"negative box size {box}")
-    m = variant.m
-    directions = (MU_DIRECTION,) if variant.kind is VariantKind.WN_MU else range(m)
-    for alpha in itertools.product(range(-box, box + 1), repeat=m):
-        for direction in directions:
-            if _in_variant(variant, alpha, direction):
-                yield (alpha, direction)
+    directions = (MU_DIRECTION,) if variant.kind is VariantKind.WN_MU else range(variant.m)
+    window = itertools.product(range(-box, box + 1), repeat=variant.m)
+    pairs = itertools.product(window, directions)
+    if variant.kind in (VariantKind.WN_PLUS, VariantKind.WN_PLUS_PLUS):
+        # Only these two variants leave out pairs of the window.
+        pairs = (pair for pair in pairs if _in_variant(variant, *pair))
+    yield from pairs
 
 
 class WittAlgebra:

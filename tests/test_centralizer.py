@@ -173,7 +173,8 @@ def _residue(value: Fraction) -> int:
     AlgebraVariant.wn(2), AlgebraVariant.winf(1, 2), AlgebraVariant.wnplus(2),
     AlgebraVariant.wnplusplus(2), AlgebraVariant.wnmu(2)])
 def test_ad_builder_matches_bracket_oracle(variant, ad_matrix_oracle):
-    # the structure-constant builder, over Q(mu) and over F_p, is the bracket per column
+    # the structure-constant builder, over Q(mu) and over F_p, is the bracket per column,
+    # and so are the residue rows built on it; wnmu's columns are all MU_DIRECTION
     algebra = WittAlgebra(variant)
     space = TruncatedSpace(algebra, box=2)
     pairs = algebra._basis_pair_list(1)
@@ -189,8 +190,7 @@ def test_ad_builder_matches_bracket_oracle(variant, ad_matrix_oracle):
         columns = sorted(rng.sample(range(len(space)), len(space) // 3))
         some = {(key, c): s for key, row in zip(keys, matrix.rows)
                 for c, s in row.items() if c in columns}
-        assert {(key, c): s for key, c, s in
-                centralizer._ad_entries(z, space, columns, lambda s: s)} == some
+        assert _flat_entries(z, space, columns, lambda s: s) == some
         for point in specialization_points(algebra.field.arity, space.box):
             expected = {}
             for key, row in zip(keys, matrix.rows):
@@ -199,8 +199,25 @@ def test_ad_builder_matches_bracket_oracle(variant, ad_matrix_oracle):
                     if residue:
                         expected[(key, c)] = residue
             residues = lambda s: scalar_mod_p(s, point, MODULUS)
-            entries = centralizer._ad_entries(z, space, range(len(space)), residues)
-            assert {(key, c): e % MODULUS for key, c, e in entries if e % MODULUS} == expected
+            entries = _flat_entries(z, space, range(len(space)), residues)
+            assert {k: e % MODULUS for k, e in entries.items() if e % MODULUS} == expected
+            rows = {}
+            for (key, c), residue in expected.items():
+                rows.setdefault(key, {})[c] = residue
+            built = centralizer._residue_rows(z, space, point)
+            assert (sorted(sorted(row.items()) for row in built)
+                    == sorted(sorted(row.items()) for row in rows.values()))
+
+
+def _flat_entries(z, space, columns, value):
+    """The builder's entries keyed by ((gamma, j), column); each key comes once."""
+    flat = {}
+    for gamma, c, entries in centralizer._ad_entries(z, space, columns, value):
+        assert entries and all(e for _, e in entries)
+        for j, e in entries:
+            assert ((gamma, j), c) not in flat
+            flat[((gamma, j), c)] = e
+    return flat
 
 
 def test_specialized_ranks_reduce_entries_mod_p():
