@@ -29,13 +29,11 @@ verifiers combine the bound with explicitly verified kernel members to
 pin kernels exactly without symbolic elimination, ranking residues read
 off the bracket's structure constants.  `rank_mod_p` is that rank on
 rows already reduced to residues: `modular_rank` feeds it a
-ScalarMatrix evaluated entry by entry, `scalar_mod_p` evaluating num
-and den with integers mod p wherever p divides no denominator.
+ScalarMatrix evaluated entry by entry.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -159,16 +157,8 @@ def scalar_mod_p(value: Scalar, values: Sequence[Fraction], prime: int) -> int:
     """Residue mod `prime` of a scalar evaluated at a rational point.
 
     Raises DenominatorVanishes at a pole and ValueError when the value's
-    denominator is divisible by the modulus.  num and den are evaluated
-    mod p, unless p divides a denominator of the point or den's value.
+    denominator is divisible by the modulus.
     """
-    if len(values) == value.arity and all(v.denominator % prime for v in values):
-        point = [v.numerator * pow(v.denominator, -1, prime) for v in values]
-        num, den = (sum(c * math.prod(pow(x, e, prime) for x, e in zip(point, mono))
-                        for mono, c in poly.terms.items()) % prime
-                    for poly in (value.num, value.den))
-        if den:
-            return num * pow(den, -1, prime) % prime
     v = Fraction(value.evaluate(values))
     den = v.denominator % prime
     if den == 0:

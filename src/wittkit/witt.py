@@ -10,7 +10,7 @@ exponents alpha to Cartan coefficients d_a, so a single stored term is
 t^alpha d_a rather than a pile of t^alpha d_i monomials; the bracket
 above then needs one pairing per pair of stored terms.
 
-Supported variants.  One rule (`_in_variant`) says which pairs t^alpha d_i
+Supported variants.  One table (`_MEMBERSHIP`) says which pairs t^alpha d_i
 (t^alpha d_mu in wnmu) each one keeps, for membership and for the basis
 of a degree box alike:
 
@@ -361,15 +361,23 @@ def proportional(x: WittElement, y: WittElement) -> Optional[Scalar]:
 # belong to a variant; the degree box |alpha_j| <= N cuts a window out.
 
 
+def _polynomial(alpha: Exponent, direction: int) -> bool:
+    # t^alpha d_i = t^(alpha+eps_i) d/dt_i is a polynomial derivation
+    return all(a + (j == direction) >= 0 for j, a in enumerate(alpha))
+
+
+# The variants that leave out pairs of the window, by their membership
+# rule; every other variant holds every pair.
+_MEMBERSHIP = {
+    VariantKind.WN_PLUS_PLUS: lambda alpha, direction: min(alpha) >= 0,
+    VariantKind.WN_PLUS: _polynomial,
+}
+
+
 def _in_variant(variant: AlgebraVariant, alpha: Exponent, direction: int) -> bool:
     """Whether t^alpha d_direction (t^alpha d_mu for MU_DIRECTION) lies in the variant."""
-    kind = variant.kind
-    if kind is VariantKind.WN_PLUS_PLUS:
-        return min(alpha) >= 0
-    if kind is VariantKind.WN_PLUS:
-        # t^alpha d_i = t^(alpha+eps_i) d/dt_i is a polynomial derivation
-        return all(a + (j == direction) >= 0 for j, a in enumerate(alpha))
-    return True
+    rule = _MEMBERSHIP.get(variant.kind)
+    return rule is None or rule(alpha, direction)
 
 
 def iter_basis_pairs(variant: AlgebraVariant, box: int) -> Iterator[Tuple[Exponent, int]]:
@@ -383,10 +391,8 @@ def iter_basis_pairs(variant: AlgebraVariant, box: int) -> Iterator[Tuple[Expone
     directions = (MU_DIRECTION,) if variant.kind is VariantKind.WN_MU else range(variant.m)
     window = itertools.product(range(-box, box + 1), repeat=variant.m)
     pairs = itertools.product(window, directions)
-    if variant.kind in (VariantKind.WN_PLUS, VariantKind.WN_PLUS_PLUS):
-        # Only these two variants leave out pairs of the window.
-        pairs = (pair for pair in pairs if _in_variant(variant, *pair))
-    yield from pairs
+    rule = _MEMBERSHIP.get(variant.kind)
+    yield from pairs if rule is None else (pair for pair in pairs if rule(*pair))
 
 
 class WittAlgebra:
