@@ -78,35 +78,6 @@ class ScalarMatrix:
     def entry_count(self) -> int:
         return sum(len(row) for row in self.rows)
 
-    def apply(self, vector: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        """A @ v for a sparse vector, returning the nonzero rows."""
-        out: Dict[int, Scalar] = {}
-        for r, row in enumerate(self.rows):
-            total = None
-            for c, a in row.items():
-                v = vector.get(c)
-                if v is None or v.is_zero:
-                    continue
-                piece = a * v
-                total = piece if total is None else total + piece
-            if total is not None and not total.is_zero:
-                out[r] = total
-        return out
-
-    def left_apply(self, vector: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        """u @ A for a sparse row vector keyed by row index."""
-        out: Dict[int, Scalar] = {}
-        for r, u in vector.items():
-            if u.is_zero:
-                continue
-            for c, a in self.rows[r].items():
-                acc = out.get(c, Scalar.zero(self.arity)) + u * a
-                if acc.is_zero:
-                    out.pop(c, None)
-                else:
-                    out[c] = acc
-        return out
-
     def __repr__(self) -> str:
         return f"ScalarMatrix({self.nrows}x{self.ncols}, {self.entry_count()} entries)"
 

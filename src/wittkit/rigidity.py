@@ -24,7 +24,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .centralizer import TruncatedSpace, VerificationReport, _ad_entries, _same, lemma_4_1_families
+from .centralizer import (TruncatedSpace, VerificationReport, _ad_entries, _dot, _same,
+                          lemma_4_1_families)
 from .errors import (
     ArityMismatch,
     BadArity,
@@ -303,8 +304,8 @@ def solve_inner(algebra: WittAlgebra, constraints: Sequence[Tuple[WittElement, W
         certificate = _anchor_certificate(space, constraints[0][1])
         result = InnerSolveResult(space, None, [], certificate, nonzero + matrix_rank(matrix))
     else:
-        dmu = algebra.dmu_cartan()
-        vector = {c: value / -dmu.pairing(space.basis[c][0]) for c, value in coords.items()}
+        dmu = algebra.dmu_cartan().coeffs
+        vector = {c: value / -_dot(dmu, space.basis[c][0]) for c, value in coords.items()}
         fixed = space.element_from_vector(vector)
         rhs: Dict[ConstraintRow, Scalar] = {}
         for q, (x, y) in enumerate(constraints[1:], 1):

@@ -425,9 +425,6 @@ class Scalar:
         # coprime num == den can only be 1/1
         return self.num == self.den
 
-    def is_rational(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.num.constant_value(), self.den.constant_value())
 

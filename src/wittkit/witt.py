@@ -7,8 +7,12 @@ W_m is spanned by t^alpha d_i for alpha in Z^m and 1 <= i <= m, with
 where d_a = sum_i a_i d_i ranges over the Cartan subalgebra h_m and
 (d_a, beta) = sum_i a_i beta_i.  An element here is a sparse map from
 exponents alpha to Cartan coefficients d_a, so a single stored term is
-t^alpha d_a rather than a pile of t^alpha d_i monomials; the bracket
-above then needs one pairing per pair of stored terms.
+t^alpha d_a rather than a pile of t^alpha d_i monomials.  `bracket`
+works on integers: it writes each operand's coefficients once over a
+common integer denominator L (times a primitive polynomial P where a
+denominator is not constant), adds the products beta_i a_i b_j and
+-alpha_j a_i b_j into integer term dicts, and makes each output
+coefficient a canonical Scalar once.
 
 Supported variants.  One table (`_MEMBERSHIP`) says which pairs t^alpha d_i
 (t^alpha d_mu in wnmu) each one keeps, for membership and for the basis
@@ -30,12 +34,14 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ArityMismatch, BadArity, BadK, LengthMismatch
-from .scalars import Scalar, ScalarField, format_scalar
+from .errors import ArityMismatch, BadArity, BadK, ExactDivisionError, LengthMismatch
+from .scalars import MuPolynomial, Scalar, ScalarField, _make, _one_poly, format_scalar, poly_gcd
 
 Exponent = Tuple[int, ...]
 
@@ -165,20 +171,6 @@ class CartanElement:
         self._check_arity(scalar)
         return CartanElement(tuple(a if a.is_zero else scalar * a for a in self.coeffs))
 
-    def pairing(self, beta: Exponent) -> Scalar:
-        """(d_a, beta) = sum_i a_i beta_i."""
-        if len(beta) != len(self.coeffs):
-            raise LengthMismatch(f"exponent length {len(beta)} != Cartan length {len(self.coeffs)}")
-        total = None
-        for a, b in zip(self.coeffs, beta):
-            if b == 0 or a.is_zero:
-                continue
-            piece = a * b
-            total = piece if total is None else total + piece
-        if total is None:
-            return Scalar.zero(self.coeffs[0].arity)
-        return total
-
     def lift(self, arity: int) -> "CartanElement":
         return CartanElement(tuple(c.lift(arity) for c in self.coeffs))
 
@@ -283,60 +275,136 @@ class WittElement:
         return f"WittElement({self.m}, {self.support!r})"
 
 
+def _cleared(x: WittElement, dens: Dict[MuPolynomial, MuPolynomial]) -> Tuple[int, List]:
+    """(L, terms): x's nonzero coefficients as integer term lists over L * P.
+
+    L is the lcm of the denominators' integer contents, P a denominator's
+    primitive part, kept once in `dens`, or None for a constant one.  Each
+    term is (alpha, [(i, terms over L * P, P, the coefficient's own num)]).
+    """
+    terms = [(alpha, [(i, c, math.gcd(*c.den.terms.values()))
+                      for i, c in enumerate(cartan.coeffs) if c.num.terms])
+             for alpha, cartan in x.support.items()]
+    lcm = math.lcm(*[content for _, coeffs in terms for _, _, content in coeffs])
+    for _, coeffs in terms:
+        for k, (i, c, content) in enumerate(coeffs):
+            p = None if c.den.is_constant() else c.den._quo(content)
+            coeffs[k] = (i, [(mono, a * (lcm // content)) for mono, a in c.num.terms.items()],
+                         p and dens.setdefault(p, p), c.num)
+    return lcm, terms
+
+
+def _cancel_factor(num: MuPolynomial, p: MuPolynomial,
+                   part: MuPolynomial) -> Tuple[MuPolynomial, MuPolynomial]:
+    """(num / g, p / g) for g = gcd(num, p) = gcd(part, p), p primitive.
+
+    A linear p is prime, so one trial division decides.
+    """
+    if len(part.terms) > 1 and max(map(sum, p.terms)) == 1:
+        try:
+            return num.exact_div(p), _one_poly(p.arity)
+        except ExactDivisionError:
+            return num, p
+    g = poly_gcd(part, p)
+    return (num, p) if g.is_constant() else (num.exact_div(g), p.exact_div(g))
+
+
 def bracket(x: WittElement, y: WittElement) -> WittElement:
-    """[x, y] via the Cartan-valued product rule."""
+    """[x, y] on integer term dicts, each coefficient reduced once.
+
+    Coefficients x_i = n/(L P) at t^alpha and y_j = n'/(L' P') at t^beta
+    add beta_i n n' at (alpha + beta, j) and -alpha_j n n' at
+    (alpha + beta, i) to the group (P, P') over L L' P P'; with constant
+    denominators there is one group.  A group's sum is cancelled against
+    P and P' and the integer L L', and groups add as Scalars.  A group
+    holding the one product n n' cancels across, as a Scalar product
+    does.  A gamma comes in at the first pair of terms that reaches it,
+    as in the Cartan product rule.  Nonzero operands must share an arity.
+    """
     x._check(y)
-    acc: Dict[Exponent, CartanElement] = {}
-    for alpha, da in x.support.items():
-        for beta, db in y.support.items():
-            gamma = tuple(a + b for a, b in zip(alpha, beta))
-            # the half whose pairing is zero is dropped, not computed
-            a_beta, b_alpha = da.pairing(beta), db.pairing(alpha)
-            if b_alpha.is_zero:
-                term = db.scale(a_beta)
-            elif a_beta.is_zero:
-                term = da.scale(-b_alpha)
-            else:
-                term = db.scale(a_beta) + da.scale(-b_alpha)
-            acc[gamma] = acc[gamma] + term if gamma in acc else term
-    return WittElement(x.m, acc, max(x._arity, y._arity))
+    if x.support and y.support and x._arity != y._arity:
+        raise ArityMismatch(f"scalar arities {x._arity} != {y._arity}")
+    arity = max(x._arity, y._arity)
+    dens: Dict[MuPolynomial, MuPolynomial] = {}
+    lx, xs = _cleared(x, dens)
+    ly, ys = (lx, xs) if y is x else _cleared(y, dens)
+    acc: Dict[Exponent, Dict[Tuple, Dict[Exponent, int]]] = {}
+    sole: Dict[Tuple, Optional[Tuple[MuPolynomial, MuPolynomial]]] = {}
+    for alpha, a in xs:
+        for beta, b in ys:
+            gamma = tuple(map(add, alpha, beta))
+            out = acc.get(gamma)
+            if out is None:
+                out = acc[gamma] = {}
+            for i, na, pa, xi in a:
+                bi = beta[i]
+                for j, nb, pb, yj in b:
+                    aj = alpha[j]
+                    if bi:
+                        tj = out.setdefault((j, pa, pb), {})
+                    if aj:
+                        ti = out.setdefault((i, pa, pb), {})
+                    elif not bi:
+                        continue
+                    if pa or pb:
+                        # whether the group holds the one product x_i y_j, for the reduction
+                        pair = (xi, yj)
+                        for k in {j, i} if bi and aj else {j if bi else i}:
+                            key = (gamma, k, pa, pb)
+                            sole[key] = pair if sole.setdefault(key, pair) is pair else None
+                    for ma, ca in na:
+                        for mb, cb in nb:
+                            mono, c = tuple(map(add, ma, mb)), ca * cb
+                            if bi:
+                                tj[mono] = tj.get(mono, 0) + bi * c
+                            if aj:
+                                ti[mono] = ti.get(mono, 0) - aj * c
+    lxy, one, zero = lx * ly, _one_poly(arity), Scalar.zero(arity)
+    support: Dict[Exponent, CartanElement] = {}
+    for gamma, out in acc.items():
+        coeffs = [zero] * x.m
+        for (j, px, py), terms in out.items():
+            num, den = MuPolynomial(arity, terms), one
+            if not num.terms:
+                continue
+            # Against P, then P': num / g is coprime to P / g, so the second gcd
+            # keeps it so.  The one product n n' has gcd(n', P) with P, and then
+            # gcd(n, P') with P', as n is coprime to P and n' to P'.
+            pair = sole.get((gamma, j, px, py))
+            for p, part in ((px, pair and pair[1]), (py, pair and pair[0])):
+                if p is not None:
+                    num, p = _cancel_factor(num, p, part or num)
+                    den = den * p
+            c = math.gcd(lxy, *num.terms.values())
+            value = _make(num._quo(c), den.scale(lxy // c))
+            coeffs[j] = value if coeffs[j] is zero else coeffs[j] + value
+        if any(c.num.terms for c in coeffs):
+            support[gamma] = CartanElement(coeffs)
+    return WittElement(x.m, support, arity)
 
 
 def bracket_monomial_rule(x: WittElement, y: WittElement) -> WittElement:
     """Independent oracle for `bracket`, expanding into t^alpha d_i monomials.
 
-    [t^alpha d_i, t^beta d_j] = beta_i t^(alpha+beta) d_j - alpha_j t^(alpha+beta) d_i.
+    [t^alpha d_i, t^beta d_j] = beta_i t^(alpha+beta) d_j - alpha_j t^(alpha+beta) d_i;
+    a gamma comes in at the first pair of terms that reaches it, as in `bracket`.
     """
     x._check(y)
     m = x.m
-    arity = max(x.scalar_arity(), y.scalar_arity(), 1)
+    zero = Scalar.zero(max(x.scalar_arity(), y.scalar_arity(), 1))
     acc: Dict[Exponent, List[Scalar]] = {}
-
-    def put(gamma: Exponent, j: int, value: Scalar):
-        if value.is_zero:
-            return
-        row = acc.get(gamma)
-        if row is None:
-            row = [Scalar.zero(arity)] * m
-            acc[gamma] = row
-        row[j] = row[j] + value
-
     for alpha, da in x.support.items():
-        for i in range(m):
-            ca = da.coeffs[i]
-            if ca.is_zero:
-                continue
-            for beta, db in y.support.items():
-                gamma = tuple(a + b for a, b in zip(alpha, beta))
-                for j in range(m):
-                    cb = db.coeffs[j]
-                    if cb.is_zero:
+        for beta, db in y.support.items():
+            row = acc.setdefault(tuple(a + b for a, b in zip(alpha, beta)), [zero] * m)
+            for i, ca in enumerate(da.coeffs):
+                for j, cb in enumerate(db.coeffs):
+                    if ca.is_zero or cb.is_zero:
                         continue
                     coeff = ca * cb
                     if beta[i]:
-                        put(gamma, j, coeff * beta[i])
+                        row[j] = row[j] + coeff * beta[i]
                     if alpha[j]:
-                        put(gamma, i, -(coeff * alpha[j]))
+                        row[i] = row[i] - coeff * alpha[j]
     return WittElement(m, {g: CartanElement(tuple(row)) for g, row in acc.items()})
 
 
@@ -407,6 +475,8 @@ class WittAlgebra:
             raise ArityMismatch(
                 f"field has {self.field.n_mu} mu parameters, variant needs {variant.n}"
             )
+        self._dmu = CartanElement([self.field.mu(i + 1) if i < self.n else self.field.zero()
+                                   for i in range(self.m)])
 
     # -- constructors ---------------------------------------------------
 
@@ -430,8 +500,7 @@ class WittAlgebra:
         return WittElement(self.m, {tuple(alpha): cartan})
 
     def dmu_cartan(self) -> CartanElement:
-        coeffs = [self.field.mu(i + 1) if i < self.n else self.field.zero() for i in range(self.m)]
-        return CartanElement(coeffs)
+        return self._dmu
 
     def dmu(self) -> WittElement:
         """d_mu = mu_1 d_1 + ... + mu_n d_n."""

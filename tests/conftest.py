@@ -1,7 +1,11 @@
-"""Shared oracles: the ad-matrix, the stacked anchor system, the certificate
-property, the forcing rank and the Q-coefficient scalar normal form.
+"""Shared oracles: the Cartan-valued bracket, the ad-matrix, the stacked
+anchor system, the certificate property, the forcing rank and the
+Q-coefficient scalar normal form; and matrix-vector products.
 
-The first three are rebuilt here from `bracket` over every column of the
+The Cartan-valued bracket is the one `bracket` computed with Scalar
+arithmetic, one pairing per pair of stored terms, before it moved to
+integer term dicts.  The ad-matrix, the anchor system and the
+certificate property are rebuilt from `bracket` over every column of the
 degree box, independently of the structure-constant builder behind
 `ad_matrix` and of how `solve_inner` organises its own solve.  The
 forcing rank is rebuilt by adjoining one unknown per family member to the
@@ -25,10 +29,67 @@ from wittkit import (
     ScalarMatrix,
     TruncatedSpace,
     WittAlgebra,
+    WittElement,
     bracket,
     format_polynomial,
     rank,
 )
+
+
+def _pairing(cartan, beta):
+    """(d_a, beta) = sum_i a_i beta_i."""
+    total = None
+    for a, b in zip(cartan.coeffs, beta):
+        if b and not a.is_zero:
+            total = a * b if total is None else total + a * b
+    return Scalar.zero(cartan.coeffs[0].arity) if total is None else total
+
+
+def cartan_bracket(x, y):
+    """[x, y] by the Cartan-valued product rule, with Scalar arithmetic.
+
+    [t^alpha d_a, t^beta d_b] = t^(alpha+beta) ((d_a, beta) d_b - (d_b, alpha) d_a);
+    a gamma comes in at the first pair of terms that reaches it.
+    """
+    acc = {}
+    for alpha, da in x.support.items():
+        for beta, db in y.support.items():
+            gamma = tuple(a + b for a, b in zip(alpha, beta))
+            a_beta, b_alpha = _pairing(da, beta), _pairing(db, alpha)
+            if b_alpha.is_zero:
+                term = db.scale(a_beta)
+            elif a_beta.is_zero:
+                term = da.scale(-b_alpha)
+            else:
+                term = db.scale(a_beta) + da.scale(-b_alpha)
+            acc[gamma] = acc[gamma] + term if gamma in acc else term
+    return WittElement(x.m, acc, max(x.scalar_arity(), y.scalar_arity()))
+
+
+def apply(matrix, vector):
+    """A @ v for a sparse vector, the nonzero rows."""
+    out = {}
+    for r, row in enumerate(matrix.rows):
+        total = Scalar.zero(matrix.arity)
+        for c, a in row.items():
+            if c in vector:
+                total = total + a * vector[c]
+        if not total.is_zero:
+            out[r] = total
+    return out
+
+
+def left_apply(matrix, vector):
+    """u @ A for a sparse row vector keyed by row index, the nonzero columns."""
+    out = {}
+    for r, u in vector.items():
+        for c, a in matrix.rows[r].items():
+            out[c] = out.get(c, Scalar.zero(matrix.arity)) + u * a
+    return {c: s for c, s in out.items() if not s.is_zero}
+
+
+def is_rational(scalar):
+    return scalar.num.is_constant() and scalar.den.is_constant()
 
 
 def _support_rows(w):
@@ -261,3 +322,8 @@ def forcing_oracle():
 @pytest.fixture(scope="session")
 def fraction_oracle():
     return SimpleNamespace(normal_form=fraction_normal_form, format=fraction_format, gcd=q_gcd)
+
+
+@pytest.fixture
+def bracket_oracle():
+    return cartan_bracket

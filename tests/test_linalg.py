@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import apply, left_apply
 
 from wittkit import (
     DenominatorVanishes,
@@ -77,7 +78,7 @@ def test_kernel_single_symbolic_row():
     (vec,) = kernel(matrix)
     assert vec[1].is_one()
     assert vec[0] == -(mu2 / mu1)
-    assert is_zero_vector(matrix.apply(vec))
+    assert is_zero_vector(apply(matrix, vec))
 
 
 def test_kernel_vectors_annihilate():
@@ -85,7 +86,7 @@ def test_kernel_vectors_annihilate():
     for _ in range(25):
         matrix = random_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6))
         for vec in kernel(matrix):
-            assert is_zero_vector(matrix.apply(vec))
+            assert is_zero_vector(apply(matrix, vec))
 
 
 def test_rank_nullity():
@@ -101,11 +102,11 @@ def test_solve_consistent():
     for _ in range(20):
         matrix = random_matrix(rng, 4, 4)
         x = {c: Scalar.from_fraction(0, rng.randrange(-3, 4)) for c in range(4)}
-        rhs = matrix.apply(x)
+        rhs = apply(matrix, x)
         result = solve(matrix, rhs)
         assert result.consistent
         # the reported solution reproduces the rhs exactly
-        reproduced = matrix.apply(result.solution)
+        reproduced = apply(matrix, result.solution)
         assert {r: v for r, v in reproduced.items()} == rhs
         assert result.certificate is None
         # general solution: adding any kernel vector stays a solution
@@ -113,7 +114,7 @@ def test_solve_consistent():
             shifted = dict(result.solution)
             for c, v in vec.items():
                 shifted[c] = shifted.get(c, Scalar.zero(0)) + v
-            assert matrix.apply(shifted) == rhs
+            assert apply(matrix, shifted) == rhs
 
 
 def test_solve_inconsistent_certificate():
@@ -125,7 +126,7 @@ def test_solve_inconsistent_certificate():
     assert not result.consistent
     cert = result.certificate
     assert cert is not None and not is_zero_vector(cert)
-    assert is_zero_vector(matrix.left_apply(cert))
+    assert is_zero_vector(left_apply(matrix, cert))
     refute = sum((cert[r] * rhs[r] for r in cert if r in rhs), F2.zero())
     assert not refute.is_zero
 
@@ -139,11 +140,11 @@ def test_solve_certificates_random():
         rhs = {r: v for r, v in rhs.items() if not v.is_zero}
         result = solve(matrix, rhs)
         if result.consistent:
-            assert matrix.apply(result.solution) == rhs
+            assert apply(matrix, result.solution) == rhs
         else:
             seen_bad += 1
             cert = result.certificate
-            assert is_zero_vector(matrix.left_apply(cert))
+            assert is_zero_vector(left_apply(matrix, cert))
             dot = sum(
                 (cert[r] * rhs[r] for r in cert if r in rhs),
                 Scalar.zero(0),
@@ -175,7 +176,7 @@ def test_wide_symbolic_kernel_satisfies_rank_nullity():
     vectors = kernel(matrix)
     assert rank(matrix) + len(vectors) == 14
     for vec in vectors:
-        assert is_zero_vector(matrix.apply(vec))
+        assert is_zero_vector(apply(matrix, vec))
 
 
 def test_specialization_points_avoid_small_relations():
@@ -444,7 +445,7 @@ def test_kernel_and_rank_match_dense_oracle(arity):
         assert (vectors, rank(matrix)) == dense_kernel_and_rank(matrix)
         assert len(vectors) >= sum(b[2] for b in blocks)
         for vec in vectors:
-            assert is_zero_vector(matrix.apply(vec))
+            assert is_zero_vector(apply(matrix, vec))
 
 
 def test_large_block_kernel_matches_dense_oracle():
@@ -544,7 +545,7 @@ def assert_certificate(matrix, rhs, result):
     left = kernel(transpose(matrix))
     first = next(u for u in left if not dot(u, rhs, matrix.arity).is_zero)
     assert result.certificate == first
-    assert is_zero_vector(matrix.left_apply(result.certificate))
+    assert is_zero_vector(left_apply(matrix, result.certificate))
     assert result.rank == matrix.nrows - len(left) == rank(matrix)
     assert result.solution is None and result.homogeneous == []
 
@@ -559,7 +560,7 @@ def test_solve_matches_dense_oracle(arity):
         rng.shuffle(blocks)
         matrix = planted_matrix(rng, arity, blocks)
         x = {c: _random_entry(rng, arity) for c in range(matrix.ncols) if rng.random() < 0.7}
-        rhs = matrix.apply(x)
+        rhs = apply(matrix, x)
         if rng.random() < 0.5:
             # perturb one row: inconsistent exactly when it leaves the column space
             r = rng.randrange(matrix.nrows)
@@ -602,7 +603,7 @@ def test_solve_block_diagonal_inconsistent_in_one_block(arity):
     blocks = [(3, 3, 0), (5, 3, 1), (2, 3, 0)]
     matrix = planted_matrix(rng, arity, blocks)
     x = {c: _random_entry(rng, arity) for c in range(matrix.ncols)}
-    consistent = matrix.apply(x)
+    consistent = apply(matrix, x)
     assert solve(matrix, consistent).consistent
     middle = range(3, 8)
     for r in middle:
@@ -616,7 +617,7 @@ def test_solve_block_diagonal_inconsistent_in_one_block(arity):
     assert not result.consistent
     u = result.certificate
     assert u and set(u) <= set(middle)
-    assert is_zero_vector(matrix.left_apply(u))
+    assert is_zero_vector(left_apply(matrix, u))
     assert not dot(u, rhs, arity).is_zero
     assert_certificate(matrix, rhs, result)
 

@@ -100,6 +100,69 @@ def test_bracket_agrees_with_monomial_rule():
     assert bracket(*pairs[2]).is_zero
 
 
+VARIANTS = [AlgebraVariant.wn(2), AlgebraVariant.winf(2, 3), AlgebraVariant.wnplus(2),
+            AlgebraVariant.wnplusplus(2), AlgebraVariant.wnmu(2)]
+
+
+def _operand_pairs(algebra, rng):
+    """Operands with constant, linear, shared and higher-degree denominators, mixed
+    within and across the two; zero operands; pairs with both pairings zero; x is y."""
+    field = algebra.field
+    mu1, mu2, one = field.mu(1), field.mu(2), field.one()
+    f, g = mu1 + mu2, mu1 * mu2 + 1
+    scalars = [one, field.from_fraction(Fraction(-7, 6)), mu1, mu2 / (mu1 + 3), mu1 / f,
+               (mu1 - mu2) / f, f / (g * (mu1 - 2)), g / (f * f)]
+    const, poly = scalars[:3], scalars[3:]
+
+    def element(choices, parts):
+        total = algebra.zero()
+        for _ in range(parts):
+            total = total + algebra.random_element(rng, box=2).scale(rng.choice(choices))
+        return total
+
+    for x_choices, y_choices in ((const, const), (poly, poly), (const, poly), (scalars, scalars)):
+        for parts in (1, 2):
+            yield element(x_choices, parts), element(y_choices, 3 - parts)
+    x = element(scalars, 2)
+    yield x, x
+    yield x, algebra.zero()
+    yield algebra.zero(), x
+    # both pairings vanish at the one pair of terms, (d_a, beta) = 0 = (d_b, alpha)
+    pad = (0,) * (algebra.m - 2)
+    yield algebra.monomial((0, 2) + pad, 1, mu1 / f), algebra.monomial((0, -1) + pad, 1, g)
+    yield algebra.dmu().scale(mu1 / f), algebra.dmu().scale(g)
+    # two products over g g whose sum g divides once
+    x = (algebra.monomial((0,) * algebra.m, 1, mu1 * mu2) + algebra.d(2)).scale(one / g)
+    yield x, algebra.monomial((1, 1) + pad, 1, one / g)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.kind.value)
+def test_bracket_matches_cartan_oracle_and_monomial_rule(variant, bracket_oracle):
+    # values, and the order gammas come in, which proportional and certificates read
+    algebra = WittAlgebra(variant)
+    rng = random.Random(repr(variant))
+    for x, y in _operand_pairs(algebra, rng):
+        for a, b in ((x, y), (y, x)):
+            out = bracket(a, b)
+            for other in (bracket_oracle(a, b), bracket_monomial_rule(a, b)):
+                assert out == other
+                assert list(out.support) == list(other.support)
+            assert out.scalar_arity() == algebra.field.arity
+
+
+def test_bracket_rejects_mismatched_scalar_arities():
+    w2c = WittAlgebra(AlgebraVariant.wn(2), ScalarField(2, ("c",)))
+    for x, y in ((W2.d(1), w2c.d(2)), (W2.d(1), w2c.monomial((1, 0), 1)),
+                 (W2.dmu(), w2c.d(1).scale(w2c.field.var("c")))):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ArityMismatch):
+                bracket(a, b)
+    # a zero operand meets no coefficient: a zero of the larger arity
+    for a, b in ((W2.zero(), w2c.d(2)), (w2c.d(2), W2.zero()), (W2.d(1), w2c.zero())):
+        out = bracket(a, b)
+        assert out.is_zero and out.scalar_arity() == 3
+
+
 def test_cartan_arithmetic_checks_arity_on_zero_coefficients():
     # a mismatched scalar on a zero coefficient meets no Scalar operation,
     # so each operation compares the two fields once
@@ -234,9 +297,11 @@ def test_power_sum_dmu():
 
 
 def test_cartan_element_pairing():
+    # (d_a, beta) read off [d_a, t^beta d_b] = (d_a, beta) t^beta d_b - (d_b, 0) d_a
     field = W2.field
     c = CartanElement.unit(2, 0, field.arity).scale(field.from_int(3))
-    assert c.pairing((5, 7)) == field.from_int(15)
+    y = W2.monomial((5, 7), 2)
+    assert bracket(WittElement(2, {(0, 0): c}), y) == y.scale(field.from_int(15))
     assert CartanElement.zero(2, field.arity).is_zero
 
 
