@@ -19,20 +19,21 @@ a verifier takes the kernel from `centralizer_basis`, which tries its
 own members before it builds the symbolic matrix and eliminates it, and
 checks every basis it returns to commute with z.
 
-One builder, `_ad_entries`, reads x -> [x, z] off the bracket's structure
-constants.  It maps only the Cartan coefficients of z and d_mu: to
-themselves for the symbolic `ad_matrix` and `solve_inner`'s small
-system, to residues at a point for the matrix over F_p.  What does not
-depend on a column's exponent alpha it forms once per term of z.
-Member checks and `centralize`'s self-check call `bracket`, so they
-check the builder rather than rerun it.
+One builder, `_ad_rows`, reads x -> [x, z] off the bracket's structure
+constants as rows keyed by integer row codes, which sort as their keys
+(gamma, j) do: over Q(mu) for `ad_matrix` and `solve_inner`, reduced mod
+p at a point for the F_p rank.  Codes become keys only where rows leave
+it, as matrix row keys and certificate rows.  Member checks and
+`centralize`'s self-check run `bracket`'s code, with z cleared once, so
+they check the builder rather than rerun it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
-from operator import add
+from operator import mul
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, BadArity, BadK, PairOutsideBox, SelfCheckFailed
@@ -55,6 +56,7 @@ from .witt import (
     VariantKind,
     WittAlgebra,
     WittElement,
+    _brackets_with,
     bracket,
     proportional,
 )
@@ -127,10 +129,6 @@ class TruncatedSpace:
         return True
 
 
-def _same(value):
-    return value
-
-
 def _dot(u, v):
     """Sum of u_i v_i over the pairs with both factors nonzero; 0 when there is none."""
     total = 0
@@ -140,67 +138,82 @@ def _dot(u, v):
     return total
 
 
-def _ad_entries(z: WittElement, space: TruncatedSpace, columns: Iterable[int],
-                value: Callable) -> Iterator[Tuple[Exponent, int, Tuple[Tuple[int, object], ...]]]:
-    """(gamma, column, entries) of x -> [x, z], per column and term of z that meet.
+def _ad_rows(z: WittElement, space: TruncatedSpace, columns: Iterable[int],
+             point: Optional[Tuple[Fraction, ...]] = None
+             ) -> Tuple[Dict[int, Dict[int, object]], Callable[[int], RowKey]]:
+    """({row code: {column: nonzero entry}}, code -> (gamma, j)) of x -> [x, z] on the columns.
 
-    From the bracket's structure constants: for the column t^alpha d_a
-    and a term t^beta b of z, the entry at row (gamma = alpha + beta, j)
-    is (a, beta) b_j - (b, alpha) a_j, where a is the unit e_d, or d_mu
-    for wnmu; `entries` holds the nonzero ones as (j, entry) pairs.
-    (a, beta) b is formed once per term and direction; per alpha only
-    gamma and (b, alpha) are, and on e_d (b, alpha) meets j = d alone.
-    `value` maps each Cartan coefficient of z and of d_mu: to itself for
-    Q(mu), to its residue at a point for F_p, where entries come out
-    unreduced.  From one column, distinct terms of z reach distinct
-    gamma, so a (row, column) pair occurs at most once.
+    For the column t^alpha d_a and a term t^beta b of z, the entry at row
+    (gamma = alpha + beta, j) is (a, beta) b_j - (b, alpha) a_j, where a
+    is the unit e_d, or d_mu for wnmu.  Row (gamma, j) has the code
+    code(gamma) m + j, code(gamma) = sum_i (gamma_i + reach) R^(m-1-i)
+    with R = 2 reach + 1 and reach = box + max |beta_i| >= |gamma_i|, so
+    codes sort as keys do and code(alpha + beta) - code(alpha) depends on
+    beta alone.  Per term of z, (a, beta) b is formed once per direction
+    and (b, alpha) once per alpha.  Given a point, the Cartan coefficients
+    of z and d_mu are their residues there (errors as scalar_mod_p) and
+    entries are reduced mod MODULUS.  Distinct terms of z take one column
+    to distinct gamma, so each entry is set once.
     """
     algebra = space.algebra
     if z.m != algebra.m:
         raise ArityMismatch(f"element rank {z.m} != ambient {algebra.m}")
-    dmu = [value(c) for c in algebra.dmu_cartan().coeffs]
-    terms = []
-    for beta, cartan in z.support.items():
-        b = [value(c) for c in cartan.coeffs]
-        # (a, beta) b per column direction a; on e_d, as the pairs off j = d and the entry at d.
-        if algebra.variant.kind is VariantKind.WN_MU:
-            a_beta = _dot(dmu, beta)
-            fixed = {MU_DIRECTION: [a_beta * x if a_beta and x else 0 for x in b]}
-        else:
-            scaled = [[a_beta * x if a_beta and x else 0 for x in b] for a_beta in beta]
-            fixed = {d: (tuple((j, x) for j, x in enumerate(ab) if x and j != d), ab[d])
-                     for d, ab in enumerate(scaled)}
-        terms.append((beta, b, fixed))
-    last_alpha = None
+    m = algebra.m
+    reach = space.box + max((abs(e) for beta in z.support for e in beta), default=0)
+    radix = 2 * reach + 1
+    weights = [m * radix ** (m - 1 - i) for i in range(m)]  # code(gamma) m, slot by slot
+    modulus = 0 if point is None else MODULUS
+    coeffs = {c for cartan in [algebra.dmu_cartan(), *z.support.values()] for c in cartan.coeffs}
+    value = {c: scalar_mod_p(c, point, modulus) if modulus else c for c in coeffs}.__getitem__
+    dot = (lambda u, v: sum(map(mul, u, v))) if modulus else _dot  # residues are ints
+    groups: List[Tuple[int, Exponent, List[Tuple[int, int]]]] = []  # (code(alpha) m, alpha, ...)
     for col in columns:
         alpha, d = space.basis[col]
-        if alpha != last_alpha:
-            # The columns at alpha share each term's gamma and (b, alpha).
-            last_alpha = alpha
-            shared = [(tuple(map(add, alpha, beta)), _dot(b, alpha), fixed)
-                      for beta, b, fixed in terms]
-        for gamma, b_alpha, fixed in shared:
-            if d == MU_DIRECTION:
-                entries = tuple((j, e) for j, (x, a) in enumerate(zip(fixed[d], dmu))
-                                if (e := x - b_alpha * a if b_alpha and a else x))
-            else:
+        if not groups or groups[-1][1] != alpha:
+            groups.append((sum(map(mul, alpha, weights)) + reach * sum(weights), alpha, []))
+        groups[-1][2].append((col, d))
+    dmu = [value(c) for c in algebra.dmu_cartan().coeffs]
+    units = ({MU_DIRECTION: dmu} if algebra.variant.kind is VariantKind.WN_MU
+             else {d: [int(i == d) for i in range(m)] for d in range(m)})
+    rows: Dict[int, Dict[int, object]] = defaultdict(dict)
+    for beta, cartan in z.support.items():
+        b = [value(c) for c in cartan.coeffs]
+        shift = sum(map(mul, beta, weights))
+        # per direction a: (a, beta) b_j, reduced, where a_j = 0; (j, (a, beta) b_j, a_j) elsewhere
+        fixed = {}
+        for d, a in units.items():
+            a_beta = _dot(a, beta)
+            scaled = [a_beta * x if a_beta and x else 0 for x in b]
+            fixed[d] = ([(j, x % modulus if modulus else x)
+                         for j, (x, a_j) in enumerate(zip(scaled, a)) if x and not a_j],
+                        [(j, x, a_j) for j, (x, a_j) in enumerate(zip(scaled, a)) if a_j])
+        for base, alpha, group in groups:
+            b_alpha = dot(b, alpha)
+            base += shift
+            for col, d in group:
                 others, own = fixed[d]
-                own = own - b_alpha if own and b_alpha else own or -b_alpha
-                entries = others + ((d, own),) if own else others
-            if entries:
-                yield gamma, col, entries
+                for j, e in others:
+                    rows[base + j][col] = e
+                for j, x, a_j in own:
+                    e = x - b_alpha * a_j if x else -b_alpha * a_j
+                    if modulus:
+                        e %= modulus
+                    if e:
+                        rows[base + j][col] = e
+
+    def key(code: int) -> RowKey:
+        return tuple(code // w % radix - reach for w in weights), code % m
+
+    return rows, key
 
 
 def ad_matrix(z: WittElement, space: TruncatedSpace) -> Tuple[ScalarMatrix, List[RowKey]]:
     """Matrix of x -> [x, z] on the space; rows cover the untruncated image."""
-    entries = [((gamma, j), col, e) for gamma, col, pairs in
-               _ad_entries(z, space, range(len(space)), _same) for j, e in pairs]
-    ordered_keys = sorted({key for key, _, _ in entries})
-    row_index = {key: r for r, key in enumerate(ordered_keys)}
-    matrix = ScalarMatrix(len(ordered_keys), len(space), space.algebra.field.arity)
-    for key, col, entry in entries:
-        matrix.add(row_index[key], col, entry)
-    return matrix, ordered_keys
+    rows, key = _ad_rows(z, space, range(len(space)))
+    codes = sorted(rows)
+    matrix = ScalarMatrix(len(codes), len(space), space.algebra.field.arity)
+    matrix.rows = [rows[code] for code in codes]
+    return matrix, [key(code) for code in codes]
 
 
 class CentralizerResult(NamedTuple):
@@ -217,26 +230,8 @@ class CentralizerResult(NamedTuple):
 
 def _residue_rows(z: WittElement, space: TruncatedSpace,
                   point: Tuple[Fraction, ...]) -> List[Dict[int, int]]:
-    """Rows of ad(z)'s nonzero residues at a point (errors as scalar_mod_p).
-
-    Each distinct coefficient is reduced once; a gamma's m rows take consecutive ids.
-    """
-    coeffs = {c for cartan in [space.algebra.dmu_cartan(), *z.support.values()]
-              for c in cartan.coeffs}
-    residues = {c: scalar_mod_p(c, point, MODULUS) for c in coeffs}
-    m = space.algebra.m
-    ids: Dict[Exponent, int] = {}
-    rows: List[Dict[int, int]] = []
-    for gamma, col, entries in _ad_entries(z, space, range(len(space)), residues.__getitem__):
-        base = ids.get(gamma)
-        if base is None:
-            base = ids[gamma] = len(rows)
-            rows += [{} for _ in range(m)]
-        for j, e in entries:
-            e %= MODULUS
-            if e:
-                rows[base + j][col] = e
-    return [row for row in rows if row]
+    """Rows of ad(z)'s nonzero residues at a point (errors as scalar_mod_p)."""
+    return list(_ad_rows(z, space, range(len(space)), point)[0].values())
 
 
 # Why a match certifies a kernel: at each point the F_p rank r0 is at
@@ -275,9 +270,9 @@ def centralizer_basis(algebra: WittAlgebra, z: WittElement, box: int) -> Central
     rref = None
     for r0, rows in _specialized_ranks(z, space, bound):
         if rref is None:
-            live = {c for row in rows for c in row}
-            members += [{c: algebra.field.one()} for c in range(ncols)
-                        if c not in live and bracket(space.element(c), z).is_zero]
+            dead = sorted(set(range(ncols)).difference(*rows))
+            members += [{c: algebra.field.one()} for c, image in
+                        zip(dead, _brackets_with(z, map(space.element, dead))) if image.is_zero]
             rref = _canonical_rref([{ncols - 1 - c: s for c, s in v.items()} for v in members])
         if ncols - r0 == len(rref):
             vectors = [{ncols - 1 - c: s for c, s in row.items()} for _, row in reversed(rref)]
@@ -285,10 +280,11 @@ def centralizer_basis(algebra: WittAlgebra, z: WittElement, box: int) -> Central
     else:
         vectors = matrix_kernel(ad_matrix(z, space)[0])
     elements = [space.element_from_vector(v) for v in vectors]
-    for v, e in zip(vectors, elements):
-        if v in members or z_member and proportional(e, z) is not None:
-            continue  # [lam m, z] = lam [m, z] = 0 for a member m
-        if not bracket(e, z).is_zero:
+    # [lam m, z] = lam [m, z] = 0 for a member m
+    unchecked = [e for v, e in zip(vectors, elements)
+                 if v not in members and not (z_member and proportional(e, z) is not None)]
+    for e, image in zip(unchecked, _brackets_with(z, unchecked)):
+        if not image.is_zero:
             raise SelfCheckFailed(f"centralizer: {algebra.format(e)} does not commute with z")
     return CentralizerResult(space, elements, vectors)
 
@@ -409,7 +405,7 @@ def verify_lemma_4_1(n: int, m: int, k: int, box: Optional[int] = None) -> Verif
     space = TruncatedSpace(algebra, box)
     predicted = predicted_centralizer_4_1(algebra, k, box)
     parameters = {"n": n, "m": m, "k": k, "box": box}
-    members = all(bracket(e, z).is_zero for e in predicted)
+    members = all(image.is_zero for image in _brackets_with(z, predicted))
     rank_predicted = span_rank(space, predicted)
     independent = members and rank_predicted == len(predicted)
     ranks = _specialized_ranks(z, space, box) if independent else ()

@@ -14,9 +14,9 @@ denominator is not constant), adds the products beta_i a_i b_j and
 -alpha_j a_i b_j into integer term dicts, and makes each output
 coefficient a canonical Scalar once.
 
-Supported variants.  One table (`_MEMBERSHIP`) says which pairs t^alpha d_i
-(t^alpha d_mu in wnmu) each one keeps, for membership and for the basis
-of a degree box alike:
+Supported variants.  One table (`_LOWEST`) says which pairs t^alpha d_i
+(t^alpha d_mu in wnmu) each one keeps, for membership, for the basis of a
+degree box and for its size alike:
 
   * wn          : all of W_n (m == n), every pair,
   * winf        : W_m with a distinguished first block of n < m
@@ -38,7 +38,7 @@ import math
 import random
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, BadArity, BadK, ExactDivisionError, LengthMismatch
 from .scalars import MuPolynomial, Scalar, ScalarField, _make, _one_poly, format_scalar, poly_gcd
@@ -321,13 +321,26 @@ def bracket(x: WittElement, y: WittElement) -> WittElement:
     does.  A gamma comes in at the first pair of terms that reaches it,
     as in the Cartan product rule.  Nonzero operands must share an arity.
     """
+    return next(_brackets_with(y, [x]))
+
+
+def _brackets_with(fixed: WittElement, others: Iterable[WittElement],
+                   left: bool = False) -> Iterator[WittElement]:
+    """[x, fixed] for each x of others, or [fixed, x] when left; fixed is cleared once."""
+    dens: Dict[MuPolynomial, MuPolynomial] = {}
+    cf = _cleared(fixed, dens)
+    for x in others:
+        cx = cf if x is fixed else _cleared(x, dens)
+        yield _bracket_cleared(fixed, x, cf, cx) if left else _bracket_cleared(x, fixed, cx, cf)
+
+
+def _bracket_cleared(x: WittElement, y: WittElement, cx: Tuple, cy: Tuple) -> WittElement:
+    """[x, y] from the operands' `_cleared` forms cx and cy."""
     x._check(y)
     if x.support and y.support and x._arity != y._arity:
         raise ArityMismatch(f"scalar arities {x._arity} != {y._arity}")
     arity = max(x._arity, y._arity)
-    dens: Dict[MuPolynomial, MuPolynomial] = {}
-    lx, xs = _cleared(x, dens)
-    ly, ys = (lx, xs) if y is x else _cleared(y, dens)
+    (lx, xs), (ly, ys) = cx, cy
     acc: Dict[Exponent, Dict[Tuple, Dict[Exponent, int]]] = {}
     sole: Dict[Tuple, Optional[Tuple[MuPolynomial, MuPolynomial]]] = {}
     for alpha, a in xs:
@@ -429,23 +442,31 @@ def proportional(x: WittElement, y: WittElement) -> Optional[Scalar]:
 # belong to a variant; the degree box |alpha_j| <= N cuts a window out.
 
 
-def _polynomial(alpha: Exponent, direction: int) -> bool:
-    # t^alpha d_i = t^(alpha+eps_i) d/dt_i is a polynomial derivation
-    return all(a + (j == direction) >= 0 for j, a in enumerate(alpha))
-
-
-# The variants that leave out pairs of the window, by their membership
-# rule; every other variant holds every pair.
-_MEMBERSHIP = {
-    VariantKind.WN_PLUS_PLUS: lambda alpha, direction: min(alpha) >= 0,
-    VariantKind.WN_PLUS: _polynomial,
+# The variants that leave out pairs of the window, by the lowest exponent
+# they allow in slot i of t^alpha d_direction; every other variant holds
+# every pair.  t^alpha d_i = t^(alpha+eps_i) d/dt_i is a polynomial
+# derivation when alpha + eps_i >= 0.
+_LOWEST = {
+    VariantKind.WN_PLUS_PLUS: lambda i, direction: 0,
+    VariantKind.WN_PLUS: lambda i, direction: -(i == direction),
 }
+
+# The most columns a degree box may have; W_3's box 6 has 6,591.
+MAX_COLUMNS = 200_000
 
 
 def _in_variant(variant: AlgebraVariant, alpha: Exponent, direction: int) -> bool:
     """Whether t^alpha d_direction (t^alpha d_mu for MU_DIRECTION) lies in the variant."""
-    rule = _MEMBERSHIP.get(variant.kind)
-    return rule is None or rule(alpha, direction)
+    low = _LOWEST.get(variant.kind)
+    return low is None or all(a >= low(i, direction) for i, a in enumerate(alpha))
+
+
+def _window_size(variant: AlgebraVariant, box: int) -> int:
+    """Pairs of the box window: per direction, a product over slots of the exponents kept."""
+    low = _LOWEST.get(variant.kind, lambda i, direction: -box)
+    directions = (MU_DIRECTION,) if variant.kind is VariantKind.WN_MU else range(variant.m)
+    return sum(math.prod(box - max(low(i, d), -box) + 1 for i in range(variant.m))
+               for d in directions)
 
 
 def iter_basis_pairs(variant: AlgebraVariant, box: int) -> Iterator[Tuple[Exponent, int]]:
@@ -459,8 +480,8 @@ def iter_basis_pairs(variant: AlgebraVariant, box: int) -> Iterator[Tuple[Expone
     directions = (MU_DIRECTION,) if variant.kind is VariantKind.WN_MU else range(variant.m)
     window = itertools.product(range(-box, box + 1), repeat=variant.m)
     pairs = itertools.product(window, directions)
-    rule = _MEMBERSHIP.get(variant.kind)
-    yield from pairs if rule is None else (pair for pair in pairs if rule(*pair))
+    yield from (pairs if variant.kind not in _LOWEST
+                else (pair for pair in pairs if _in_variant(variant, *pair)))
 
 
 class WittAlgebra:
@@ -562,6 +583,10 @@ class WittAlgebra:
             self._pair_cache = cache
         pairs = cache.get(box)
         if pairs is None:
+            size = _window_size(self.variant, box)
+            if size > MAX_COLUMNS:
+                raise BadArity(f"the box {box} window has {size} columns, "
+                               f"more than the {MAX_COLUMNS} allowed")
             pairs = list(iter_basis_pairs(self.variant, box))
             cache[box] = pairs
         return pairs

@@ -25,10 +25,10 @@ from wittkit import (
     verify_lemma_2_2,
     verify_lemma_4_1,
 )
-from wittkit import centralizer, linalg
+from wittkit import centralizer, linalg, witt
 from wittkit.cli import main
 from wittkit.errors import BadK, SelfCheckFailed
-from wittkit.linalg import MODULUS, scalar_mod_p
+from wittkit.linalg import MODULUS
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
 
@@ -179,18 +179,27 @@ def test_ad_builder_matches_bracket_oracle(variant, ad_matrix_oracle):
     space = TruncatedSpace(algebra, box=2)
     pairs = algebra._basis_pair_list(1)
     rng = random.Random(11)
-    for _ in range(3):
+    for trial in range(4):
         z = algebra.zero()
-        for alpha, direction in rng.sample(pairs, 3):
-            coeff = _rational_coefficient(rng, algebra.field)
-            z = z + algebra.pair_element(alpha, direction).scale(coeff)
+        if trial < 3:
+            for alpha, direction in rng.sample(pairs, 3):
+                coeff = _rational_coefficient(rng, algebra.field)
+                z = z + algebra.pair_element(alpha, direction).scale(coeff)
+        else:
+            # exponents two past the box, negative ones at the low edge of the row codes
+            for alpha, (_, direction) in zip([(-4, -4), (4, -3)], [pairs[0], pairs[-1]]):
+                coeff = _rational_coefficient(rng, algebra.field)
+                z = z + algebra.pair_element(alpha, direction).scale(coeff)
         matrix, keys = ad_matrix_oracle(z, space)
         built, built_keys = ad_matrix(z, space)
         assert built_keys == keys and built.rows == matrix.rows
         columns = sorted(rng.sample(range(len(space)), len(space) // 3))
         some = {(key, c): s for key, row in zip(keys, matrix.rows)
                 for c, s in row.items() if c in columns}
-        assert _flat_entries(z, space, columns, lambda s: s) == some
+        assert _flat_entries(z, space, columns) == some
+        if trial == 3:  # reach = 2 + 4; only the full windows hold alpha = (-2, -2)
+            assert max(abs(g) for gamma, _ in keys for g in gamma) == 6
+            assert keys[0][0] == (-6, -6) or variant.kind in witt._LOWEST
         for point in specialization_points(algebra.field.arity, space.box):
             expected = {}
             for key, row in zip(keys, matrix.rows):
@@ -198,8 +207,7 @@ def test_ad_builder_matches_bracket_oracle(variant, ad_matrix_oracle):
                     residue = _residue(s.evaluate(point))
                     if residue:
                         expected[(key, c)] = residue
-            residues = lambda s: scalar_mod_p(s, point, MODULUS)
-            entries = _flat_entries(z, space, range(len(space)), residues)
+            entries = _flat_entries(z, space, range(len(space)), point)
             assert {k: e % MODULUS for k, e in entries.items() if e % MODULUS} == expected
             rows = {}
             for (key, c), residue in expected.items():
@@ -209,14 +217,19 @@ def test_ad_builder_matches_bracket_oracle(variant, ad_matrix_oracle):
                     == sorted(sorted(row.items()) for row in rows.values()))
 
 
-def _flat_entries(z, space, columns, value):
-    """The builder's entries keyed by ((gamma, j), column); each key comes once."""
+def _flat_entries(z, space, columns, point=None):
+    """The builder's nonzero entries keyed by ((gamma, j), column); each key comes once.
+
+    Row codes sort as their keys do.
+    """
+    rows, key = centralizer._ad_rows(z, space, columns, point)
     flat = {}
-    for gamma, c, entries in centralizer._ad_entries(z, space, columns, value):
-        assert entries and all(e for _, e in entries)
-        for j, e in entries:
-            assert ((gamma, j), c) not in flat
-            flat[((gamma, j), c)] = e
+    for code in sorted(rows):
+        assert rows[code] and all(rows[code].values())
+        for c, e in rows[code].items():
+            flat[(key(code), c)] = e
+    assert len(flat) == sum(map(len, rows.values()))
+    assert list(flat) == sorted(flat, key=lambda k: k[0])
     return flat
 
 

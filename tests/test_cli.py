@@ -146,6 +146,21 @@ def test_verify_lemma_2_2_box_below_k_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--arity", "3", "lemma2.2", "--k", "1000"],
+    ["centralize", "--arity", "2", "--box", "1000", "t1*d1"],
+    ["fuzz", "--arity", "3", "--box", "500", "closure"]])
+def test_oversized_box_is_usage_error_before_enumeration(capsys, monkeypatch, argv):
+    # W_3 at lemma 2.2's default box 1002 has 3 * 2005^3 columns: counted, never built
+    def enumerate_window(variant, box):
+        raise AssertionError(f"{variant} box {box} was enumerated")
+
+    monkeypatch.setattr(wittkit.witt, "iter_basis_pairs", enumerate_window)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "columns, more than the 200000 allowed" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["--arity", "2", "--prefix", "1", "lemma4.4", "t1*d1", "--box", "-1"],
     ["--arity", "2", "--prefix", "1", "lemma4.4", "t1*d1", "--box", "0"],
     ["--arity", "2", "--prefix", "1", "lemma4.4", "t1*d1", "--box", "4"],

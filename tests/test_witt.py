@@ -26,7 +26,8 @@ from wittkit import (
     parse_element,
     proportional,
 )
-from wittkit.witt import VariantKind, iter_basis_pairs
+from wittkit import witt
+from wittkit.witt import VariantKind, _brackets_with, iter_basis_pairs
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
 W1 = WittAlgebra(AlgebraVariant.wn(1))
@@ -150,6 +151,41 @@ def test_bracket_matches_cartan_oracle_and_monomial_rule(variant, bracket_oracle
             assert out.scalar_arity() == algebra.field.arity
 
 
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.kind.value)
+def test_brackets_with_a_fixed_operand_match_bracket(variant, bracket_oracle):
+    # the fixed operand cleared once, on either side, zero or not, against one
+    # bracket per pair and the Cartan oracle: values and the order gammas come in
+    algebra = WittAlgebra(variant)
+    pool = [e for pair in _operand_pairs(algebra, random.Random(repr(variant))) for e in pair]
+    for fixed in pool[::5] + [algebra.zero()]:
+        others = pool[1::3] + [fixed, algebra.zero()]
+        for left in (False, True):
+            images = list(_brackets_with(fixed, others, left))
+            assert len(images) == len(others)
+            for x, image in zip(others, images):
+                a, b = (fixed, x) if left else (x, fixed)
+                for other in (bracket(a, b), bracket_oracle(a, b)):
+                    assert image == other
+                    assert list(image.support) == list(other.support)
+
+
+def test_oversized_box_is_refused_before_enumeration(monkeypatch):
+    # the count comes from the variant's lowest exponents alone: for each variant
+    # the first box past the limit is refused without enumerating the window
+    def enumerate_window(variant, box):
+        raise AssertionError(f"{variant} box {box} was enumerated")
+
+    monkeypatch.setattr(witt, "iter_basis_pairs", enumerate_window)
+    for variant in VARIANTS + [AlgebraVariant.wn(3), AlgebraVariant.wnplus(4)]:
+        box = next(b for b in itertools.count() if witt._window_size(variant, b) > witt.MAX_COLUMNS)
+        assert witt._window_size(variant, box - 1) <= witt.MAX_COLUMNS
+        with pytest.raises(BadArity, match=f"more than the {witt.MAX_COLUMNS} allowed"):
+            WittAlgebra(variant)._basis_pair_list(box)
+    # W_3 at box 1002, the default box of lemma 2.2 at k = 1000: 3 * 2005^3 columns
+    with pytest.raises(BadArity, match="24180450375 columns"):
+        WittAlgebra(AlgebraVariant.wn(3))._basis_pair_list(1002)
+
+
 def test_bracket_rejects_mismatched_scalar_arities():
     w2c = WittAlgebra(AlgebraVariant.wn(2), ScalarField(2, ("c",)))
     for x, y in ((W2.d(1), w2c.d(2)), (W2.d(1), w2c.monomial((1, 0), 1)),
@@ -226,6 +262,7 @@ def test_variant_membership():
                 if variant.kind is VariantKind.WN_PLUS and box >= 1:
                     expected += m * (box + 1) ** (m - 1)
                 assert len(pairs) == expected, (variant, box)
+                assert witt._window_size(variant, box) == len(pairs)
                 if on_dmu_line and m > 1:
                     # a single coordinate direction is off the d_mu line
                     assert not any(algebra.member(algebra.monomial(alpha, 1)) for alpha in window)
