@@ -24,8 +24,8 @@ constants as rows keyed by integer row codes, which sort as their keys
 (gamma, j) do: over Q(mu) for `ad_matrix` and `solve_inner`, reduced mod
 p at a point for the F_p rank.  Codes become keys only where rows leave
 it, as matrix row keys and certificate rows.  Member checks and
-`centralize`'s self-check run `bracket`'s code, with z cleared once, so
-they check the builder rather than rerun it.
+`centralize`'s self-check call `bracket`, so they check the builder
+rather than rerun it.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .witt import (
     VariantKind,
     WittAlgebra,
     WittElement,
-    _brackets_with,
     bracket,
     proportional,
 )
@@ -184,8 +183,9 @@ def _ad_rows(z: WittElement, space: TruncatedSpace, columns: Iterable[int],
         for d, a in units.items():
             a_beta = _dot(a, beta)
             scaled = [a_beta * x if a_beta and x else 0 for x in b]
-            fixed[d] = ([(j, x % modulus if modulus else x)
-                         for j, (x, a_j) in enumerate(zip(scaled, a)) if x and not a_j],
+            if modulus:  # before the zero test: p may divide a nonzero (a, beta) b_j
+                scaled = [x % modulus for x in scaled]
+            fixed[d] = ([(j, x) for j, (x, a_j) in enumerate(zip(scaled, a)) if x and not a_j],
                         [(j, x, a_j) for j, (x, a_j) in enumerate(zip(scaled, a)) if a_j])
         for base, alpha, group in groups:
             b_alpha = dot(b, alpha)
@@ -271,8 +271,8 @@ def centralizer_basis(algebra: WittAlgebra, z: WittElement, box: int) -> Central
     for r0, rows in _specialized_ranks(z, space, bound):
         if rref is None:
             dead = sorted(set(range(ncols)).difference(*rows))
-            members += [{c: algebra.field.one()} for c, image in
-                        zip(dead, _brackets_with(z, map(space.element, dead))) if image.is_zero]
+            members += [{c: algebra.field.one()} for c in dead
+                        if bracket(space.element(c), z).is_zero]
             rref = _canonical_rref([{ncols - 1 - c: s for c, s in v.items()} for v in members])
         if ncols - r0 == len(rref):
             vectors = [{ncols - 1 - c: s for c, s in row.items()} for _, row in reversed(rref)]
@@ -280,11 +280,10 @@ def centralizer_basis(algebra: WittAlgebra, z: WittElement, box: int) -> Central
     else:
         vectors = matrix_kernel(ad_matrix(z, space)[0])
     elements = [space.element_from_vector(v) for v in vectors]
-    # [lam m, z] = lam [m, z] = 0 for a member m
-    unchecked = [e for v, e in zip(vectors, elements)
-                 if v not in members and not (z_member and proportional(e, z) is not None)]
-    for e, image in zip(unchecked, _brackets_with(z, unchecked)):
-        if not image.is_zero:
+    for v, e in zip(vectors, elements):
+        if v in members or z_member and proportional(e, z) is not None:
+            continue  # [lam m, z] = lam [m, z] = 0 for a member m
+        if not bracket(e, z).is_zero:
             raise SelfCheckFailed(f"centralizer: {algebra.format(e)} does not commute with z")
     return CentralizerResult(space, elements, vectors)
 
@@ -405,7 +404,7 @@ def verify_lemma_4_1(n: int, m: int, k: int, box: Optional[int] = None) -> Verif
     space = TruncatedSpace(algebra, box)
     predicted = predicted_centralizer_4_1(algebra, k, box)
     parameters = {"n": n, "m": m, "k": k, "box": box}
-    members = all(image.is_zero for image in _brackets_with(z, predicted))
+    members = all(bracket(e, z).is_zero for e in predicted)
     rank_predicted = span_rank(space, predicted)
     independent = members and rank_predicted == len(predicted)
     ranks = _specialized_ranks(z, space, box) if independent else ()

@@ -28,15 +28,13 @@ evaluate, and carries that argument.  `centralize` and the centralizer
 verifiers combine the bound with explicitly verified kernel members to
 pin kernels exactly without symbolic elimination, ranking residues read
 off the bracket's structure constants.  `rank_mod_p` is that rank on
-rows already reduced to residues: `modular_rank` feeds it a ScalarMatrix
-whose entries `scalar_mod_p` reduces, reading num and den mod p off their
-integer coefficients at an integral point.
+rows already reduced to residues: `modular_rank` feeds it a
+ScalarMatrix evaluated entry by entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DenominatorVanishes, LengthMismatch
@@ -129,16 +127,9 @@ def specialized_residues(arity: int, bound: int,
 def scalar_mod_p(value: Scalar, values: Sequence[Fraction], prime: int) -> int:
     """Residue mod `prime` of a scalar evaluated at a rational point.
 
-    At an integral point, num and den are evaluated mod `prime` off their
-    integer coefficients; the exact value decides elsewhere and where den
-    vanishes mod `prime`, raising DenominatorVanishes at a pole and
-    ValueError when `prime` divides the value's reduced denominator.
+    Raises DenominatorVanishes at a pole and ValueError when the value's
+    denominator is divisible by the modulus.
     """
-    if all(v.denominator == 1 for v in values):
-        num, den = (sum(c * prod(pow(int(v), e, prime) for v, e in zip(values, mono) if e)
-                        for mono, c in poly.terms.items()) for poly in (value.num, value.den))
-        if den % prime:
-            return num * pow(den, -1, prime) % prime
     v = Fraction(value.evaluate(values))
     den = v.denominator % prime
     if den == 0:
@@ -155,16 +146,19 @@ def _echelon(rows: Sequence[Dict[int, object]], inverse: Callable,
     vanish or lead at a column with no pivot row, where they are scaled
     to a unit and stored less it: a pivot row holds only later columns.
     A row that reduces to its lead alone settles that column, and later
-    rows drop its entries in the copy instead of in one step each; a
-    row of one entry whose column is settled or has no pivot row settles
-    it without a copy.  The rows are not modified.  The pivot columns do
-    not depend on the order; taking the rows by last column, shorter
-    rows first among equals, keeps the fill-in small.
+    rows drop its entries in the copy instead of in one step each.  The
+    rows are not modified.  The pivot columns do not depend on the
+    order; taking the rows by last column, shorter rows first among
+    equals, keeps the fill-in small.  Taken so, a row of one entry
+    settles its column without a copy: a pivot row at that column with
+    a tail holds a later column, and so comes from a later row.
     """
     tails: Dict[int, Dict[int, object]] = {}
     settled = set()
+    # two stable sorts on built-in keys take less time than one tuple key
     for row in sorted(sorted(filter(None, rows), key=len), key=max):
-        if len(row) == 1 and ((lead := min(row)) in settled or lead not in tails):
+        if len(row) == 1:
+            lead, = row
             settled.add(lead)
             tails[lead] = {}
             continue

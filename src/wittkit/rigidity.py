@@ -42,7 +42,6 @@ from .witt import (
     Exponent,
     WittAlgebra,
     WittElement,
-    _brackets_with,
     bracket,
     proportional,
 )
@@ -143,12 +142,11 @@ def _left_product(space: TruncatedSpace, constraints: Sequence[Tuple[WittElement
             alpha = tuple(g - b for g, b in zip(gamma, beta))
             columns.update(space.index[(alpha, d)] for d in directions
                            if (alpha, d) in space.index)
-    columns = sorted(columns)
-    images = {q: list(_brackets_with(constraints[q][0], map(space.element, columns)))
-              for q in {key[0] for key in weights}}
     out: Dict[int, Scalar] = {}
-    for k, c in enumerate(columns):
-        total = _weighted_sum((u, _entry(images[q][k], gamma, j))
+    for c in sorted(columns):
+        images = {q: bracket(space.element(c), constraints[q][0])
+                  for q in {key[0] for key in weights}}
+        total = _weighted_sum((u, _entry(images[q], gamma, j))
                               for (q, gamma, j), u in weights.items())
         if total is not None:
             out[c] = total
@@ -337,7 +335,7 @@ def realize_in_span(algebra: WittAlgebra, span: Sequence[WittElement], x: WittEl
         return algebra.zero()
     if not span:
         return None
-    columns = [_keyed_rows(image, 0) for image in _brackets_with(x, span)]
+    columns = [_keyed_rows(bracket(b, x), 0) for b in span]
     matrix, rhs, _ = _keyed_system(algebra.field.arity, columns, _keyed_rows(target, 0))
     outcome = matrix_solve(matrix, rhs)
     if not outcome.consistent:
@@ -392,7 +390,6 @@ class RigidityReport(NamedTuple):
         """
         algebra = self.algebra
         anchors = [(z, delta.value_at(z)) for z in (algebra.dmu(), algebra.power_sum_dmu(1))]
-        realized = [(rec, rec.realizer) for rec in self.residuals if rec.realizer is not None]
         problem = None
         if self.verdict == "inconsistent":
             problem = _certificate_problem(TruncatedSpace(algebra, self.box), anchors,
@@ -402,9 +399,10 @@ class RigidityReport(NamedTuple):
         elif any(not rec.residual.is_zero for rec in self.residuals
                  if rec.probe in (anchors[0][0], anchors[1][0])):
             problem = "the recovered a does not reproduce both anchors"
-        elif (any(bracket(b, rec.probe) != rec.residual for rec, b in realized)
-              or any(not image.is_zero for z, _ in anchors
-                     for image in _brackets_with(z, [b for _, b in realized]))):
+        elif any(rec.realizer is not None
+                 and (bracket(rec.realizer, rec.probe) != rec.residual
+                      or any(not bracket(rec.realizer, z).is_zero for z, _ in anchors))
+                 for rec in self.residuals):
             problem = "a realizer does not re-bracket to its residual from the centralizer"
         elif self.passed != all(rec.passed for rec in self.residuals):
             problem = f"verdict {self.verdict} disagrees with the residuals"
@@ -465,9 +463,8 @@ def rigidity_pipeline(delta: PointwiseMap, box: int) -> RigidityReport:
         a = inner.solution
         ambiguity = inner.homogeneous
         residuals: List[ResidualRecord] = []
-        images = _brackets_with(a, [x for x, _ in delta], left=True)
-        for (x, dx), image in zip(delta, images):
-            r = dx - image
+        for x, dx in delta:
+            r = dx - bracket(a, x)
             residuals.append(ResidualRecord(x, dx, r, realize_in_span(algebra, ambiguity, x, r)))
         verdict = "inner" if all(rec.passed for rec in residuals) else "obstructed"
         report = RigidityReport(verdict, algebra, box, a, ambiguity, residuals, None)
@@ -482,7 +479,7 @@ def rigidity_pipeline(delta: PointwiseMap, box: int) -> RigidityReport:
 def _forcing(algebra: WittAlgebra, family: Sequence[WittElement],
              x: WittElement) -> Tuple[List[WittElement], set, int]:
     """The images [s_i, x], the union of their supports and their rank over Q(mu)."""
-    images = list(_brackets_with(x, family))
+    images = [bracket(s, x) for s in family]
     matrix, _, _ = _keyed_system(algebra.field.arity, [_keyed_rows(w, 0) for w in images], {})
     return images, set().union(*(w.support for w in images)), matrix_rank(matrix)
 
@@ -735,7 +732,7 @@ def verify_lemma_4_3(n: int, m: int, k: int, box: int = 2) -> VerificationReport
             "coefficient": _times_unknown(base.field, probe, name),
             "full_coefficient": _times_unknown(base.field, full, name),
         })
-    h_part_zero = all(image.is_zero for image in _brackets_with(z, [e for _, _, e in h_family]))
+    h_part_zero = all(bracket(e, z).is_zero for _, _, e in h_family)
     passed = (
         support_disjoint
         and coefficients_ok
@@ -785,7 +782,7 @@ def verify_lemma_4_4(x: WittElement, n: int, m: int,
     shifts, h_family = lemma_4_1_families(base, k, a_box)
     _, violating, forcing_rank = _bounded_forcing(base, [s for _, s in shifts], x, n_x)
     names = [f"c{i}" for i in range(1, len(shifts) + 1)]
-    h_part_zero = all(image.is_zero for image in _brackets_with(x, [e for _, _, e in h_family]))
+    h_part_zero = all(bracket(e, x).is_zero for _, _, e in h_family)
     passed = violating is None and h_part_zero and forcing_rank == len(shifts)
     data: Dict[str, object] = {
         "n_x": n_x,

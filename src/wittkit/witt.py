@@ -12,7 +12,8 @@ works on integers: it writes each operand's coefficients once over a
 common integer denominator L (times a primitive polynomial P where a
 denominator is not constant), adds the products beta_i a_i b_j and
 -alpha_j a_i b_j into integer term dicts, and makes each output
-coefficient a canonical Scalar once.
+coefficient a canonical Scalar once.  An element keeps its integer form,
+so an operand shared by many brackets is written over L once.
 
 Supported variants.  One table (`_LOWEST`) says which pairs t^alpha d_i
 (t^alpha d_mu in wnmu) each one keeps, for membership, for the basis of a
@@ -38,7 +39,7 @@ import math
 import random
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, BadArity, BadK, ExactDivisionError, LengthMismatch
 from .scalars import MuPolynomial, Scalar, ScalarField, _make, _one_poly, format_scalar, poly_gcd
@@ -191,7 +192,7 @@ class CartanElement:
 class WittElement:
     """Sparse element: exponent alpha -> Cartan coefficient, zero terms pruned."""
 
-    __slots__ = ("m", "support", "_hash", "_arity")
+    __slots__ = ("m", "support", "_hash", "_arity", "_terms")
 
     def __init__(self, m: int, support: Dict[Exponent, CartanElement], arity: int = 0):
         self.m = m
@@ -203,6 +204,7 @@ class WittElement:
                 pruned[alpha] = cartan
         self.support = pruned
         self._hash: Optional[int] = None
+        self._terms: Optional[Tuple[int, List]] = None  # `_cleared`'s, on first use
         # the scalar arity: the given coefficients', else `arity`; a zero element keeps it
         self._arity = next(iter(support.values())).coeffs[0].arity if support else arity
 
@@ -275,13 +277,17 @@ class WittElement:
         return f"WittElement({self.m}, {self.support!r})"
 
 
-def _cleared(x: WittElement, dens: Dict[MuPolynomial, MuPolynomial]) -> Tuple[int, List]:
+def _cleared(x: WittElement) -> Tuple[int, List]:
     """(L, terms): x's nonzero coefficients as integer term lists over L * P.
 
     L is the lcm of the denominators' integer contents, P a denominator's
-    primitive part, kept once in `dens`, or None for a constant one.  Each
+    primitive part, kept once per x, or None for a constant one.  Each
     term is (alpha, [(i, terms over L * P, P, the coefficient's own num)]).
+    Elements do not change, so x keeps the result for its next bracket.
     """
+    if x._terms is not None:
+        return x._terms
+    dens: Dict[MuPolynomial, MuPolynomial] = {}
     terms = [(alpha, [(i, c, math.gcd(*c.den.terms.values()))
                       for i, c in enumerate(cartan.coeffs) if c.num.terms])
              for alpha, cartan in x.support.items()]
@@ -291,7 +297,8 @@ def _cleared(x: WittElement, dens: Dict[MuPolynomial, MuPolynomial]) -> Tuple[in
             p = None if c.den.is_constant() else c.den._quo(content)
             coeffs[k] = (i, [(mono, a * (lcm // content)) for mono, a in c.num.terms.items()],
                          p and dens.setdefault(p, p), c.num)
-    return lcm, terms
+    x._terms = lcm, terms
+    return x._terms
 
 
 def _cancel_factor(num: MuPolynomial, p: MuPolynomial,
@@ -321,26 +328,12 @@ def bracket(x: WittElement, y: WittElement) -> WittElement:
     does.  A gamma comes in at the first pair of terms that reaches it,
     as in the Cartan product rule.  Nonzero operands must share an arity.
     """
-    return next(_brackets_with(y, [x]))
-
-
-def _brackets_with(fixed: WittElement, others: Iterable[WittElement],
-                   left: bool = False) -> Iterator[WittElement]:
-    """[x, fixed] for each x of others, or [fixed, x] when left; fixed is cleared once."""
-    dens: Dict[MuPolynomial, MuPolynomial] = {}
-    cf = _cleared(fixed, dens)
-    for x in others:
-        cx = cf if x is fixed else _cleared(x, dens)
-        yield _bracket_cleared(fixed, x, cf, cx) if left else _bracket_cleared(x, fixed, cx, cf)
-
-
-def _bracket_cleared(x: WittElement, y: WittElement, cx: Tuple, cy: Tuple) -> WittElement:
-    """[x, y] from the operands' `_cleared` forms cx and cy."""
     x._check(y)
     if x.support and y.support and x._arity != y._arity:
         raise ArityMismatch(f"scalar arities {x._arity} != {y._arity}")
     arity = max(x._arity, y._arity)
-    (lx, xs), (ly, ys) = cx, cy
+    lx, xs = _cleared(x)
+    ly, ys = _cleared(y)
     acc: Dict[Exponent, Dict[Tuple, Dict[Exponent, int]]] = {}
     sole: Dict[Tuple, Optional[Tuple[MuPolynomial, MuPolynomial]]] = {}
     for alpha, a in xs:

@@ -179,17 +179,20 @@ def test_ad_builder_matches_bracket_oracle(variant, ad_matrix_oracle):
     space = TruncatedSpace(algebra, box=2)
     pairs = algebra._basis_pair_list(1)
     rng = random.Random(11)
-    for trial in range(4):
+    for trial in range(5):
         z = algebra.zero()
         if trial < 3:
             for alpha, direction in rng.sample(pairs, 3):
                 coeff = _rational_coefficient(rng, algebra.field)
                 z = z + algebra.pair_element(alpha, direction).scale(coeff)
-        else:
+        elif trial == 3:
             # exponents two past the box, negative ones at the low edge of the row codes
             for alpha, (_, direction) in zip([(-4, -4), (4, -3)], [pairs[0], pairs[-1]]):
                 coeff = _rational_coefficient(rng, algebra.field)
                 z = z + algebra.pair_element(alpha, direction).scale(coeff)
+        else:
+            # t1^p d2: the entries (e_1, beta) b_2 = p vanish mod p and are left out
+            z = algebra.pair_element((MODULUS, 0), pairs[-1][1]) + algebra.pair_element(*pairs[0])
         matrix, keys = ad_matrix_oracle(z, space)
         built, built_keys = ad_matrix(z, space)
         assert built_keys == keys and built.rows == matrix.rows
@@ -240,6 +243,20 @@ def test_specialized_ranks_reduce_entries_mod_p():
     space = TruncatedSpace(W2, box=2)
     r = rank(ad_matrix(z, space)[0])
     assert r in [r0 for r0, _ in centralizer._specialized_ranks(z, space, space.box)]
+
+
+def test_centralizer_of_an_exponent_divisible_by_p(monkeypatch):
+    # beta_1 = p: the residues of (e_1, beta) b_2 vanish, and no zero entry may reach
+    # the echelon, whose rank would rise above the generic rank
+    fallbacks = _count_fallbacks(monkeypatch)
+    for text in ["t1^2147483647*d2", "t1^2147483647*d2 + t2*d1", "t1^2147483647*d2 + d1"]:
+        z = parse_element(text, W2)
+        space = TruncatedSpace(W2, box=1)
+        r = rank(ad_matrix(z, space)[0])
+        for r0, rows in centralizer._specialized_ranks(z, space, space.box):
+            assert r0 <= r and all(all(row.values()) for row in rows)
+        fallbacks.clear()
+        assert centralizer_basis(W2, z, 1).vectors == _symbolic_kernel(W2, z, 1)
 
 
 def _count_fallbacks(monkeypatch):

@@ -20,6 +20,7 @@ from wittkit import (
     specialization_points,
 )
 from wittkit import AlgebraVariant, TruncatedSpace, WittAlgebra, centralizer
+from wittkit.errors import ArityMismatch
 from wittkit.linalg import MODULUS, _canonical_rref, rank_mod_p, scalar_mod_p
 from wittkit.scalars import MuPolynomial
 
@@ -253,22 +254,13 @@ def test_scalar_mod_p_matches_exact_value(arity):
         assert _residue_or_error(value, point + pad, 7) == expected
 
 
-def test_scalar_mod_p_falls_back_where_p_divides_den_at_the_point():
-    # den(7, 1) = 14, but the value 7/14 = 1/2 has a denominator prime to 7
-    mu1, mu2 = F2.mu(1), F2.mu(2)
-    assert _residue_or_error(mu1 / (mu1 + 7 * mu2), (Fraction(7), Fraction(1)), 7) == 4
-    # at integral points the outcome read off num and den is the exact value's;
-    # 1/(mu1 - 12) has a pole at the third point
-    scalars = [mu1 / (mu1 + mu2), (mu1 * mu1 - 3) / (2 * mu2 + 5), 1 / (mu1 - 12),
-               F2.from_fraction(Fraction(-7, 6)), (mu1 - mu2) / (mu1 * mu2 + 1)]
-    for point in specialization_points(2, 4) + [(Fraction(-3), Fraction(0))]:
-        for value in scalars:
-            try:
-                exact = Fraction(value.evaluate(point))
-                expected = exact.numerator * pow(exact.denominator, -1, MODULUS) % MODULUS
-            except DenominatorVanishes:
-                expected = DenominatorVanishes
-            assert _residue_or_error(value, point, MODULUS) == expected
+def test_scalar_mod_p_rejects_a_point_of_the_wrong_length():
+    value = F2.mu(1) / (F2.mu(2) + 1)
+    for point in [(Fraction(3),), (Fraction(3), Fraction(1), Fraction(2))]:
+        with pytest.raises(ArityMismatch):
+            scalar_mod_p(value, point, MODULUS)
+        with pytest.raises(ArityMismatch):
+            modular_rank(build([(0, 0, value)], 1, 1), point)
 
 
 def test_rank_drops_at_degenerate_point():

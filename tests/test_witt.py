@@ -27,7 +27,7 @@ from wittkit import (
     proportional,
 )
 from wittkit import witt
-from wittkit.witt import VariantKind, _brackets_with, iter_basis_pairs
+from wittkit.witt import VariantKind, iter_basis_pairs
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
 W1 = WittAlgebra(AlgebraVariant.wn(1))
@@ -152,21 +152,25 @@ def test_bracket_matches_cartan_oracle_and_monomial_rule(variant, bracket_oracle
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.kind.value)
-def test_brackets_with_a_fixed_operand_match_bracket(variant, bracket_oracle):
-    # the fixed operand cleared once, on either side, zero or not, against one
-    # bracket per pair and the Cartan oracle: values and the order gammas come in
+def test_bracket_on_kept_cleared_forms_matches_fresh_operands(variant, bracket_oracle):
+    # a fixed operand, zero or not, on either side of many brackets is cleared once
+    # and then read back: values and the order gammas come in match copies that
+    # clear afresh and the Cartan oracle
     algebra = WittAlgebra(variant)
     pool = [e for pair in _operand_pairs(algebra, random.Random(repr(variant))) for e in pair]
+
+    def fresh(x):
+        return WittElement(x.m, x.support, x.scalar_arity())
+
     for fixed in pool[::5] + [algebra.zero()]:
-        others = pool[1::3] + [fixed, algebra.zero()]
-        for left in (False, True):
-            images = list(_brackets_with(fixed, others, left))
-            assert len(images) == len(others)
-            for x, image in zip(others, images):
-                a, b = (fixed, x) if left else (x, fixed)
-                for other in (bracket(a, b), bracket_oracle(a, b)):
-                    assert image == other
-                    assert list(image.support) == list(other.support)
+        kept = witt._cleared(fixed)
+        for x in pool[1::3] + [fixed, algebra.zero()]:
+            for a, b in ((x, fixed), (fixed, x)):
+                out = bracket(a, b)
+                for other in (bracket(fresh(a), fresh(b)), bracket_oracle(a, b)):
+                    assert out == other
+                    assert list(out.support) == list(other.support)
+        assert witt._cleared(fixed) is kept
 
 
 def test_oversized_box_is_refused_before_enumeration(monkeypatch):
