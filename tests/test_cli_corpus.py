@@ -236,3 +236,62 @@ def test_corpus_inconsistent_certificate(capsys, tmp_path, certificate_holds, ca
         j = next(i for i, c in enumerate(cartan.coeffs) if not c.is_zero)
         rows.append(((entry["constraint"], gamma, j), parse_scalar(entry["weight"], algebra.field)))
     assert certificate_holds(algebra, constraints, 1, rows) is None
+
+
+# Elements of the first-n slice, with k = 2 n_x + 1 of lemmas 3.4 and 4.4.
+SLICE_ELEMENTS = {
+    1: [("d1", 3), ("t1^-1*d1 + 2*t1*d1", 5)],
+    2: [("d2 + mu1*d1", 3), ("t1*t2^-1*d1 + t2*d2", 5)],
+    3: [("d3", 3), ("t1*t3^-1*d2 - d1", 5)],
+}
+
+
+def _verify_grid():
+    """argv of every lemma at n <= 3, m <= 4, |k| <= 4, with boxes at and one below
+    each lemma's least, and refused inputs: k = 0 or 1, n = m and no --prefix for
+    4.x, x outside the first-n slice, zero x.  Lemma 4.4's power-5 elements run
+    where m - n <= 2, so that no case lists more than 121 shift tails."""
+    grid = []
+    for n in (1, 2, 3):
+        wn = ["verify", "--arity", str(n)]
+        for k in range(-4, 5):
+            grid.append(wn + ["--k", str(k), "lemma3.3"])
+            grid += [wn + ["--k", str(k), "--box", str(box), "lemma2.2"]
+                     for box in (abs(k), abs(k) - 1)]
+        for x, _ in SLICE_ELEMENTS[n] + [("0", None)]:
+            grid.append(wn + ["lemma3.4", x])
+            grid += [wn + ["lemma3.2", x] + box for box in ([], ["--box", "0"], ["--box", "-1"])]
+        grid.append(wn + ["--k", "2", "lemma4.1"])
+        same = ["verify", "--arity", str(n), "--prefix", str(n)]
+        grid += [same + ["--k", "2", "lemma4.1"], same + ["--k", "2", "lemma4.3"],
+                 same + ["lemma4.4", SLICE_ELEMENTS[n][0][0]]]
+        for m in range(n + 1, 5):
+            winf = ["verify", "--arity", str(m), "--prefix", str(n)]
+            for k in range(-4, 5):
+                grid += [winf + ["--k", str(k), "--box", str(box), "lemma4.1"]
+                         for box in (1, 0, -1)]
+                grid += [winf + ["--k", str(k), "--box", str(box), "lemma4.3"]
+                         for box in (1, 0)]
+            for x, k in SLICE_ELEMENTS[n]:
+                if k == 3 or m - n <= 2:
+                    grid += [winf + ["lemma4.4", x] + box
+                             for box in ([], ["--box", str(k)], ["--box", str(k - 1)])]
+            grid += [winf + ["lemma4.4", x] for x in ("0", f"t{m}*d1", f"d{m}")]
+    return grid
+
+
+def test_verify_grid_output_is_pinned(capsys):
+    # Pinned before the W_n lemmas 2.2, 3.3 and 3.4 ran as lemmas 4.1, 4.3
+    # and 4.4 at m = n: one sha256 over (argv, exit code, stdout, stderr).
+    digest, codes = hashlib.sha256(), []
+    for argv in _verify_grid():
+        argv = argv + ["--format", "json"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        digest.update(json.dumps([argv, code, out, err]).encode())
+        codes.append(code)
+    assert (len(codes), codes.count(0), codes.count(2)) == (450, 223, 227)
+    assert digest.hexdigest() == "62301c3bf44d1fe8a16c1ad9185fec9665200f20169d316c9caefe8322577340"
