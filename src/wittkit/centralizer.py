@@ -49,6 +49,7 @@ from .linalg import (
 )
 from .scalars import Scalar
 from .witt import (
+    MAX_COLUMNS,
     MU_DIRECTION,
     AlgebraVariant,
     CartanElement,
@@ -304,24 +305,21 @@ def lemma_4_1_families(algebra: WittAlgebra, k: int, box: int) -> Tuple[
     Shift family: (beta, t^beta (t_1^k+...+t_n^k) d_mu) for beta with zero
     first-n slots, kept when the shifted support fits the box.  h' family:
     (beta, j, t^beta d_j) for j > n (1-based).  With m == n both K_n and
-    h'_n collapse and only the power-sum line remains.
+    h'_n collapse and only the power-sum line remains.  Above MAX_COLUMNS
+    elements, counted before any is listed, raises BadArity.
     """
     if k == 0:
         raise BadK("k must be nonzero")
     n, m = algebra.n, algebra.m
-    tails = list(product(range(-box, box + 1), repeat=m - n))
+    size = (2 * box + 1) ** (m - n) * (1 + m - n)
+    if size > MAX_COLUMNS:
+        raise BadArity(f"the box {box} shift and h' families have {size} elements, "
+                       f"more than the {MAX_COLUMNS} allowed")
+    betas = [(0,) * n + tail for tail in product(range(-box, box + 1), repeat=m - n)]
     power_sum = algebra.power_sum_dmu(k)
-    shifts: List[Tuple[Exponent, WittElement]] = []
-    if abs(k) <= box:
-        for tail in tails:
-            beta = (0,) * n + tail
-            shifts.append((beta, power_sum.translate(beta)))
-    h_family: List[Tuple[Exponent, int, WittElement]] = []
-    for tail in tails:
-        beta = (0,) * n + tail
-        for j in range(n + 1, m + 1):
-            h_family.append((beta, j, algebra.monomial(beta, j)))
-    return shifts, h_family
+    shifts = [(beta, power_sum.translate(beta)) for beta in betas] if abs(k) <= box else []
+    return shifts, [(beta, j, algebra.monomial(beta, j)) for beta in betas
+                    for j in range(n + 1, m + 1)]
 
 
 def predicted_centralizer_4_1(algebra: WittAlgebra, k: int, box: int) -> List[WittElement]:
@@ -345,8 +343,46 @@ class VerificationReport(NamedTuple):
         return out
 
 
+def _lemma_4_1(algebra: WittAlgebra, k: int, box: int
+               ) -> Tuple[bool, Dict[str, object], List[WittElement]]:
+    """Lemma 4.1 at rank m >= n: (pass, report data, kernel basis).
+
+    The predicted family is the basis when it centralizes z, is
+    independent and meets ncols minus an F_p rank of ad(z); otherwise
+    `centralizer_basis`'s is, compared with it by the stacked rank.
+    """
+    z = algebra.power_sum_dmu(k)
+    space = TruncatedSpace(algebra, box)
+    predicted = predicted_centralizer_4_1(algebra, k, box)
+    members = all(bracket(e, z).is_zero for e in predicted)
+    rank_predicted = span_rank(space, predicted)
+    independent = members and rank_predicted == len(predicted)
+    ranks = _specialized_ranks(z, space, box) if independent else ()
+    certified = next((r0 for r0, _ in ranks if r0 == len(space) - len(predicted)), None)
+    data: Dict[str, object] = {
+        "predicted_dimension": len(predicted),
+        "rank_predicted": rank_predicted,
+        "predicted_centralizes": members,
+        "predicted": [algebra.format(e) for e in predicted],
+        "columns": len(space),
+    }
+    if certified is not None:
+        data.update(dimension=len(predicted), spans_equal=True, method="specialized-rank",
+                    specialized_rank=certified)
+        return True, data, predicted
+    elements = centralizer_basis(algebra, z, box).basis
+    rank_stacked = span_rank(space, predicted + elements)
+    spans_equal = rank_stacked == rank_predicted == len(elements)
+    data.update(dimension=len(elements), rank_stacked=rank_stacked, spans_equal=spans_equal,
+                method="symbolic-kernel", basis=[algebra.format(e) for e in elements])
+    return members and spans_equal and len(elements) == len(predicted), data, elements
+
+
 def verify_lemma_2_2(n: int, k: int, box: Optional[int] = None) -> VerificationReport:
-    """Centralizer of the power-sum element in W_n is one line, the element itself."""
+    """Centralizer of the power-sum element in W_n is one line, the element itself.
+
+    This is lemma 4.1 at m = n, where a box of at least |k| predicts z alone.
+    """
     if k == 0:
         raise BadK("k must be nonzero")
     if box is None:
@@ -355,34 +391,18 @@ def verify_lemma_2_2(n: int, k: int, box: Optional[int] = None) -> VerificationR
         raise BadK(f"lemma 2.2 needs box >= |k|: the power sum with k = {k} "
                    f"lies outside the box {box}")
     algebra = WittAlgebra(AlgebraVariant.wn(n))
-    z = algebra.power_sum_dmu(k)
-    space = TruncatedSpace(algebra, box)
-    parameters = {"n": n, "k": k, "box": box}
-    member = bracket(z, z).is_zero and bool(space.coordinates_of(z))
-    ranks = _specialized_ranks(z, space, box) if member else ()
-    certified = next((r0 for r0, _ in ranks if r0 == len(space) - 1), None)
-    if certified is not None:
-        data: Dict[str, object] = {
-            "dimension": 1,
-            "basis": [algebra.format(z)],
-            "witness": algebra.field.format(algebra.field.one()),
-            "method": "specialized-rank",
-            "specialized_rank": certified,
-            "columns": len(space),
-        }
-        return VerificationReport("2.2", parameters, True, data)
-    elements = centralizer_basis(algebra, z, box).basis
-    witness = proportional(elements[0], z) if len(elements) == 1 else None
-    passed = len(elements) == 1 and witness is not None
-    data = {
-        "dimension": len(elements),
-        "basis": [algebra.format(e) for e in elements],
-        "method": "symbolic-kernel",
-        "columns": len(space),
-    }
+    passed, found, basis = _lemma_4_1(algebra, k, box)
+    if "specialized_rank" in found:  # the basis is the predicted z itself
+        witness = algebra.field.one()
+    else:
+        witness = proportional(basis[0], algebra.power_sum_dmu(k)) if len(basis) == 1 else None
+    data: Dict[str, object] = {"dimension": len(basis),
+                               "basis": found.get("basis", found["predicted"])}
     if witness is not None:
         data["witness"] = algebra.field.format(witness)
-    return VerificationReport("2.2", parameters, passed, data)
+    data.update((key, found[key]) for key in ("method", "specialized_rank", "columns")
+                if key in found)
+    return VerificationReport("2.2", {"n": n, "k": k, "box": box}, passed, data)
 
 
 def verify_lemma_4_1(n: int, m: int, k: int, box: Optional[int] = None) -> VerificationReport:
@@ -399,40 +419,5 @@ def verify_lemma_4_1(n: int, m: int, k: int, box: Optional[int] = None) -> Verif
         raise BadArity(f"need n < m, got n={n}, m={m}")
     if box is None:
         box = abs(k) + 2
-    algebra = WittAlgebra(AlgebraVariant.winf(n, m))
-    z = algebra.power_sum_dmu(k)
-    space = TruncatedSpace(algebra, box)
-    predicted = predicted_centralizer_4_1(algebra, k, box)
-    parameters = {"n": n, "m": m, "k": k, "box": box}
-    members = all(bracket(e, z).is_zero for e in predicted)
-    rank_predicted = span_rank(space, predicted)
-    independent = members and rank_predicted == len(predicted)
-    ranks = _specialized_ranks(z, space, box) if independent else ()
-    certified = next((r0 for r0, _ in ranks if r0 == len(space) - len(predicted)), None)
-    data: Dict[str, object] = {
-        "predicted_dimension": len(predicted),
-        "rank_predicted": rank_predicted,
-        "predicted_centralizes": members,
-        "predicted": [algebra.format(e) for e in predicted],
-        "columns": len(space),
-    }
-    if certified is not None:
-        data.update({
-            "dimension": len(predicted),
-            "spans_equal": True,
-            "method": "specialized-rank",
-            "specialized_rank": certified,
-        })
-        return VerificationReport("4.1", parameters, True, data)
-    elements = centralizer_basis(algebra, z, box).basis
-    rank_stacked = span_rank(space, predicted + elements)
-    spans_equal = rank_stacked == rank_predicted == len(elements)
-    passed = members and spans_equal and len(elements) == len(predicted)
-    data.update({
-        "dimension": len(elements),
-        "rank_stacked": rank_stacked,
-        "spans_equal": spans_equal,
-        "method": "symbolic-kernel",
-        "basis": [algebra.format(e) for e in elements],
-    })
-    return VerificationReport("4.1", parameters, passed, data)
+    passed, data, _ = _lemma_4_1(WittAlgebra(AlgebraVariant.winf(n, m)), k, box)
+    return VerificationReport("4.1", {"n": n, "m": m, "k": k, "box": box}, passed, data)

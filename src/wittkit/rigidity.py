@@ -17,6 +17,11 @@ support is the union of the supports of the [s_i, x], and "every c_i is
 forced to zero" is the statement that these columns have full rank over
 Q(mu).  No unknown enters the scalar field except to print a reported
 coefficient as a multiple of its c_i.
+
+Lemmas 3.3 and 3.4 are lemmas 4.3 and 4.4 at m = n, at box 1 and box k:
+in a rank-n algebra the only shift is beta = 0 and the h' family is
+empty.  Each pair runs one core on an algebra of rank m >= n, and the
+W_n verifier reports the core's c1 as c.
 """
 
 from __future__ import annotations
@@ -524,19 +529,6 @@ def _power_obstruction(algebra: WittAlgebra, beta: Exponent, k: int,
     return gamma, probe, full, probe == expected and full == full_expected
 
 
-def _bounded_forcing(algebra: WittAlgebra, family: Sequence[WittElement], x: WittElement,
-                     n_x: int) -> Tuple[set, Optional[Exponent], int]:
-    """Support of [sum c_i s_i, x], its least exponent within n_x, and the forcing rank.
-
-    An exponent is within n_x when its first n entries all have magnitude
-    at most n_x; None when the whole support escapes that bound.
-    """
-    _, support, rank = _forcing(algebra, family, x)
-    violating = next((gamma for gamma in sorted(support)
-                      if max(abs(e) for e in gamma[:algebra.n]) <= n_x), None)
-    return support, violating, rank
-
-
 # ----------------------------------------------------------------------
 # Lemma verifiers.
 
@@ -628,48 +620,90 @@ def lemma_3_3_obstruction(n: int, k: int) -> ObstructionData:
                            ext.lift(full) * c)
 
 
-def verify_lemma_3_3(n: int, k: int) -> VerificationReport:
-    """The degree-(k+1) obstruction forces the shift coefficient to zero.
+def _shift_forcing(algebra: WittAlgebra, k: int, box: int
+                   ) -> Tuple[bool, Dict[str, object], List[tuple]]:
+    """Lemma 4.3 at rank m >= n: (pass, report data, `_power_obstruction` of each shift)."""
+    n, field = algebra.n, algebra.field
+    shifts, h_family = lemma_4_1_families(algebra, 1, box)
+    z = algebra.power_sum_dmu(k)
+    images, support, forcing_rank = _forcing(algebra, [s for _, s in shifts], z)
+    span = {tuple(k if j == i else 0 for j in range(n)) for i in range(n)}
+    support_disjoint = not any(gamma[:n] in span for gamma in support)
+    obstructions = [_power_obstruction(algebra, beta, k, image)
+                    for (beta, _), image in zip(shifts, images)]
+    names = [f"c{i}" for i in range(1, len(shifts) + 1)]
+    h_part_zero = all(bracket(e, z).is_zero for _, _, e in h_family)
+    forced = forcing_rank == len(shifts)
+    data: Dict[str, object] = {
+        "shifts": len(shifts),
+        "support_disjoint": support_disjoint,
+        "forcing_rank": forcing_rank,
+        "h_part_zero": h_part_zero,
+        "obstructions": [{"beta": list(beta), "coefficient": _times_unknown(field, probe, name),
+                          "full_coefficient": _times_unknown(field, full, name)}
+                         for name, (beta, _), (_, probe, full, _)
+                         in zip(names, shifts, obstructions)],
+        "forced_zero": names if forced else [],
+    }
+    coefficients_ok = all(ok for *_, ok in obstructions)
+    return support_disjoint and coefficients_ok and h_part_zero and forced, data, obstructions
 
-    [c(t_1+...+t_n)d_mu, (t_1^k+...+t_n^k)d_mu] carries the coefficient
-    c(k-1)mu_1 on t_1^{k+1} d_mu, nonzero for k outside {0, 1}, and its
-    support avoids every t_i^k d_mu, so membership in the power-sum span
-    pins c = 0.  At k = -1 the full bracket collects the collided value
-    c(k-1)(mu_1+...+mu_n) at exponent zero while the defining product
-    still shows c(k-1)mu_1.  This is lemma 4.3 at m = n, whose only shift
-    is beta = 0.
+
+def _bounded_shift_forcing(algebra: WittAlgebra, x: WittElement, box: Optional[int]
+                           ) -> Tuple[bool, Dict[str, object], set]:
+    """Lemma 4.4 at rank m >= n: (pass, report data, support of [sum c_i s_i, x]).
+
+    The shifts fill the box, k by default.  The least exponent of the
+    support whose first n entries all have magnitude at most n_x, as every
+    exponent of x has, violates the bound.
     """
+    n = algebra.n
+    n_x = 1 + max(abs(e) for alpha in x.support for e in alpha[:n])
+    k = 2 * n_x + 1
+    box = k if box is None else box
+    if box < k:
+        raise BadArity(f"box must cover the power-{k} shift family, got box {box}")
+    shifts, h_family = lemma_4_1_families(algebra, k, box)
+    _, support, forcing_rank = _forcing(algebra, [s for _, s in shifts], x)
+    violating = next((gamma for gamma in sorted(support)
+                      if max(abs(e) for e in gamma[:n]) <= n_x), None)
+    h_part_zero = all(bracket(e, x).is_zero for _, _, e in h_family)
+    forced = forcing_rank == len(shifts)
+    data: Dict[str, object] = {
+        "n_x": n_x,
+        "k": k,
+        "shifts": len(shifts),
+        "exponent_bound_holds": violating is None,
+        "forcing_rank": forcing_rank,
+        "h_part_zero": h_part_zero,
+        "forced_zero": [f"c{i}" for i in range(1, len(shifts) + 1)] if forced else [],
+    }
+    if violating is not None:
+        data["violating_exponent"] = list(violating)
+    return violating is None and h_part_zero and forced, data, support
+
+
+def verify_lemma_3_3(n: int, k: int) -> VerificationReport:
+    """The degree-(k+1) obstruction forces the shift coefficient to zero (4.3 at m = n)."""
     if k in (0, 1):
         raise BadK("k must avoid 0 and 1")
     algebra = WittAlgebra(AlgebraVariant.wn(n))
-    (image,), support, forcing_rank = _forcing(
-        algebra, [algebra.power_sum_dmu(1)], algebra.power_sum_dmu(k))
-    gamma, probe, full, coefficients_ok = _power_obstruction(algebra, (0,) * n, k, image)
-    span = {tuple(k if j == i else 0 for j in range(n)) for i in range(n)}
-    support_disjoint = not (support & span)
-    passed = support_disjoint and coefficients_ok and forcing_rank == 1
+    passed, found, [(gamma, probe, full, _)] = _shift_forcing(algebra, k, 1)
     field = algebra.field
-    report_data: Dict[str, object] = {
+    data: Dict[str, object] = {
         "coefficient": _times_unknown(field, probe, "c"),
         "expected": _times_unknown(field, field.mu(1) * (k - 1), "c"),
         "full_coefficient": _times_unknown(field, full, "c"),
         "obstruction_exponent": list(gamma),
-        "support_disjoint": support_disjoint,
-        "forcing_rank": forcing_rank,
-        "forced_zero": ["c"] if forcing_rank == 1 else [],
+        "support_disjoint": found["support_disjoint"],
+        "forcing_rank": found["forcing_rank"],
+        "forced_zero": ["c"] if found["forced_zero"] else [],
     }
-    return VerificationReport("3.3", {"n": n, "k": k}, passed, report_data)
+    return VerificationReport("3.3", {"n": n, "k": k}, passed, data)
 
 
 def verify_lemma_3_4(x: WittElement, n: int) -> VerificationReport:
-    """High power-sum probes push x's image out of every bounded box.
-
-    With n_x = 1 + max exponent magnitude of x and k = 2n_x + 1, every
-    term of [c(t_1^k+...+t_n^k)d_mu, x] has some exponent entry of
-    magnitude above n_x, hence sits outside the support span of x, and
-    the coefficient c is forced to zero by rank.  This is lemma 4.4 at
-    m = n, whose only shift is beta = 0.
-    """
+    """High power-sum probes push x's image out of every bounded box (4.4 at m = n)."""
     if x.is_zero:
         raise WittkitError("x must be nonzero")
     if x.m != n:
@@ -677,26 +711,15 @@ def verify_lemma_3_4(x: WittElement, n: int) -> VerificationReport:
     algebra = WittAlgebra(AlgebraVariant.wn(n))
     if x.scalar_arity() != algebra.field.arity:
         raise ArityMismatch("x must be written over the plain mu field")
-    n_x = 1 + max(abs(e) for alpha in x.support for e in alpha)
-    k = 2 * n_x + 1
-    support, violating, forcing_rank = _bounded_forcing(
-        algebra, [algebra.power_sum_dmu(k)], x, n_x)
-    disjoint = not (support & set(x.support))
-    passed = violating is None and disjoint and forcing_rank == 1
+    passed, data, support = _bounded_shift_forcing(algebra, x, None)
+    del data["shifts"], data["h_part_zero"]
+    data["forced_zero"] = ["c"] if data["forced_zero"] else []
     witness = max(support, key=lambda g: (max(abs(e) for e in g), g), default=None)
-    data: Dict[str, object] = {
-        "n_x": n_x,
-        "k": k,
-        "exponent_bound_holds": violating is None,
-        "forcing_rank": forcing_rank,
-        "forced_zero": ["c"] if forcing_rank == 1 else [],
-    }
     if witness is not None:
         data["witness_exponent"] = list(witness)
-    if violating is not None:
-        data["violating_exponent"] = list(violating)
     return VerificationReport(
-        "3.4", {"n": n, "x": algebra.format(x), "n_x": n_x, "k": k}, passed, data)
+        "3.4", {"n": n, "x": algebra.format(x), "n_x": data["n_x"], "k": data["k"]},
+        passed, data)
 
 
 def verify_lemma_4_3(n: int, m: int, k: int, box: int = 2) -> VerificationReport:
@@ -706,8 +729,10 @@ def verify_lemma_4_3(n: int, m: int, k: int, box: int = 2) -> VerificationReport
     shifts c_beta t^beta (t_1+...+t_n)d_mu plus the t^beta h' family.
     The h' family brackets to zero against (t_1^k+...+t_n^k)d_mu; each
     shift contributes the obstruction c_beta(k-1)mu_1 at (k+1)e_1+beta,
-    outside the allowed span over t^{k e_i + beta} d_mu, so every c_beta
-    is forced to zero.
+    nonzero for k outside {0, 1} and outside the allowed span over
+    t^{k e_i + beta} d_mu, so every c_beta is forced to zero.  At k = -1
+    the full bracket collects the collided value c_beta(k-1)(mu_1+...+mu_n)
+    while the defining product still shows c_beta(k-1)mu_1.
     """
     if k in (0, 1):
         raise BadK("k must avoid 0 and 1")
@@ -715,38 +740,7 @@ def verify_lemma_4_3(n: int, m: int, k: int, box: int = 2) -> VerificationReport
         raise BadArity(f"need n < m, got n={n}, m={m}")
     if box < 1:
         raise BadArity("box must cover the degree-one shift family")
-    base = WittAlgebra(AlgebraVariant.winf(n, m))
-    shifts, h_family = lemma_4_1_families(base, 1, box)
-    z = base.power_sum_dmu(k)
-    images, support, forcing_rank = _forcing(base, [s for _, s in shifts], z)
-    span = {tuple(k if j == i else 0 for j in range(n)) for i in range(n)}
-    support_disjoint = not any(gamma[:n] in span for gamma in support)
-    names = [f"c{i}" for i in range(1, len(shifts) + 1)]
-    obstructions = []
-    coefficients_ok = True
-    for name, (beta, _), image in zip(names, shifts, images):
-        _, probe, full, ok = _power_obstruction(base, beta, k, image)
-        coefficients_ok = coefficients_ok and ok
-        obstructions.append({
-            "beta": list(beta),
-            "coefficient": _times_unknown(base.field, probe, name),
-            "full_coefficient": _times_unknown(base.field, full, name),
-        })
-    h_part_zero = all(bracket(e, z).is_zero for _, _, e in h_family)
-    passed = (
-        support_disjoint
-        and coefficients_ok
-        and h_part_zero
-        and forcing_rank == len(shifts)
-    )
-    data: Dict[str, object] = {
-        "shifts": len(shifts),
-        "support_disjoint": support_disjoint,
-        "forcing_rank": forcing_rank,
-        "h_part_zero": h_part_zero,
-        "obstructions": obstructions,
-        "forced_zero": names if forcing_rank == len(shifts) else [],
-    }
+    passed, data, _ = _shift_forcing(WittAlgebra(AlgebraVariant.winf(n, m)), k, box)
     return VerificationReport("4.3", {"n": n, "m": m, "k": k, "box": box}, passed, data)
 
 
@@ -754,9 +748,10 @@ def verify_lemma_4_4(x: WittElement, n: int, m: int,
                      box: Optional[int] = None) -> VerificationReport:
     """The power-2n_x+1 centralizer maps the first-n slice out of bounds.
 
-    x must live in the first-n slice of the rank-m algebra.  a ranges
-    over shifts c_beta t^beta (t_1^k+...+t_n^k)d_mu with k = 2n_x + 1
-    plus the t^beta h' family; the h' family kills x outright, and every
+    x must live in the first-n slice of the rank-m algebra, and n_x is 1
+    plus its largest first-n exponent magnitude.  a ranges over shifts
+    c_beta t^beta (t_1^k+...+t_n^k)d_mu with k = 2n_x + 1 plus the
+    t^beta h' family; the h' family kills x outright, and every
     shift term lands at a first-n exponent entry of magnitude above n_x,
     so the allowed span over t^{alpha+beta} d_alpha forces all c_beta to
     zero.  Shift tails beta default to the cube of radius k; a box below
@@ -774,27 +769,7 @@ def verify_lemma_4_4(x: WittElement, n: int, m: int,
     base = WittAlgebra(AlgebraVariant.winf(n, m))
     if x.scalar_arity() != base.field.arity:
         raise ArityMismatch("x must be written over the plain mu field")
-    n_x = 1 + max(abs(e) for alpha in x.support for e in alpha[:n])
-    k = 2 * n_x + 1
-    a_box = k if box is None else box
-    if a_box < k:
-        raise BadArity(f"box must cover the power-{k} shift family, got box {a_box}")
-    shifts, h_family = lemma_4_1_families(base, k, a_box)
-    _, violating, forcing_rank = _bounded_forcing(base, [s for _, s in shifts], x, n_x)
-    names = [f"c{i}" for i in range(1, len(shifts) + 1)]
-    h_part_zero = all(bracket(e, x).is_zero for _, _, e in h_family)
-    passed = violating is None and h_part_zero and forcing_rank == len(shifts)
-    data: Dict[str, object] = {
-        "n_x": n_x,
-        "k": k,
-        "shifts": len(shifts),
-        "exponent_bound_holds": violating is None,
-        "forcing_rank": forcing_rank,
-        "h_part_zero": h_part_zero,
-        "forced_zero": names if forcing_rank == len(shifts) else [],
-    }
-    if violating is not None:
-        data["violating_exponent"] = list(violating)
-    return VerificationReport(
-        "4.4", {"n": n, "m": m, "x": base.format(x), "n_x": n_x, "k": k, "box": a_box},
-        passed, data)
+    passed, data, _ = _bounded_shift_forcing(base, x, box)
+    parameters = {"n": n, "m": m, "x": base.format(x), "n_x": data["n_x"], "k": data["k"],
+                  "box": data["k"] if box is None else box}
+    return VerificationReport("4.4", parameters, passed, data)

@@ -27,7 +27,7 @@ from wittkit import (
 )
 from wittkit import centralizer, linalg, witt
 from wittkit.cli import main
-from wittkit.errors import BadK, SelfCheckFailed
+from wittkit.errors import BadArity, BadK, SelfCheckFailed
 from wittkit.linalg import MODULUS
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
@@ -120,6 +120,16 @@ def test_lemma_4_1_families_structure():
     for beta, j, e in h_family:
         assert j == 3
         assert e == winf.monomial(beta, 3)
+
+
+def test_oversized_shift_family_is_refused_before_listing(monkeypatch):
+    # 3 * 259^2 = 201,243 elements at box 129, one box past the 200,000 limit
+    def list_tails(*args, **kwargs):
+        raise AssertionError("shift tails were listed")
+
+    monkeypatch.setattr(centralizer, "product", list_tails)
+    with pytest.raises(BadArity, match="201243 elements"):
+        lemma_4_1_families(WittAlgebra(AlgebraVariant.winf(1, 3)), 1, 129)
 
 
 def test_predicted_family_centralizes():

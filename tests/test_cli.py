@@ -161,6 +161,20 @@ def test_oversized_box_is_usage_error_before_enumeration(capsys, monkeypatch, ar
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--arity", "3", "--prefix", "1", "--k", "2", "--box", "1000", "lemma4.3"],
+    ["verify", "--arity", "4", "--prefix", "2", "lemma4.4", "t1^1000*d1"]])
+def test_oversized_shift_family_is_usage_error_before_listing(capsys, monkeypatch, argv):
+    # 3 * 2001^2 and, at k = 2003, 3 * 4007^2 elements: counted, never listed
+    def list_tails(*args, **kwargs):
+        raise AssertionError("shift tails were listed")
+
+    monkeypatch.setattr(wittkit.centralizer, "product", list_tails)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "elements, more than the 200000 allowed" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["--arity", "2", "--prefix", "1", "lemma4.4", "t1*d1", "--box", "-1"],
     ["--arity", "2", "--prefix", "1", "lemma4.4", "t1*d1", "--box", "0"],
     ["--arity", "2", "--prefix", "1", "lemma4.4", "t1*d1", "--box", "4"],

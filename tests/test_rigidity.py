@@ -304,6 +304,22 @@ def test_forcing_matches_adjoined_unknowns(forcing_oracle, name):
     assert (forcing_rank < len(family)) == name.endswith("deficient")
 
 
+@pytest.mark.parametrize("verify", [
+    lambda: verify_lemma_3_3(2, 3),
+    lambda: verify_lemma_4_3(2, 3, 3, box=1),
+    lambda: verify_lemma_3_4(parse_element("t1*d2 + d1", W2), 2),
+    lambda: verify_lemma_4_4(parse_element("t1*d1", W2_1), 1, 2),
+], ids=["3.3", "4.3", "3.4", "4.4"])
+def test_forcing_one_rank_short_fails(monkeypatch, verify):
+    # the failing branch of each forcing core, through the W_n and the W_inf entry point
+    rank = rigidity.matrix_rank
+    monkeypatch.setattr(rigidity, "matrix_rank", lambda matrix: rank(matrix) - 1)
+    report = verify()
+    assert not report.passed
+    assert report.data["forced_zero"] == []
+    assert report.data["forcing_rank"] == report.data.get("shifts", 1) - 1
+
+
 def test_verify_lemma_3_3_rejects_degenerate_k():
     with pytest.raises(Exception):
         verify_lemma_3_3(2, 1)
