@@ -620,8 +620,8 @@ def lemma_3_3_obstruction(n: int, k: int) -> ObstructionData:
                            ext.lift(full) * c)
 
 
-def _shift_forcing(algebra: WittAlgebra, k: int, box: int
-                   ) -> Tuple[bool, Dict[str, object], List[tuple]]:
+def _shift_forcing(algebra: WittAlgebra, k: int, box: int) -> Tuple[
+        bool, Dict[str, object], List[Tuple[Exponent, Scalar, Scalar, bool]]]:
     """Lemma 4.3 at rank m >= n: (pass, report data, `_power_obstruction` of each shift)."""
     n, field = algebra.n, algebra.field
     shifts, h_family = lemma_4_1_families(algebra, 1, box)
