@@ -56,7 +56,6 @@ from .centralizer import (
     ad_matrix,
     centralizer_basis,
     lemma_4_1_families,
-    predicted_centralizer_4_1,
     span_rank,
     verify_lemma_2_2,
     verify_lemma_4_1,
@@ -121,7 +120,6 @@ __all__ = [
     "parse_element",
     "parse_scalar",
     "poly_gcd",
-    "predicted_centralizer_4_1",
     "proportional",
     "rank",
     "realize_in_span",

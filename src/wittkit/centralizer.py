@@ -7,10 +7,13 @@ whatever monomials actually appear in the brackets, never clipped to the
 box, so kernel membership means "commutes with z in the full algebra",
 not merely "commutes up to truncation".
 
-`centralize` and the two verifiers pin kernels the same way: the rank
-of ad(z) at a rational mu point, reduced mod a prime, bounds its rank
+Each ring has one rank routine.  Over Q(mu), `span_rank` ranks a family
+of elements as columns over the monomials they meet, on the keyed
+builder that the rigidity solves share.  Over F_p, `_specialized_ranks`
+ranks ad(z) at each specialization point: that rank bounds the rank
 over Q(mu) from below, so exact kernel members whose rank meets ncols
-minus that rank span the kernel.  `centralize` takes as members z and
+minus it span the kernel.  `centralize` and the two verifiers pin
+kernels so.  `centralize` takes as members z and
 the columns ad(z) sends to zero; the verifiers take the power-sum
 element (t_1^k + ... + t_n^k) d_mu, whose centralizer is one line in
 W_n, or the predicted shift and h' families when the ambient algebra
@@ -36,7 +39,15 @@ from itertools import product
 from operator import mul
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ArityMismatch, BadArity, BadK, PairOutsideBox, SelfCheckFailed
+from . import linalg
+from .errors import (
+    ArityMismatch,
+    BadArity,
+    BadK,
+    DenominatorVanishes,
+    PairOutsideBox,
+    SelfCheckFailed,
+)
 from .linalg import (
     MODULUS,
     ScalarMatrix,
@@ -45,7 +56,6 @@ from .linalg import (
     rank as matrix_rank,
     rank_mod_p,
     scalar_mod_p,
-    specialized_residues,
 )
 from .scalars import Scalar
 from .witt import (
@@ -62,6 +72,7 @@ from .witt import (
 )
 
 RowKey = Tuple[Exponent, int]
+ConstraintRow = Tuple[int, Exponent, int]
 
 
 class TruncatedSpace:
@@ -229,21 +240,30 @@ class CentralizerResult(NamedTuple):
         return len(self.basis)
 
 
-def _residue_rows(z: WittElement, space: TruncatedSpace,
-                  point: Tuple[Fraction, ...]) -> List[Dict[int, int]]:
-    """Rows of ad(z)'s nonzero residues at a point (errors as scalar_mod_p)."""
-    return list(_ad_rows(z, space, range(len(space)), point)[0].values())
+# Why a match certifies a kernel.  Let r be the rank of ad(z) over Q(mu).
+# Its entries are integer polynomials in the Cartan coefficients of z and
+# d_mu.  Evaluating those at a point where none has a pole is a ring map,
+# so each minor at the point is the value of that minor over Q(mu): a
+# minor that is zero stays zero, and the rank can only drop.  Reducing
+# mod p is again a ring map on values whose denominators are prime to p.
+# So the F_p rank r0 at a point is at most r, dim ker = ncols - r <=
+# ncols - r0, and exactly verified kernel members of rank ncols - r0 span
+# the kernel.  A point with a pole, or a value whose denominator p
+# divides, proves nothing and is skipped; so does a point whose r0 leaves
+# ncols - r0 above the members' rank.
+def _specialized_ranks(z: WittElement, space: TruncatedSpace
+                       ) -> Iterator[Tuple[int, List[Dict[int, int]]]]:
+    """(F_p rank, residue rows) of ad(z) at each specialization point where it evaluates.
 
-
-# Why a match certifies a kernel: at each point the F_p rank r0 is at
-# most the rank r of ad(z) over Q(mu) (`specialized_residues`), so
-# dim ker = ncols - r <= ncols - r0.  Exactly verified kernel members of
-# rank ncols - r0 therefore span it; a point short of that proves nothing.
-def _specialized_ranks(z: WittElement, space: TruncatedSpace,
-                       bound: int) -> Iterator[Tuple[int, List[Dict[int, int]]]]:
-    """(F_p rank, residue rows) of ad(z) at each point where it evaluates, for `bound`."""
-    for rows in specialized_residues(space.algebra.field.arity, bound,
-                                     lambda point: _residue_rows(z, space, point)):
+    The points avoid every affine form in mu with integer coefficients up
+    to the box plus z's largest exponent, the reach of `_ad_rows`.
+    """
+    reach = space.box + max((abs(e) for beta in z.support for e in beta), default=0)
+    for point in linalg.specialization_points(space.algebra.field.arity, reach):
+        try:
+            rows = list(_ad_rows(z, space, range(len(space)), point)[0].values())
+        except (DenominatorVanishes, ValueError):
+            continue
         yield rank_mod_p(rows), rows
 
 
@@ -266,10 +286,8 @@ def centralizer_basis(algebra: WittAlgebra, z: WittElement, box: int) -> Central
     z_coords = space.coordinates_of(z) if space.contains(z) else {}
     z_member = bool(z_coords) and bracket(z, z).is_zero
     members = [z_coords] if z_member else []
-    # ad(z)'s entries are linear forms in mu with coefficients like beta_a - alpha_a.
-    bound = box + max((abs(e) for beta in z.support for e in beta), default=0)
     rref = None
-    for r0, rows in _specialized_ranks(z, space, bound):
+    for r0, rows in _specialized_ranks(z, space):
         if rref is None:
             dead = sorted(set(range(ncols)).difference(*rows))
             members += [{c: algebra.field.one()} for c in dead
@@ -289,13 +307,29 @@ def centralizer_basis(algebra: WittAlgebra, z: WittElement, box: int) -> Central
     return CentralizerResult(space, elements, vectors)
 
 
-def span_rank(space: TruncatedSpace, elements: Sequence[WittElement]) -> int:
-    """Rank of the elements' coordinate vectors in the space."""
-    matrix = ScalarMatrix(len(elements), len(space), space.algebra.field.arity)
-    for r, e in enumerate(elements):
-        for c, s in space.coordinates_of(e).items():
-            matrix.add(r, c, s)
-    return matrix_rank(matrix)
+def _keyed_rows(w: WittElement, q: int) -> Dict[ConstraintRow, Scalar]:
+    """w's nonzero coefficients keyed as rows (q, exponent, 0-based direction)."""
+    return {(q, gamma, j): coeff for gamma, cartan in w.support.items()
+            for j, coeff in enumerate(cartan.coeffs) if not coeff.is_zero}
+
+
+def _keyed_system(arity: int, columns: Sequence[Dict[ConstraintRow, Scalar]],
+                  rhs: Dict[ConstraintRow, Scalar]
+                  ) -> Tuple[ScalarMatrix, Dict[int, Scalar], List[ConstraintRow]]:
+    """Matrix whose column c holds columns[c], on the sorted row keys met, and its rhs."""
+    keys = sorted(set(rhs).union(*columns))
+    row_of = {key: r for r, key in enumerate(keys)}
+    matrix = ScalarMatrix(len(keys), len(columns), arity)
+    for c, column in enumerate(columns):
+        for key, coeff in column.items():
+            matrix.add(row_of[key], c, coeff)
+    return matrix, {row_of[key]: value for key, value in rhs.items()}, keys
+
+
+def span_rank(elements: Sequence[WittElement]) -> int:
+    """Rank over Q(mu) of the elements, as columns over the monomials (gamma, j) they meet."""
+    arity = elements[0].scalar_arity() if elements else 0
+    return matrix_rank(_keyed_system(arity, [_keyed_rows(e, 0) for e in elements], {})[0])
 
 
 def lemma_4_1_families(algebra: WittAlgebra, k: int, box: int) -> Tuple[
@@ -320,12 +354,6 @@ def lemma_4_1_families(algebra: WittAlgebra, k: int, box: int) -> Tuple[
     shifts = [(beta, power_sum.translate(beta)) for beta in betas] if abs(k) <= box else []
     return shifts, [(beta, j, algebra.monomial(beta, j)) for beta in betas
                     for j in range(n + 1, m + 1)]
-
-
-def predicted_centralizer_4_1(algebra: WittAlgebra, k: int, box: int) -> List[WittElement]:
-    """Predicted centralizer basis of the power-sum element, box-filtered."""
-    shifts, h_family = lemma_4_1_families(algebra, k, box)
-    return [e for _, e in shifts] + [e for _, _, e in h_family]
 
 
 class VerificationReport(NamedTuple):
@@ -353,11 +381,12 @@ def _lemma_4_1(algebra: WittAlgebra, k: int, box: int
     """
     z = algebra.power_sum_dmu(k)
     space = TruncatedSpace(algebra, box)
-    predicted = predicted_centralizer_4_1(algebra, k, box)
+    shifts, h_family = lemma_4_1_families(algebra, k, box)
+    predicted = [e for _, e in shifts] + [e for _, _, e in h_family]
     members = all(bracket(e, z).is_zero for e in predicted)
-    rank_predicted = span_rank(space, predicted)
+    rank_predicted = span_rank(predicted)
     independent = members and rank_predicted == len(predicted)
-    ranks = _specialized_ranks(z, space, box) if independent else ()
+    ranks = _specialized_ranks(z, space) if independent else ()
     certified = next((r0 for r0, _ in ranks if r0 == len(space) - len(predicted)), None)
     data: Dict[str, object] = {
         "predicted_dimension": len(predicted),
@@ -371,7 +400,7 @@ def _lemma_4_1(algebra: WittAlgebra, k: int, box: int
                     specialized_rank=certified)
         return True, data, predicted
     elements = centralizer_basis(algebra, z, box).basis
-    rank_stacked = span_rank(space, predicted + elements)
+    rank_stacked = span_rank(predicted + elements)
     spans_equal = rank_stacked == rank_predicted == len(elements)
     data.update(dimension=len(elements), rank_stacked=rank_stacked, spans_equal=spans_equal,
                 method="symbolic-kernel", basis=[algebra.format(e) for e in elements])

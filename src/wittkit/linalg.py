@@ -2,9 +2,9 @@
 
 Everything here is exact: kernels, ranks and solutions are computed with
 rational-function arithmetic, never floating point.  One row-by-row
-echelon, `_echelon`, serves `rank_mod_p` over F_p and `_canonical_rref`
-over Q(mu), which `kernel`, `rank` and `solve` run on the whole matrix
-and which adds back substitution from the rightmost pivot.  A row meets
+echelon, `_echelon`, serves `rank_mod_p` over F_p and `rank` over Q(mu);
+`_canonical_rref`, which `kernel` and `solve` run on the whole matrix,
+adds back substitution from the rightmost pivot.  A row meets
 only the pivot rows of its own columns, so independent blocks stay
 independent without being split apart, and a row reduced to its lead
 alone settles that column for later rows.  `_canonical_rref` gives the
@@ -22,22 +22,18 @@ the canonical kernel basis of A^T that does not annihilate b.
 
 Specializing the mu parameters at a rational point and reducing mod a
 prime can only lower the rank, so the rank over F_p is a certified lower
-bound for the generic rank.  `specialized_residues` is the one loop over
-the specialization points that skips a point where some entry does not
-evaluate, and carries that argument.  `centralize` and the centralizer
-verifiers combine the bound with explicitly verified kernel members to
-pin kernels exactly without symbolic elimination, ranking residues read
-off the bracket's structure constants.  `rank_mod_p` is that rank on
-rows already reduced to residues: `modular_rank` feeds it a
-ScalarMatrix evaluated entry by entry.
+bound for the generic rank.  `rank_mod_p` is that rank on rows already
+reduced to residues: `centralizer` reads them off the bracket's
+structure constants at each of the `specialization_points`, and
+`modular_rank` evaluates a ScalarMatrix entry by entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DenominatorVanishes, LengthMismatch
+from .errors import LengthMismatch
 from .scalars import Scalar
 
 KernelVector = Dict[int, Scalar]
@@ -96,32 +92,6 @@ def specialization_points(arity: int, bound: int) -> List[Tuple[Fraction, ...]]:
         tuple(Fraction((2 * bound + 2 + t) ** i) for i in range(1, arity + 1))
         for t in range(3)
     ]
-
-
-# Why the rank over F_p bounds the rank over Q(mu) from below.  Let A be
-# a matrix over Q(mu) of rank r whose entries are integer polynomials in
-# some scalars (an entry itself, or the coefficients of an element).
-# Evaluating those scalars at a point where none has a pole is a ring
-# map, so each minor of A at the point is the value of that minor of A:
-# a minor that is zero over Q(mu) stays zero, and the rank can only drop.
-# Reducing mod p is again a ring map on the values, whose denominators
-# are prime to p, and can again only drop the rank.  So the rank r0 of
-# A's residues satisfies r0 <= r.  A point with a pole, or a value whose
-# denominator p divides, proves nothing and is skipped.
-def specialized_residues(arity: int, bound: int,
-                         residues: Callable[[Tuple[Fraction, ...]], object]) -> Iterator:
-    """residues(point) at each specialization point where it evaluates.
-
-    `residues` reduces a matrix's entries at the point mod MODULUS and
-    raises DenominatorVanishes or ValueError, as scalar_mod_p does, where
-    they do not evaluate; such points are skipped.
-    """
-    for point in specialization_points(arity, bound):
-        try:
-            rows = residues(point)
-        except (DenominatorVanishes, ValueError):
-            continue
-        yield rows
 
 
 def scalar_mod_p(value: Scalar, values: Sequence[Fraction], prime: int) -> int:
@@ -264,7 +234,7 @@ def kernel(matrix: ScalarMatrix) -> List[KernelVector]:
 
 
 def rank(matrix: ScalarMatrix) -> int:
-    return len(_canonical_rref(matrix.rows))
+    return len(_echelon(matrix.rows, Scalar.inverse, _subtract))
 
 
 class SolveResult(NamedTuple):

@@ -29,7 +29,17 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .centralizer import TruncatedSpace, VerificationReport, _ad_rows, _dot, lemma_4_1_families
+from .centralizer import (
+    ConstraintRow,
+    TruncatedSpace,
+    VerificationReport,
+    _ad_rows,
+    _dot,
+    _keyed_rows,
+    _keyed_system,
+    lemma_4_1_families,
+    span_rank,
+)
 from .errors import (
     ArityMismatch,
     BadArity,
@@ -39,7 +49,7 @@ from .errors import (
     SelfCheckFailed,
     WittkitError,
 )
-from .linalg import ScalarMatrix, rank as matrix_rank, solve as matrix_solve
+from .linalg import rank as matrix_rank, solve as matrix_solve
 from .scalars import Scalar, ScalarField
 from .witt import (
     MU_DIRECTION,
@@ -48,25 +58,8 @@ from .witt import (
     WittAlgebra,
     WittElement,
     bracket,
-    proportional,
+    format_t_part,
 )
-
-ConstraintRow = Tuple[int, Exponent, int]
-
-
-def _support_rows(w: WittElement) -> Iterator[Tuple[Exponent, int, Scalar]]:
-    """Nonzero (exponent, 0-based direction, coefficient) triples of w."""
-    for gamma, cartan in w.support.items():
-        for j, coeff in enumerate(cartan.coeffs):
-            if not coeff.is_zero:
-                yield gamma, j, coeff
-
-
-def _monomial_label(gamma: Exponent, j: int) -> str:
-    parts = [f"t{i + 1}^{e}" if e != 1 else f"t{i + 1}" for i, e in enumerate(gamma) if e]
-    parts.append(f"d{j + 1}")
-    return "*".join(parts)
-
 
 class PointwiseMap:
     """A candidate 2-local derivation, recorded as probe -> value pairs."""
@@ -96,24 +89,6 @@ class PointwiseMap:
 
     def __iter__(self) -> Iterator[Tuple[WittElement, WittElement]]:
         return iter(self.pairs)
-
-
-def _keyed_rows(w: WittElement, q: int) -> Dict[ConstraintRow, Scalar]:
-    """w's nonzero coefficients keyed as rows (q, exponent, direction)."""
-    return {(q, gamma, j): coeff for gamma, j, coeff in _support_rows(w)}
-
-
-def _keyed_system(arity: int, columns: Sequence[Dict[ConstraintRow, Scalar]],
-                  rhs: Dict[ConstraintRow, Scalar]
-                  ) -> Tuple[ScalarMatrix, Dict[int, Scalar], List[ConstraintRow]]:
-    """Matrix whose column c holds columns[c], on the sorted row keys met, and its rhs."""
-    keys = sorted(set(rhs).union(*columns))
-    row_of = {key: r for r, key in enumerate(keys)}
-    matrix = ScalarMatrix(len(keys), len(columns), arity)
-    for c, column in enumerate(columns):
-        for key, coeff in column.items():
-            matrix.add(row_of[key], c, coeff)
-    return matrix, {row_of[key]: value for key, value in rhs.items()}, keys
 
 
 def _entry(w: WittElement, gamma: Exponent, j: int) -> Optional[Scalar]:
@@ -438,7 +413,7 @@ class RigidityReport(NamedTuple):
             out["certificate"] = [
                 {
                     "constraint": key[0],
-                    "monomial": _monomial_label(key[1], key[2]),
+                    "monomial": f"{format_t_part(key[1])}d{key[2] + 1}",
                     "weight": self.algebra.field.format(u),
                 }
                 for key, u in self.certificate
@@ -481,12 +456,11 @@ def rigidity_pipeline(delta: PointwiseMap, box: int) -> RigidityReport:
 # Forcing of free coefficients through bilinearity (see the module docstring).
 
 
-def _forcing(algebra: WittAlgebra, family: Sequence[WittElement],
+def _forcing(family: Sequence[WittElement],
              x: WittElement) -> Tuple[List[WittElement], set, int]:
     """The images [s_i, x], the union of their supports and their rank over Q(mu)."""
     images = [bracket(s, x) for s in family]
-    matrix, _, _ = _keyed_system(algebra.field.arity, [_keyed_rows(w, 0) for w in images], {})
-    return images, set().union(*(w.support for w in images)), matrix_rank(matrix)
+    return images, set().union(*(w.support for w in images)), span_rank(images)
 
 
 def _times_unknown(field: ScalarField, value: Scalar, name: str) -> str:
@@ -537,15 +511,19 @@ def verify_lemma_3_2(x: WittElement, box: int = 2) -> VerificationReport:
     """Cartan ambiguity maps x into its own support span.
 
     The solution space of [a, d_mu] = 0 inside the box must be exactly
-    the Cartan subalgebra; then [h, x] for symbolic h = h1 d1 + ... +
-    hn dn must stay inside sum over alpha in S(x) of C t^alpha d_alpha,
-    with eigenvalue (h, alpha) on each support exponent.
+    the Cartan subalgebra; then [h, x] for h = h1 d1 + ... + hn dn must
+    stay inside sum over alpha in S(x) of C t^alpha d_alpha, with
+    eigenvalue (h, alpha) on each support exponent.  The bracket is
+    bilinear, so [h, x] = sum h_i [d_i, x], and it is enough that
+    [d_i, x] = sum alpha_i t^alpha x_alpha for each i; the unknowns h_i
+    only print the eigenvalues.
     """
     if x.is_zero:
         raise WittkitError("x must be nonzero")
     n = x.m
     algebra = WittAlgebra(AlgebraVariant.wn(n))
-    if x.scalar_arity() != algebra.field.arity:
+    field = algebra.field
+    if x.scalar_arity() != field.arity:
         raise ArityMismatch("x must be written over the plain mu field")
     inner = solve_inner(algebra, [(algebra.dmu(), algebra.zero())], box)
     cartan_basis = [algebra.d(i) for i in range(1, n + 1)]
@@ -554,31 +532,15 @@ def verify_lemma_3_2(x: WittElement, box: int = 2) -> VerificationReport:
         and inner.solution.is_zero
         and inner.homogeneous == cartan_basis
     )
-    ext = algebra.field.extend(*[f"h{i}" for i in range(1, n + 1)])
-    ext_algebra = WittAlgebra(AlgebraVariant.wn(n), ext)
-    h = ext_algebra.zero()
-    for i in range(1, n + 1):
-        h = h + ext_algebra.d(i).scale(ext.var(f"h{i}"))
-    x_ext = x.lift(ext.arity)
-    image = bracket(h, x_ext)
-    inside = True
+    inside = all(bracket(d, x) == WittElement(n, {alpha: cartan.scale(field.from_int(alpha[i]))
+                                                  for alpha, cartan in x.support.items()})
+                 for i, d in enumerate(cartan_basis))
+    ext = field.extend(*[f"h{i}" for i in range(1, n + 1)])
     eigenvalues: Dict[str, str] = {}
-    for gamma, cartan in image.support.items():
-        part = WittElement(x.m, {gamma: cartan})
-        target = WittElement(x.m, {gamma: x_ext.support[gamma]}) if gamma in x_ext.support else None
-        lam = None if target is None else proportional(part, target)
-        if lam is None:
-            inside = False
-            break
-        expected = ext.zero()
-        for i, e in enumerate(gamma):
-            if e:
-                expected = expected + ext.var(f"h{i + 1}") * e
-        if lam != expected:
-            inside = False
-            break
-        label = _monomial_label(gamma, 0).rsplit("*", 1)[0] if any(gamma) else "1"
-        eigenvalues[label] = ext.format(lam)
+    for alpha in x.support:
+        if inside and any(alpha):
+            value = sum((ext.var(f"h{i}") * e for i, e in enumerate(alpha, 1) if e), ext.zero())
+            eigenvalues[format_t_part(alpha)[:-1]] = ext.format(value)
     passed = solution_is_cartan and inside
     data: Dict[str, object] = {
         "solution_dimension": inner.solution_dimension,
@@ -626,7 +588,7 @@ def _shift_forcing(algebra: WittAlgebra, k: int, box: int) -> Tuple[
     n, field = algebra.n, algebra.field
     shifts, h_family = lemma_4_1_families(algebra, 1, box)
     z = algebra.power_sum_dmu(k)
-    images, support, forcing_rank = _forcing(algebra, [s for _, s in shifts], z)
+    images, support, forcing_rank = _forcing([s for _, s in shifts], z)
     span = {tuple(k if j == i else 0 for j in range(n)) for i in range(n)}
     support_disjoint = not any(gamma[:n] in span for gamma in support)
     obstructions = [_power_obstruction(algebra, beta, k, image)
@@ -664,7 +626,7 @@ def _bounded_shift_forcing(algebra: WittAlgebra, x: WittElement, box: Optional[i
     if box < k:
         raise BadArity(f"box must cover the power-{k} shift family, got box {box}")
     shifts, h_family = lemma_4_1_families(algebra, k, box)
-    _, support, forcing_rank = _forcing(algebra, [s for _, s in shifts], x)
+    _, support, forcing_rank = _forcing([s for _, s in shifts], x)
     violating = next((gamma for gamma in sorted(support)
                       if max(abs(e) for e in gamma[:n]) <= n_x), None)
     h_part_zero = all(bracket(e, x).is_zero for _, _, e in h_family)

@@ -639,13 +639,17 @@ def check_monomial_rule_agreement(x: WittElement, y: WittElement) -> Optional[st
 # polynomials bracketed.  The output parses back to an equal element.
 
 
+def format_t_part(alpha: Exponent) -> str:
+    """The factors t1^e1*...* of t^alpha, zero exponents dropped; empty at alpha = 0."""
+    return "".join([f"t{j}*" if e == 1 else f"t{j}^{e}*" for j, e in enumerate(alpha, 1) if e])
+
+
 def format_element(x: WittElement, field: ScalarField) -> str:
     if x.is_zero:
         return "0"
     pieces = []
     for alpha in sorted(x.support):
-        t_part = "".join([f"t{j}*" if e == 1 else f"t{j}^{e}*"
-                          for j, e in enumerate(alpha, 1) if e])
+        t_part = format_t_part(alpha)
         for i, coeff in enumerate(x.support[alpha].coeffs, 1):
             if coeff.is_zero:
                 continue

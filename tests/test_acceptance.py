@@ -32,7 +32,6 @@ from wittkit import (
     verify_lemma_4_1,
     verify_lemma_4_4,
 )
-from wittkit.centralizer import TruncatedSpace
 
 
 def conclude(num: int, label: str, problems, started: float, budget=None):
@@ -132,14 +131,13 @@ def test_criterion_05_lemma_4_1_truncation():
         problems.append(report.data)
     # independent brute-force kernel: rank equality in both directions
     algebra = WittAlgebra(AlgebraVariant.winf(2, 3))
-    space = TruncatedSpace(algebra, 2)
     computed = centralizer_basis(algebra, algebra.power_sum_dmu(1), box=2)
     predicted = [parse_element(text, algebra) for text in report.data["predicted"]]
     if computed.dimension != 10:
         problems.append(("brute-force dimension", computed.dimension))
-    if span_rank(space, predicted) != 10:
+    if span_rank(predicted) != 10:
         problems.append("predicted family is not 10-dimensional")
-    if span_rank(space, predicted + computed.basis) != 10:
+    if span_rank(predicted + computed.basis) != 10:
         problems.append("computed kernel escapes the predicted span")
     conclude(5, "lemma 4.1 truncation n=2 m=3 k=1 N=2, dimension 10",
              problems, started)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import wittkit
-from wittkit.cli import build_parser, main
+from wittkit.cli import _LAWS, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -361,6 +361,18 @@ def test_rigidity_inconsistent_table(capsys, tmp_path):
     assert payload["certificate"]
 
 
+def test_rigidity_probe_outside_the_variant_is_usage_error(capsys, tmp_path):
+    # d1 parses in the rank-2 algebra but is no element of wnmu, which holds d_mu alone
+    probes = {"probes": [{"x": "dmu", "dx": "0"}, {"x": "t1*dmu + t2*dmu", "dx": "0"},
+                         {"x": "d1", "dx": "0"}]}
+    path = tmp_path / "probes.json"
+    path.write_text(json.dumps(probes))
+    code, out, err = run_cli(capsys, [
+        "rigidity", "--arity", "2", "--variant", "wnmu", "--box", "1", "--probes", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: probe pair outside the variant: d1\n"
+
+
 def test_rigidity_missing_file_is_usage_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["rigidity", "--arity", "2", "--probes", str(tmp_path / "nope.json")])
@@ -384,14 +396,16 @@ def test_rigidity_unreadable_probe_table_is_usage_error(capsys, tmp_path, conten
 
 
 def test_fuzz_deterministic(capsys):
-    argv = ["fuzz", "--arity", "2", "--box", "2", "--count", "50",
-            "--seed", "7", "--format", "json", "jacobi"]
-    first = run_cli(capsys, argv)
-    second = run_cli(capsys, argv)
-    assert first == second
-    assert first[0] == 0
-    payload = json.loads(first[1])
-    assert payload["passes"] == 50 and payload["failures"] == 0
+    # every law, the monomial-rule oracle among them, under the one test name
+    for law in _LAWS:
+        argv = ["fuzz", "--arity", "2", "--box", "2", "--count", "50",
+                "--seed", "7", "--format", "json", law]
+        first = run_cli(capsys, argv)
+        second = run_cli(capsys, argv)
+        assert first == second
+        assert first[0] == 0
+        payload = json.loads(first[1])
+        assert (payload["law"], payload["passes"], payload["failures"]) == (law, 50, 0)
 
 
 def test_fuzz_closure_on_variant(capsys):

@@ -397,7 +397,8 @@ def test_rank_mod_p_of_lemma_2_2_residues():
     algebra = WittAlgebra(AlgebraVariant.wn(4))
     z = algebra.power_sum_dmu(-1)
     space = TruncatedSpace(algebra, 2)
-    rows = centralizer._residue_rows(z, space, specialization_points(4, 2)[0])
+    rows = list(centralizer._ad_rows(z, space, range(len(space)),
+                                     specialization_points(4, 2)[0])[0].values())
     assert len(rows) == 4496
     assert rank_mod_p(rows) == len(space) - 1
 

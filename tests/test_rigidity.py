@@ -298,7 +298,7 @@ def _forcing_case(name):
 @pytest.mark.parametrize("name", ["3.3", "3.4", "4.3", "4.4", "wn-deficient", "winf-deficient"])
 def test_forcing_matches_adjoined_unknowns(forcing_oracle, name):
     algebra, family, x = _forcing_case(name)
-    images, support, forcing_rank = rigidity._forcing(algebra, family, x)
+    images, support, forcing_rank = rigidity._forcing(family, x)
     assert images == [bracket(s, x) for s in family]
     assert (support, forcing_rank) == forcing_oracle(algebra, family, x)
     assert (forcing_rank < len(family)) == name.endswith("deficient")
@@ -312,8 +312,8 @@ def test_forcing_matches_adjoined_unknowns(forcing_oracle, name):
 ], ids=["3.3", "4.3", "3.4", "4.4"])
 def test_forcing_one_rank_short_fails(monkeypatch, verify):
     # the failing branch of each forcing core, through the W_n and the W_inf entry point
-    rank = rigidity.matrix_rank
-    monkeypatch.setattr(rigidity, "matrix_rank", lambda matrix: rank(matrix) - 1)
+    rank = rigidity.span_rank
+    monkeypatch.setattr(rigidity, "span_rank", lambda images: rank(images) - 1)
     report = verify()
     assert not report.passed
     assert report.data["forced_zero"] == []
