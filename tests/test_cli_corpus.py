@@ -179,8 +179,8 @@ def _table(name, obstructed):
     return {"probes": [{"x": x, "dx": algebra.format(v)} for x, v in zip(probes, values)]}
 
 
-def _run(capsys, argv):
-    code = main(argv + ["--format", "json"])
+def _run(capsys, argv, output="json"):
+    code = main(argv + ["--format", output])
     return code, capsys.readouterr().out
 
 
@@ -188,22 +188,110 @@ CASES = sorted(COMMANDS) + [f"rigidity-{kind}-{name}" for name in TABLES
                             for kind in ("inner", "obstructed")]
 
 
+def _case_argv(case, tmp_path):
+    """(argv, exit code) of a corpus case; a rigidity case writes its table under tmp_path."""
+    if case in COMMANDS:
+        return COMMANDS[case], 0
+    _, kind, name = case.split("-")
+    path = tmp_path / "probes.json"
+    path.write_text(json.dumps(_table(name, kind == "obstructed")))
+    return (["rigidity", *_variant_argv(*TABLES[name][:3]), "--probes", str(path)],
+            0 if kind == "inner" else 1)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_corpus_output_is_pinned(capsys, tmp_path, case):
-    if case in COMMANDS:
-        argv = COMMANDS[case]
-        expected_code = 0
-    else:
-        _, kind, name = case.split("-")
-        path = tmp_path / "probes.json"
-        path.write_text(json.dumps(_table(name, kind == "obstructed")))
-        argv = ["rigidity", *_variant_argv(*TABLES[name][:3]), "--probes", str(path)]
-        expected_code = 0 if kind == "inner" else 1
+    argv, expected_code = _case_argv(case, tmp_path)
     code, out = _run(capsys, argv)
     assert code == expected_code
     if case.startswith("rigidity"):
-        assert json.loads(out)["verdict"] == kind
+        assert json.loads(out)["verdict"] == case.split("-")[1]
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[case]
+
+
+# (exit code, sha256 of the --format text stdout), recorded when the text
+# lines were still built under --format json too.
+TEXT_DIGESTS = {
+    "bracket":
+        (0, "7c2a5822dceb242783b3c74b57e3b38402345094e79715308e8506784cb9b5c8"),
+    "centralize":
+        (0, "df488b9a280e0abd01a9572c2f7ab5b3b7595012d1a073bd2369999f176eeec6"),
+    "centralize-affine-coefficient":
+        (0, "0ff649e2024348ff2e1fe92dff08de97c787c64171d5c7e6d698cb9863c38b5b"),
+    "centralize-full-rank":
+        (0, "61d07ed8440b8ca06b24f264eee2ddd4436065d778fdcd260f41359651a3fc26"),
+    "centralize-kernel-component":
+        (0, "d5a741c911961a8a41bd1c741ceef6cd14560d8ea45b2d04b6b66d994382d75e"),
+    "centralize-large-component":
+        (0, "84594bf4984d08efeef38209dceefc17616de63ece797afe21497d10d9d3ce0d"),
+    "centralize-mixed":
+        (0, "28cb25c243464db05712e8d48ac32afaebf19056235dd87cc100bd733befaa76"),
+    "centralize-outside-box":
+        (0, "ce58e46f05f666ae47d0461d9609551429975463d7fe31a3e14df63083a300f3"),
+    "centralize-swell":
+        (0, "76a5acb53d0c05af5e1b8e8912ed23fd29807f2c33b5243d111a179cf77b3144"),
+    "centralize-vanishing-coefficient":
+        (0, "ce7f11620c82439bb85cdca6f9cc51e1fc94243b6fe85572d8bf295590df9151"),
+    "centralize-wnmu":
+        (0, "e157d487b51431d02161a6ea75f44abdf2e9e22f6c9db5f02cd0678cc4969c0d"),
+    "centralize-wnplus":
+        (0, "3a946fb88522fddb5a55ea0de3f9ec58ead622385cd738cbde68338c99e9973c"),
+    "fuzz":
+        (0, "c9d8318f7e597d15393a68e3289997290088e3234b2b84dc620542cabf906f8b"),
+    "lemma2.2":
+        (0, "c8648785401d3d304d0adf3843d271c4e80e672f886ffc34fd8be30450eb2c7d"),
+    "lemma3.2":
+        (0, "504f29a8b6171d9d68c6f6f28c9e1a6db4ebaf261589e923e50b9587682e467c"),
+    "lemma3.3":
+        (0, "39a066e8414a7c6010d91021fb933a4698e08bccbff0c0cbaa027201389fe404"),
+    "lemma3.3-collision":
+        (0, "99f9af503b611584bb68e553728f9c6f8be6375a585adf5df8af8143d476f965"),
+    "lemma3.4":
+        (0, "ea73233e693e6e0e4b743c1c0a4c62a266b5d439b5b301d84325a4671058e38b"),
+    "lemma4.1":
+        (0, "4a57477205b5a1b32f3216c8670d38e1c8c4a1c390b05e998a237bed2d0890a7"),
+    "lemma4.3":
+        (0, "7642b815c6ec671142c4959ef0695d32ba0bbe7f9db30d69d2910ec1d3945ca3"),
+    "lemma4.3-collision":
+        (0, "d08fe795966a7a86b8e1bd29f372a03cc7e9051c302f8fa1e2703f5b7bcf482f"),
+    "lemma4.4":
+        (0, "9cfd8168982e356c96fca40f1ca72e6ccf27f4ec67b0a8c1d0ebbc49d5a72432"),
+    "lemma4.4-wide":
+        (0, "e19ff1c1525ed866e3c9a8e7ed0b05c45f5f15165a71c9eb94309578af2b3956"),
+    "parse":
+        (0, "6fe2951bde410ee623ab2bba07c30f2766f70fb1e327bcfe476c4271d45d7337"),
+    "parse-collide":
+        (0, "351a84a0a95896d0e8db274ddd65f12227ba66e8d99ffb98b0dab757f7137ca2"),
+    "parse-distribute":
+        (0, "4a7f255d5ff0605d2de4c77b05187c3da07418a8f2fc7e94fbc26b9300d8dbc2"),
+    "rigidity-inner-wn":
+        (0, "12c448b3a3478634128b736a76a97d68dca663b46ad7e1435584d4a1659e9af6"),
+    "rigidity-obstructed-wn":
+        (1, "5c8164cf32f7381ad38cd4269c0cfd7044ce9204b7f45dadb043e17465166299"),
+    "rigidity-inner-wnplus":
+        (0, "d8cb1d402a1702e1af0b53e7c9ce00f458ec95f76ab1c94ce9caf012853b1297"),
+    "rigidity-obstructed-wnplus":
+        (1, "baac1e7f7a28dcd3f24df8833d77e1d3de0bc69a9c8f9d31d994e59c2c1b5050"),
+    "rigidity-inner-wnplusplus":
+        (0, "c9524c3fe671c2b1d34e539952af71f2b566433ea8398962bae460509ed415a5"),
+    "rigidity-obstructed-wnplusplus":
+        (1, "cd3f98f3ba7c784bb0ed58f18bdca1b0fb53a927cb1b36b5080e97cbd2b69bed"),
+    "rigidity-inner-wnmu":
+        (0, "86b165407613c98a0130d6be461a911ad17ea052400fbbe320370153353a5e4a"),
+    "rigidity-obstructed-wnmu":
+        (1, "204e93b3079b80c1daa9054a8e25b9f3114d66004af5545d081fdcc5531e1810"),
+    "rigidity-inner-winf":
+        (0, "fca0ac42444d3dd099375bc0545664a8b0dcf529b94fc1c47f27d87e12a8df8f"),
+    "rigidity-obstructed-winf":
+        (1, "c9650ae88888916af17fbfb0ab5de62614d8c35bd63a18fe8e8da2551d85f70a"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_corpus_text_output_is_pinned(capsys, tmp_path, case):
+    argv, _ = _case_argv(case, tmp_path)
+    code, out = _run(capsys, argv, "text")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == TEXT_DIGESTS[case]
 
 
 # name -> (table, perturbed anchor, term added to its value)
