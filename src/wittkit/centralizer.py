@@ -91,21 +91,20 @@ class TruncatedSpace:
         return self.algebra.pair_element(*self.basis[i])
 
     def element_from_vector(self, vector: Dict[int, Scalar]) -> WittElement:
+        """Sum of coeff * basis[i]: each coefficient goes into its Cartan slot."""
         algebra = self.algebra
-        support: Dict[Exponent, CartanElement] = {}
+        zero = algebra.field.zero()
+        slots: Dict[Exponent, Sequence[Scalar]] = {}
         for i, coeff in vector.items():
             if coeff.is_zero:
                 continue
             alpha, direction = self.basis[i]
-            if direction == MU_DIRECTION:
-                cartan = algebra.dmu_cartan().scale(coeff)
+            if direction == MU_DIRECTION:  # wnmu has one pair per exponent
+                slots[alpha] = algebra.dmu_cartan().scale(coeff).coeffs
             else:
-                cartan = CartanElement.unit(algebra.m, direction, algebra.field.arity).scale(coeff)
-            if alpha in support:
-                support[alpha] = support[alpha] + cartan
-            else:
-                support[alpha] = cartan
-        return WittElement(algebra.m, support, algebra.field.arity)
+                slots.setdefault(alpha, [zero] * algebra.m)[direction] = coeff
+        return WittElement(algebra.m, {alpha: CartanElement(c) for alpha, c in slots.items()},
+                           algebra.field.arity)
 
     def coordinates_of(self, x: WittElement) -> Dict[int, Scalar]:
         """Coordinates in this basis; PairOutsideBox if x does not fit."""
@@ -283,7 +282,10 @@ def centralizer_basis(algebra: WittAlgebra, z: WittElement, box: int) -> Central
     """
     space = TruncatedSpace(algebra, box)
     ncols = len(space)
-    z_coords = space.coordinates_of(z) if space.contains(z) else {}
+    try:
+        z_coords = space.coordinates_of(z)
+    except (PairOutsideBox, ArityMismatch):
+        z_coords = {}
     z_member = bool(z_coords) and bracket(z, z).is_zero
     members = [z_coords] if z_member else []
     rref = None

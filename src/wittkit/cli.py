@@ -120,28 +120,19 @@ def _element(text: str, algebra: WittAlgebra, parser: argparse.ArgumentParser) -
 
 
 def _emit(args: argparse.Namespace, payload: Dict[str, object],
-          text_lines: Sequence[str]) -> None:
+          text_lines: Callable[[], Sequence[str]]) -> None:
+    """Print the payload as JSON, or the lines text_lines() builds for --format text."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
-
-
-def _report_lines(payload: Dict[str, object]) -> List[str]:
-    lines = []
-    for key in payload:
-        value = payload[key]
-        if isinstance(value, (dict, list)):
-            value = json.dumps(value, sort_keys=True)
-        lines.append(f"{key}: {value}")
-    return lines
 
 
 def cmd_parse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     algebra = _algebra_from(args, parser)
     text = algebra.format(_element(args.element, algebra, parser))
-    _emit(args, {"element": text}, [text])
+    _emit(args, {"element": text}, lambda: [text])
     return 0
 
 
@@ -150,7 +141,7 @@ def cmd_bracket(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     x = _element(args.x, algebra, parser)
     y = _element(args.y, algebra, parser)
     text = algebra.format(bracket(x, y))
-    _emit(args, {"bracket": text}, [text])
+    _emit(args, {"bracket": text}, lambda: [text])
     return 0
 
 
@@ -160,8 +151,7 @@ def cmd_centralize(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     result = centralizer_basis(algebra, z, args.box)
     basis = [algebra.format(e) for e in result.basis]
     payload = {"dimension": result.dimension, "basis": basis, "box": args.box}
-    lines = [f"dimension: {result.dimension}"] + [f"  {b}" for b in basis]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [f"dimension: {result.dimension}"] + [f"  {b}" for b in basis])
     return 0
 
 
@@ -208,10 +198,16 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         args.variant = "winf"
     report = _verify_report(args, parser)
     payload = report.to_dict()
-    verdict = "PASS" if report.passed else "FAIL"
-    lines = [f"lemma {report.lemma} {json.dumps(report.parameters, sort_keys=True)}: {verdict}"]
-    lines += ["  " + line for line in _report_lines(
-        {k: v for k, v in payload.items() if k not in ("lemma", "parameters", "pass")})]
+
+    def lines() -> List[str]:
+        verdict = "PASS" if report.passed else "FAIL"
+        out = [f"lemma {report.lemma} {json.dumps(report.parameters, sort_keys=True)}: {verdict}"]
+        for key, value in payload.items():
+            if key not in ("lemma", "parameters", "pass"):
+                text = json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else value
+                out.append(f"  {key}: {text}")
+        return out
+
     _emit(args, payload, lines)
     return 0 if report.passed else 1
 
@@ -236,13 +232,17 @@ def cmd_rigidity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     delta = PointwiseMap(algebra, pairs)
     report = rigidity_pipeline(delta, args.box)
     payload = report.to_dict()
-    passing = sum(1 for r in report.residuals if r.passed)
-    lines = [f"verdict: {report.verdict}"]
-    if report.recovered_a is not None:
-        lines.append(f"recovered_a: {algebra.format(report.recovered_a)}")
-        lines.append(f"residuals: {passing}/{len(report.residuals)} pass")
-    if report.certificate is not None:
-        lines.append(f"certificate: {json.dumps(payload['certificate'], sort_keys=True)}")
+
+    def lines() -> List[str]:
+        out = [f"verdict: {report.verdict}"]
+        if report.recovered_a is not None:
+            passing = sum(1 for r in report.residuals if r.passed)
+            out += [f"recovered_a: {payload['recovered_a']}",
+                    f"residuals: {passing}/{len(report.residuals)} pass"]
+        if report.certificate is not None:
+            out.append(f"certificate: {json.dumps(payload['certificate'], sort_keys=True)}")
+        return out
+
     _emit(args, payload, lines)
     return 0 if report.passed else 1
 
@@ -285,7 +285,7 @@ def cmd_fuzz(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     lines = [f"{args.law}: {passes}/{args.count} pass"]
     if failures:
         lines.append(f"first failure: {failures[0]}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: lines)
     return 0 if not failures else 1
 
 

@@ -366,7 +366,8 @@ class RigidityReport(NamedTuple):
         Otherwise the records must follow the table, both anchors' residuals
         must vanish, every realizer must commute with both anchors and
         re-bracket to its residual, and the verdict must follow from which
-        residuals were realized.
+        residuals were realized.  Non-anchor residuals are the pipeline's as
+        they stand: the check does not derive Delta(x) - [a, x] again.
         """
         algebra = self.algebra
         anchors = [(z, delta.value_at(z)) for z in (algebra.dmu(), algebra.power_sum_dmu(1))]
@@ -426,9 +427,10 @@ def rigidity_pipeline(delta: PointwiseMap, box: int) -> RigidityReport:
 
     Stage one solves [a, z] = Delta(z) over the two anchors z = d_mu and
     (t_1+...+t_n)d_mu (`solve_inner`).  Stage two forms the residual
-    Delta(x) - [a, x] for every table entry and asks whether it is
-    realizable as [b, x] with b in the anchors' common centralizer.  The
-    report checks itself against the table before it is returned.
+    Delta(x) - [a, x] for every table entry, zero wherever [a, x] equals
+    Delta(x), and asks whether it is realizable as [b, x] with b in the
+    anchors' common centralizer.  The report checks itself against the
+    table before it is returned.
     """
     algebra = delta.algebra
     anchors = [algebra.dmu(), algebra.power_sum_dmu(1)]
@@ -444,7 +446,8 @@ def rigidity_pipeline(delta: PointwiseMap, box: int) -> RigidityReport:
         ambiguity = inner.homogeneous
         residuals: List[ResidualRecord] = []
         for x, dx in delta:
-            r = dx - bracket(a, x)
+            ax = bracket(a, x)
+            r = algebra.zero() if ax == dx else dx - ax  # Scalars are canonical
             residuals.append(ResidualRecord(x, dx, r, realize_in_span(algebra, ambiguity, x, r)))
         verdict = "inner" if all(rec.passed for rec in residuals) else "obstructed"
         report = RigidityReport(verdict, algebra, box, a, ambiguity, residuals, None)

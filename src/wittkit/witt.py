@@ -326,12 +326,15 @@ def bracket(x: WittElement, y: WittElement) -> WittElement:
     P and P' and the integer L L', and groups add as Scalars.  A group
     holding the one product n n' cancels across, as a Scalar product
     does.  A gamma comes in at the first pair of terms that reaches it,
-    as in the Cartan product rule.  Nonzero operands must share an arity.
+    as in the Cartan product rule.  A zero operand gives the zero of the
+    larger arity at once; nonzero operands must share an arity.
     """
     x._check(y)
-    if x.support and y.support and x._arity != y._arity:
-        raise ArityMismatch(f"scalar arities {x._arity} != {y._arity}")
     arity = max(x._arity, y._arity)
+    if not x.support or not y.support:
+        return WittElement(x.m, {}, arity)
+    if x._arity != y._arity:
+        raise ArityMismatch(f"scalar arities {x._arity} != {y._arity}")
     lx, xs = _cleared(x)
     ly, ys = _cleared(y)
     acc: Dict[Exponent, Dict[Tuple, Dict[Exponent, int]]] = {}
@@ -545,16 +548,24 @@ class WittAlgebra:
         return lam if all(x == lam * y for x, y in zip(c, mu)) else None
 
     def member(self, x: WittElement) -> bool:
+        """Whether x lies in the variant, decided by the variant's rule alone.
+
+        wn and winf hold every rank-m element.  A wnmu Cartan part c is on the
+        d_mu line when each minor c_i mu_1 - c_1 mu_i vanishes, compared over
+        cleared denominators, n_i d_1 mu_1 = n_1 d_i mu_i, with no division.
+        wnplus and wnplusplus keep the pairs `_LOWEST` allows.
+        """
         if x.m != self.m:
             return False
-        on_dmu_line = self.variant.kind is VariantKind.WN_MU
-        for alpha, cartan in x.support.items():
-            if not all(c.is_zero or _in_variant(self.variant, alpha, j)
-                       for j, c in enumerate(cartan.coeffs)):
-                return False
-            if on_dmu_line and self.dmu_multiple(cartan) is None:
-                return False
-        return True
+        kind = self.variant.kind
+        if kind is VariantKind.WN_MU:
+            mu1, *mu = [c.num for c in self._dmu.coeffs]
+            return all(c.num * c1.den * mu1 == c1.num * c.den * mu_i
+                       for c1, *cs in (cartan.coeffs for cartan in x.support.values())
+                       for c, mu_i in zip(cs, mu))
+        return kind not in _LOWEST or all(
+            c.is_zero or _in_variant(self.variant, alpha, j)
+            for alpha, cartan in x.support.items() for j, c in enumerate(cartan.coeffs))
 
     # -- random sampling ----------------------------------------------
 

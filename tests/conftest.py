@@ -1,13 +1,20 @@
-"""Shared oracles: the Cartan-valued bracket, the ad-matrix, the stacked
-anchor system, the certificate property, the forcing rank and the
-Q-coefficient scalar normal form; and matrix-vector products.
+"""Shared oracles: the Cartan-valued bracket, variant membership, the
+box element of a coordinate vector, the ad-matrix, the stacked anchor
+system, the certificate property, the forcing rank and the Q-coefficient
+scalar normal form; and matrix-vector products.
 
 The Cartan-valued bracket is the one `bracket` computed with Scalar
 arithmetic, one pairing per pair of stored terms, before it moved to
-integer term dicts.  The ad-matrix, the anchor system and the
-certificate property are rebuilt from `bracket` over every column of the
-degree box, independently of the structure-constant builder behind
-`ad_matrix` and of how `solve_inner` organises its own solve.  The
+integer term dicts.  Membership scans every nonzero coefficient against
+the variant's exponent rule, written out here, and divides each wnmu
+Cartan part by mu_1, as `member` did before it decided by the variant's
+rule alone.  The box element of a vector scales a unit Cartan element
+(d_mu in wnmu) per coordinate and adds them up, as `element_from_vector`
+did before it put each coefficient into its slot.  The ad-matrix, the
+anchor system and the certificate property are rebuilt from `bracket`
+over every column of the degree box, independently of the
+structure-constant builder behind `ad_matrix` and of how `solve_inner`
+organises its own solve.  The
 forcing rank is rebuilt by adjoining one unknown per family member to the
 scalar field, independently of the bilinear split the verifiers use.  The
 scalar normal form is the one `Scalar` kept before its coefficients
@@ -24,6 +31,8 @@ from types import SimpleNamespace
 import pytest
 
 from wittkit import (
+    MU_DIRECTION,
+    CartanElement,
     MuPolynomial,
     Scalar,
     ScalarMatrix,
@@ -34,6 +43,7 @@ from wittkit import (
     format_polynomial,
     rank,
 )
+from wittkit.witt import VariantKind
 
 
 def _pairing(cartan, beta):
@@ -64,6 +74,47 @@ def cartan_bracket(x, y):
                 term = db.scale(a_beta) + da.scale(-b_alpha)
             acc[gamma] = acc[gamma] + term if gamma in acc else term
     return WittElement(x.m, acc, max(x.scalar_arity(), y.scalar_arity()))
+
+
+def scanning_member(algebra, x):
+    """Whether x lies in the variant, every nonzero coefficient checked.
+
+    wnplus keeps t^alpha d_j with alpha + e_j >= 0, wnplusplus alpha >= 0,
+    and a wnmu Cartan part c must equal (c_1 / mu_1) d_mu.
+    """
+    if x.m != algebra.m:
+        return False
+    kind, dmu = algebra.variant.kind, algebra.dmu_cartan().coeffs
+    for alpha, cartan in x.support.items():
+        for j, c in enumerate(cartan.coeffs):
+            if c.is_zero:
+                continue
+            shifted = [a + (i == j) for i, a in enumerate(alpha)]
+            if kind is VariantKind.WN_PLUS and min(shifted) < 0:
+                return False
+            if kind is VariantKind.WN_PLUS_PLUS and min(alpha) < 0:
+                return False
+        if kind is VariantKind.WN_MU:
+            lam = cartan.coeffs[0] / dmu[0]
+            if any(c != lam * mu for c, mu in zip(cartan.coeffs, dmu)):
+                return False
+    return True
+
+
+def unit_scaled_element(space, vector):
+    """sum of vector[i] * basis[i]: a unit Cartan element, or d_mu, scaled per coordinate."""
+    algebra = space.algebra
+    support = {}
+    for i, coeff in vector.items():
+        if coeff.is_zero:
+            continue
+        alpha, direction = space.basis[i]
+        if direction == MU_DIRECTION:
+            cartan = algebra.dmu_cartan().scale(coeff)
+        else:
+            cartan = CartanElement.unit(algebra.m, direction, algebra.field.arity).scale(coeff)
+        support[alpha] = support[alpha] + cartan if alpha in support else cartan
+    return WittElement(algebra.m, support, algebra.field.arity)
 
 
 def apply(matrix, vector):
@@ -327,3 +378,13 @@ def fraction_oracle():
 @pytest.fixture
 def bracket_oracle():
     return cartan_bracket
+
+
+@pytest.fixture
+def member_oracle():
+    return scanning_member
+
+
+@pytest.fixture
+def element_oracle():
+    return unit_scaled_element

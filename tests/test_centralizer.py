@@ -27,7 +27,7 @@ from wittkit import (
 from wittkit import centralizer, linalg, witt
 from wittkit.cli import main
 from wittkit.errors import BadArity, BadK, DenominatorVanishes, SelfCheckFailed
-from wittkit.linalg import MODULUS
+from wittkit.linalg import MODULUS, rank_mod_p
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
 
@@ -42,6 +42,35 @@ def test_space_coordinate_round_trip():
     for i in range(0, len(space), 7):
         e = space.element(i)
         assert space.coordinates_of(e) == {i: W2.field.one()}
+
+
+VARIANTS = [AlgebraVariant.wn(2), AlgebraVariant.winf(1, 2), AlgebraVariant.wnplus(2),
+            AlgebraVariant.wnplusplus(2), AlgebraVariant.wnmu(2)]
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.kind.value)
+def test_element_from_vector_matches_scaled_units(variant, element_oracle):
+    # unit vectors, and random vectors with zero, rational and rational-function
+    # coordinates, several directions of one exponent among them: values, the order
+    # exponents come in and the scalar arity match the sum of scaled unit elements
+    algebra = WittAlgebra(variant)
+    field = algebra.field
+    space = TruncatedSpace(algebra, box=1)
+    one = field.one()
+    for i in range(len(space)):
+        assert space.element_from_vector({i: one}) == element_oracle(space, {i: one}) \
+            == space.element(i)
+    rng = random.Random(repr(variant))
+    scalars = [field.zero(), one, field.from_fraction(Fraction(-2, 3)), field.mu(field.n_mu)]
+    for _ in range(40):
+        start = rng.randrange(len(space) - 2)
+        columns = [start, start + 1, start + 2] + rng.sample(range(len(space)), 3)
+        rng.shuffle(columns)
+        vector = {c: rng.choice(scalars + [_rational_coefficient(rng, field)]) for c in columns}
+        element, expected = space.element_from_vector(vector), element_oracle(space, vector)
+        assert element == expected and list(element.support) == list(expected.support)
+        assert element.scalar_arity() == field.arity
+    assert space.element_from_vector({0: field.zero()}).scalar_arity() == field.arity
 
 
 def test_space_contains():
@@ -178,12 +207,10 @@ def _residue(value: Fraction) -> int:
     return value.numerator * pow(value.denominator, -1, MODULUS) % MODULUS
 
 
-@pytest.mark.parametrize("variant", [
-    AlgebraVariant.wn(2), AlgebraVariant.winf(1, 2), AlgebraVariant.wnplus(2),
-    AlgebraVariant.wnplusplus(2), AlgebraVariant.wnmu(2)])
-def test_ad_builder_matches_bracket_oracle(variant, ad_matrix_oracle):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_ad_builder_matches_bracket_oracle(variant, ad_matrix_oracle, monkeypatch):
     # the structure-constant builder, over Q(mu) and over F_p, is the bracket per column,
-    # and so are the residue rows built on it; wnmu's columns are all MU_DIRECTION
+    # and so are the rows the certified-rank loop yields; wnmu's columns are all MU_DIRECTION
     algebra = WittAlgebra(variant)
     space = TruncatedSpace(algebra, box=2)
     pairs = algebra._basis_pair_list(1)
@@ -221,12 +248,28 @@ def test_ad_builder_matches_bracket_oracle(variant, ad_matrix_oracle):
                         expected[(key, c)] = residue
             entries = _flat_entries(z, space, range(len(space)), point)
             assert {k: e % MODULUS for k, e in entries.items() if e % MODULUS} == expected
-            rows = {}
-            for (key, c), residue in expected.items():
-                rows.setdefault(key, {})[c] = residue
-            built = centralizer._ad_rows(z, space, range(len(space)), point)[0].values()
-            assert (sorted(sorted(row.items()) for row in built)
-                    == sorted(sorted(row.items()) for row in rows.values()))
+        # each yielded row is an oracle row reduced mod p at the loop's own point,
+        # entry by entry, and the yielded rank is the rank of those rows
+        points = []
+
+        def recorded(arity, bound):
+            for point in specialization_points(arity, bound):
+                points.append(point)
+                yield point
+
+        monkeypatch.setattr(linalg, "specialization_points", recorded)
+        yielded = 0
+        for r0, rows in centralizer._specialized_ranks(z, space):
+            residues = [{c: _residue(s.evaluate(points[-1])) for c, s in row.items()}
+                        for row in matrix.rows]
+            expected = [{c: e for c, e in row.items() if e} for row in residues]
+            expected = [row for row in expected if row]
+            assert (sorted(sorted(row.items()) for row in rows)
+                    == sorted(sorted(row.items()) for row in expected))
+            assert r0 == rank_mod_p(expected)
+            yielded += 1
+        assert 0 < yielded <= len(points)
+        monkeypatch.undo()
 
 
 def _flat_entries(z, space, columns, point=None):

@@ -16,7 +16,15 @@ import json
 
 import pytest
 
-from wittkit import AlgebraVariant, WittAlgebra, bracket, parse_element, parse_scalar
+from wittkit import (
+    AlgebraVariant,
+    PointwiseMap,
+    WittAlgebra,
+    bracket,
+    parse_element,
+    parse_scalar,
+    rigidity_pipeline,
+)
 from wittkit.cli import main
 
 # (variant, arity, prefix, b, extra probes, obstruction added to the last probe's value)
@@ -292,6 +300,24 @@ def test_corpus_text_output_is_pinned(capsys, tmp_path, case):
     argv, _ = _case_argv(case, tmp_path)
     code, out = _run(capsys, argv, "text")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == TEXT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_corpus_residuals_are_value_minus_bracket(name):
+    # the pipeline decides a zero residual by comparison; every record still holds
+    # Delta(x) - [a, x] over the field's arity.  Residuals are nonzero in obstructed
+    # tables and in winf's inner one, whose nonzero residuals the span realizes.
+    algebra = _algebra(*TABLES[name][:3])
+    for obstructed in (False, True):
+        pairs = [(parse_element(p["x"], algebra), parse_element(p["dx"], algebra))
+                 for p in _table(name, obstructed)["probes"]]
+        report = rigidity_pipeline(PointwiseMap(algebra, pairs), 1)
+        assert [(rec.probe, rec.value) for rec in report.residuals] == pairs
+        for rec in report.residuals:
+            assert rec.residual == rec.value - bracket(report.recovered_a, rec.probe)
+            assert rec.residual.scalar_arity() == algebra.field.arity
+        nonzero = any(not rec.residual.is_zero for rec in report.residuals)
+        assert nonzero == (obstructed or name == "winf")
 
 
 # name -> (table, perturbed anchor, term added to its value)

@@ -14,6 +14,7 @@ from wittkit import (
     ArityMismatch,
     BadArity,
     CartanElement,
+    LengthMismatch,
     ScalarField,
     WittAlgebra,
     WittElement,
@@ -203,6 +204,30 @@ def test_bracket_rejects_mismatched_scalar_arities():
         assert out.is_zero and out.scalar_arity() == 3
 
 
+def test_bracket_with_a_zero_operand_is_the_zero_of_the_larger_arity(bracket_oracle):
+    # every pairing of arities 0, 2, 3 and 4: a zero operand on either side gives
+    # the zero of the larger arity, two nonzero operands of different arities
+    # raise, and equal arities bracket as the oracle does; ranks are checked first
+    algebras = [WittAlgebra(AlgebraVariant.wn(2), ScalarField(2, names))
+                for names in ((), ("c",), ("c", "e"))]
+    zeros = [WittElement.zero(2)] + [a.zero() for a in algebras]
+    nonzeros = [a.monomial((1, -1), 2, a.field.mu(1)) + a.d(1) for a in algebras]
+    for x in zeros + nonzeros:
+        for y in zeros + nonzeros:
+            arity = max(x.scalar_arity(), y.scalar_arity())
+            if x.is_zero or y.is_zero:
+                out = bracket(x, y)
+                assert out.is_zero and out.scalar_arity() == arity
+                assert out.coefficient((0, 0), 0) == ScalarField(arity).zero()
+            elif x.scalar_arity() != y.scalar_arity():
+                with pytest.raises(ArityMismatch):
+                    bracket(x, y)
+            else:
+                assert bracket(x, y) == bracket_oracle(x, y)
+        with pytest.raises(LengthMismatch):
+            bracket(x, W1.zero())
+
+
 def test_cartan_arithmetic_checks_arity_on_zero_coefficients():
     # a mismatched scalar on a zero coefficient meets no Scalar operation,
     # so each operation compares the two fields once
@@ -295,6 +320,49 @@ def test_wnmu_membership_agrees_with_proportional():
             assert algebra.member(y) == on_line
             seen.add(on_line)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("variant", VARIANTS + [AlgebraVariant.wnmu(1), AlgebraVariant.wnmu(3),
+                                     AlgebraVariant.wnplus(3)],
+                         ids=lambda v: f"{v.kind.value}-{v.n}-{v.m}")
+def test_membership_by_the_variant_rule_matches_a_scan(variant, member_oracle):
+    # random sums of pairs inside and outside the variant's window rule, Cartan
+    # parts on and off the d_mu line with rational-function coefficients, zero
+    # coefficients at pairs the variant leaves out, and a wrong rank
+    algebra = WittAlgebra(variant)
+    field, m = algebra.field, algebra.m
+    mu = [field.mu(i + 1) for i in range(field.n_mu)]
+    scalars = [field.one(), field.from_fraction(Fraction(-3, 7)), mu[0], mu[-1] / (mu[0] + 2),
+               (mu[0] - mu[-1]) / (mu[0] * mu[-1] + 1)]
+    rng = random.Random(repr(variant))
+    seen = set()
+    for _ in range(150):
+        support = {}
+        for _ in range(rng.randint(1, 3)):
+            alpha = tuple(rng.randrange(-2, 3) for _ in range(m))
+            if rng.random() < 0.5:
+                cartan = algebra.dmu_cartan().scale(rng.choice(scalars))
+                if rng.random() < 0.4:  # one slot moved off the line, or by chance kept
+                    coeffs = list(cartan.coeffs)
+                    coeffs[rng.randrange(m)] += rng.choice(scalars + [field.zero()])
+                    cartan = CartanElement(coeffs)
+            else:
+                cartan = CartanElement([rng.choice(scalars + [field.zero()] * 2)
+                                        for _ in range(m)])
+            support[alpha] = cartan
+        x = WittElement(m, support, field.arity)
+        expected = member_oracle(algebra, x)
+        assert algebra.member(x) == expected
+        seen.add(expected)
+    for alpha in itertools.product(range(-2, 3), repeat=m):
+        for d in range(m):
+            x = algebra.monomial(alpha, d + 1, rng.choice(scalars))
+            assert algebra.member(x) == member_oracle(algebra, x)
+    wider = WittAlgebra(AlgebraVariant.wn(m + 1)).d(1)
+    assert not algebra.member(wider) and not member_oracle(algebra, wider)
+    # every rank-m element lies in wn, winf and the one-dimensional d_mu line of wnmu(1)
+    holds_all = variant.kind in (VariantKind.WN, VariantKind.W_INF_TRUNC) or m == 1
+    assert seen == ({True} if holds_all else {True, False})
 
 
 def test_closure_under_bracket():
