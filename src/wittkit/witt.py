@@ -28,7 +28,7 @@ degree box and for its size alike:
   * wnplusplus  : alpha >= 0, the sum over alpha >= 0 of t^alpha h_n,
   * wnmu        : A_n d_mu, the rank-one module of multiples of
                   d_mu = mu_1 d_1 + ... + mu_n d_n: every alpha, with each
-                  Cartan part on the d_mu line (`WittAlgebra.dmu_multiple`).
+                  Cartan part on the d_mu line (`WittAlgebra.member`).
 """
 
 from __future__ import annotations
