@@ -20,17 +20,17 @@ systems come back with a certificate: a left combination u of the
 original rows with u A = 0 but u . b != 0, namely the first vector of
 the canonical kernel basis of A^T that does not annihilate b.
 
-Specializing the mu parameters at a rational point and reducing mod a
-prime can only lower the rank, so the rank over F_p is a certified lower
-bound for the generic rank.  `rank_mod_p` is that rank on rows already
-reduced to residues: `centralizer` reads them off the bracket's
-structure constants at each of the `specialization_points`, and
-`modular_rank` evaluates a ScalarMatrix entry by entry.
+Specializing the mu parameters at a point and reducing mod a prime can
+only lower the rank, so the rank over F_p is a certified lower bound for
+the generic rank.  The `specialization_points` are integer, so a scalar
+evaluates there in int arithmetic.  `rank_mod_p` is that rank on rows
+already reduced to residues: `centralizer` reads them off the bracket's
+structure constants at each point, and `modular_rank` evaluates a
+ScalarMatrix entry by entry.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import LengthMismatch
@@ -78,8 +78,8 @@ class ScalarMatrix:
         return f"ScalarMatrix({self.nrows}x{self.ncols}, {self.entry_count()} entries)"
 
 
-def specialization_points(arity: int, bound: int) -> List[Tuple[Fraction, ...]]:
-    """Three deterministic geometric points mu_i = M^i, i = 1..arity, with M > 2 * bound.
+def specialization_points(arity: int, bound: int) -> List[Tuple[int, ...]]:
+    """Three deterministic integer points mu_i = M^i, i = 1..arity, with M > 2 * bound.
 
     No integer affine form c_0 + c_1 mu_1 + ... with coefficients in
     [-bound, bound], not all zero, vanishes at such a point: it is a
@@ -89,18 +89,21 @@ def specialization_points(arity: int, bound: int) -> List[Tuple[Fraction, ...]]:
     out.  Successive tries bump the base.
     """
     return [
-        tuple(Fraction((2 * bound + 2 + t) ** i) for i in range(1, arity + 1))
+        tuple((2 * bound + 2 + t) ** i for i in range(1, arity + 1))
         for t in range(3)
     ]
 
 
-def scalar_mod_p(value: Scalar, values: Sequence[Fraction], prime: int) -> int:
-    """Residue mod `prime` of a scalar evaluated at a rational point.
+def scalar_mod_p(value: Scalar, values: Sequence[int], prime: int) -> int:
+    """Residue mod `prime` of a scalar evaluated at an integer point.
 
-    Raises DenominatorVanishes at a pole and ValueError when the value's
-    denominator is divisible by the modulus.
+    There num and den evaluate in int arithmetic, and the one Fraction
+    built is their quotient in lowest terms (a rational point works too,
+    in Fraction arithmetic).  Raises DenominatorVanishes at a pole and
+    ValueError when the value's reduced denominator is divisible by the
+    modulus.
     """
-    v = Fraction(value.evaluate(values))
+    v = value.evaluate(values)
     den = v.denominator % prime
     if den == 0:
         raise ValueError("denominator divisible by the modulus")
@@ -165,9 +168,8 @@ def rank_mod_p(rows: Sequence[Dict[int, int]], prime: int = MODULUS) -> int:
     return len(_echelon(rows, lambda factor: pow(factor, -1, prime), subtract))
 
 
-def modular_rank(matrix: ScalarMatrix, values: Sequence[Fraction],
-                 prime: int = MODULUS) -> int:
-    """Rank of the specialization reduced mod `prime`.
+def modular_rank(matrix: ScalarMatrix, values: Sequence[int], prime: int = MODULUS) -> int:
+    """Rank of the specialization at an integer point, reduced mod `prime`.
 
     Specializing mu and reducing mod p are both rank-nonincreasing, so
     the result is a certified lower bound for the rank over Q(mu).

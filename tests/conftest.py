@@ -1,7 +1,7 @@
 """Shared oracles: the Cartan-valued bracket, variant membership, the
 box element of a coordinate vector, the ad-matrix, the stacked anchor
 system, the certificate property, the forcing rank and the Q-coefficient
-scalar normal form; and matrix-vector products.
+scalar normal form; matrix-vector products; and small random scalars.
 
 The Cartan-valued bracket is the one `bracket` computed with Scalar
 arithmetic, one pairing per pair of stored terms, before it moved to
@@ -25,6 +25,7 @@ Q-exact division, and a primitive denominator.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -137,6 +138,24 @@ def left_apply(matrix, vector):
         for c, a in matrix.rows[r].items():
             out[c] = out.get(c, Scalar.zero(matrix.arity)) + u * a
     return {c: s for c, s in out.items() if not s.is_zero}
+
+
+# Keep random operands small: rational-function identities normalize by
+# multivariate gcd, which swells quickly on dense high-degree inputs.
+def random_poly(rng: random.Random, arity: int, nterms: int = 3) -> MuPolynomial:
+    terms = {}
+    for _ in range(nterms):
+        mono = tuple(rng.randrange(0, 2) for _ in range(arity))
+        terms[mono] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+    return MuPolynomial(arity, terms)
+
+
+def random_scalar(rng: random.Random, arity: int) -> Scalar:
+    num = random_poly(rng, arity)
+    den = random_poly(rng, arity, nterms=2)
+    while den.is_zero:
+        den = random_poly(rng, arity, nterms=2)
+    return Scalar(num, den)
 
 
 def is_rational(scalar):

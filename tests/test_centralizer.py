@@ -26,7 +26,7 @@ from wittkit import (
 )
 from wittkit import centralizer, linalg, witt
 from wittkit.cli import main
-from wittkit.errors import BadArity, BadK, DenominatorVanishes, SelfCheckFailed
+from wittkit.errors import BadArity, BadK, DenominatorVanishes, PairOutsideBox, SelfCheckFailed
 from wittkit.linalg import MODULUS, rank_mod_p
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
@@ -75,8 +75,10 @@ def test_element_from_vector_matches_scaled_units(variant, element_oracle):
 
 def test_space_contains():
     space = TruncatedSpace(W2, box=1)
-    assert space.contains(W2.monomial((1, -1), 2))
-    assert not space.contains(W2.monomial((2, 0), 1))
+    assert space.coordinates_of(W2.monomial((1, -1), 2)) == {
+        space.index[((1, -1), 1)]: W2.field.one()}
+    with pytest.raises(PairOutsideBox):
+        space.coordinates_of(W2.monomial((2, 0), 1))
 
 
 def test_ad_matrix_of_dmu_is_diagonal():

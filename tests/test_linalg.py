@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import apply, left_apply
+from conftest import apply, left_apply, random_scalar
 
 from wittkit import (
     DenominatorVanishes,
@@ -252,6 +252,35 @@ def test_scalar_mod_p_matches_exact_value(arity):
              (mu1 / mu2 + 1, (Fraction(2), Fraction(3)), 4)]  # 5/3, and 3 * 4 = 5 mod 7
     for value, point, expected in cases:
         assert _residue_or_error(value, point + pad, 7) == expected
+
+
+def test_scalar_mod_p_at_the_integer_points_matches_the_fraction_reference():
+    # the points are ints equal to Fraction(M**i); at each, a random scalar's
+    # residue is that of its value at the Fraction point, and the errors match
+    rng = random.Random(25)
+    mu1, mu2 = F2.mu(1), F2.mu(2)
+    for bound in range(1, 7):
+        points = specialization_points(2, bound)
+        for t, point in enumerate(points):
+            base = 2 * bound + 2 + t
+            assert all(type(v) is int for v in point)
+            assert point == (Fraction(base), Fraction(base ** 2))
+            for _ in range(8):
+                value = random_scalar(rng, 2)
+                try:
+                    exact = value.evaluate(tuple(map(Fraction, point)))
+                except DenominatorVanishes:
+                    expected = DenominatorVanishes
+                else:
+                    den = exact.denominator % MODULUS
+                    expected = (exact.numerator * pow(den, -1, MODULUS) % MODULUS if den
+                                else ValueError)
+                assert _residue_or_error(value, point, MODULUS) == expected
+            assert _residue_or_error(1 / (mu1 - base), point, MODULUS) is DenominatorVanishes
+            assert _residue_or_error(1 / (mu1 + MODULUS - base), point, MODULUS) is ValueError
+            # p divides the numerator and the denominator there, yet the value is 1/2
+            half = (mu1 + MODULUS - base) / (mu2 + 2 * MODULUS - base ** 2)
+            assert scalar_mod_p(half, point, MODULUS) == pow(2, -1, MODULUS)
 
 
 def test_scalar_mod_p_rejects_a_point_of_the_wrong_length():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import is_rational
+from conftest import is_rational, random_scalar
 
 from wittkit import (
     AlgebraVariant,
@@ -29,24 +29,6 @@ from wittkit.scalars import format_scalar
 F2 = ScalarField(2)
 MU1 = F2.mu(1)
 MU2 = F2.mu(2)
-
-
-# Keep random operands small: rational-function identities normalize by
-# multivariate gcd, which swells quickly on dense high-degree inputs.
-def random_poly(rng: random.Random, arity: int, nterms: int = 3) -> MuPolynomial:
-    terms = {}
-    for _ in range(nterms):
-        mono = tuple(rng.randrange(0, 2) for _ in range(arity))
-        terms[mono] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
-    return MuPolynomial(arity, terms)
-
-
-def random_scalar(rng: random.Random, arity: int) -> Scalar:
-    num = random_poly(rng, arity)
-    den = random_poly(rng, arity, nterms=2)
-    while den.is_zero:
-        den = random_poly(rng, arity, nterms=2)
-    return Scalar(num, den)
 
 
 def test_fraction_addition():
