@@ -64,7 +64,6 @@ from .rigidity import (
     InnerSolveResult,
     PointwiseMap,
     RigidityReport,
-    lemma_3_3_obstruction,
     realize_in_span,
     rigidity_pipeline,
     solve_inner,
@@ -115,7 +114,6 @@ __all__ = [
     "format_polynomial",
     "kernel",
     "modular_rank",
-    "lemma_3_3_obstruction",
     "lemma_4_1_families",
     "parse_element",
     "parse_scalar",

@@ -66,6 +66,7 @@ from .witt import (
     VariantKind,
     WittAlgebra,
     WittElement,
+    _trusted,
     bracket,
     proportional,
 )
@@ -102,8 +103,8 @@ class TruncatedSpace:
                 slots[alpha] = algebra.dmu_cartan().scale(coeff).coeffs
             else:
                 slots.setdefault(alpha, [zero] * algebra.m)[direction] = coeff
-        return WittElement(algebra.m, {alpha: CartanElement(c) for alpha, c in slots.items()},
-                           algebra.field.arity)
+        return _trusted(algebra.m, {alpha: CartanElement(c) for alpha, c in slots.items()},
+                        algebra.field.arity)
 
     def coordinates_of(self, x: WittElement) -> Dict[int, Scalar]:
         """Coordinates in this basis; PairOutsideBox if x does not fit."""
@@ -171,10 +172,9 @@ def _ad_rows(z: WittElement, space: TruncatedSpace, columns: Iterable[int],
     radix = 2 * reach + 1
     weights = [m * radix ** (m - 1 - i) for i in range(m)]  # code(gamma) m, slot by slot
     modulus = 0 if point is None else MODULUS
-    coeffs = {c for cartan in [algebra.dmu_cartan(), *z.support.values()] for c in cartan.coeffs}
-    value = {c: scalar_mod_p(c, point, modulus) if modulus else c for c in coeffs}.__getitem__
-    dmu = [value(c) for c in algebra.dmu_cartan().coeffs]
-    units = ({MU_DIRECTION: dmu} if algebra.variant.kind is VariantKind.WN_MU
+    value = (lambda c: scalar_mod_p(c, point, modulus)) if modulus else (lambda c: c)
+    units = ({MU_DIRECTION: [value(c) for c in algebra.dmu_cartan().coeffs]}
+             if algebra.variant.kind is VariantKind.WN_MU
              else {d: [int(i == d) for i in range(m)] for d in range(m)})
     index: Dict[Exponent, int] = {}
     groups: Dict[int, List[Tuple[int, int]]] = {d: [] for d in units}

@@ -23,7 +23,8 @@ the canonical kernel basis of A^T that does not annihilate b.
 Specializing the mu parameters at a point and reducing mod a prime can
 only lower the rank, so the rank over F_p is a certified lower bound for
 the generic rank.  The `specialization_points` are integer, so a scalar
-evaluates there in int arithmetic.  `rank_mod_p` is that rank on rows
+evaluates there in int arithmetic, and `scalar_mod_p` reduces its value
+in ints too, with no Fraction built.  `rank_mod_p` is that rank on rows
 already reduced to residues: `centralizer` reads them off the bracket's
 structure constants at each point, and `modular_rank` evaluates a
 ScalarMatrix entry by entry.
@@ -31,9 +32,10 @@ ScalarMatrix entry by entry.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import LengthMismatch
+from .errors import DenominatorVanishes, LengthMismatch
 from .scalars import Scalar
 
 KernelVector = Dict[int, Scalar]
@@ -95,19 +97,23 @@ def specialization_points(arity: int, bound: int) -> List[Tuple[int, ...]]:
 
 
 def scalar_mod_p(value: Scalar, values: Sequence[int], prime: int) -> int:
-    """Residue mod `prime` of a scalar evaluated at an integer point.
+    """Residue mod `prime` of a scalar evaluated at an integer or rational point.
 
-    There num and den evaluate in int arithmetic, and the one Fraction
-    built is their quotient in lowest terms (a rational point works too,
-    in Fraction arithmetic).  Raises DenominatorVanishes at a pole and
-    ValueError when the value's reduced denominator is divisible by the
-    modulus.
+    num and den evaluate to n and d (ints at an integer point), and the
+    value is N/D with N = n.numerator d.denominator and D = n.denominator
+    d.numerator, reduced by their gcd in ints before D is tested mod p.
+    Raises DenominatorVanishes at a pole and ValueError when the value's
+    reduced denominator is divisible by the modulus.
     """
-    v = value.evaluate(values)
-    den = v.denominator % prime
+    n, d = value.num.evaluate(values), value.den.evaluate(values)
+    if not d:
+        raise DenominatorVanishes("denominator vanishes at the given point")
+    num, den = n.numerator * d.denominator, n.denominator * d.numerator
+    g = math.gcd(num, den)
+    den = den // g % prime
     if den == 0:
         raise ValueError("denominator divisible by the modulus")
-    return v.numerator * pow(den, -1, prime) % prime
+    return num // g * pow(den, -1, prime) % prime
 
 
 def _echelon(rows: Sequence[Dict[int, object]], inverse: Callable,
@@ -169,7 +175,7 @@ def rank_mod_p(rows: Sequence[Dict[int, int]], prime: int = MODULUS) -> int:
 
 
 def modular_rank(matrix: ScalarMatrix, values: Sequence[int], prime: int = MODULUS) -> int:
-    """Rank of the specialization at an integer point, reduced mod `prime`.
+    """Rank mod `prime` of the specialization at an integer or rational point.
 
     Specializing mu and reducing mod p are both rank-nonincreasing, so
     the result is a certified lower bound for the rank over Q(mu).

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import DivisionByZero, ParseError
 from .scalars import Scalar, ScalarField
-from .witt import CartanElement, Exponent, WittAlgebra, WittElement
+from .witt import CartanElement, Exponent, WittAlgebra, WittElement, _trusted
 
 
 # A token, after any whitespace, as (int, letters, digits, minus, power, op)
@@ -192,7 +192,7 @@ class _Parser:
                         raise self.error(f"d index {j} out of range 1..{algebra.m}", i - 1)
                     direction = [(j - 1, self.one)]
                 else:
-                    direction = [(j, field.mu(j + 1)) for j in range(algebra.n)]
+                    direction = list(enumerate(algebra.dmu_cartan().coeffs[:algebra.n]))
                 if power:  # the term ends at the direction, so the '^' is extra
                     raise self.error("found '^'", i - 1, ("+", "-", "end of input"), caret=True)
                 break
@@ -253,8 +253,9 @@ class _Parser:
                 break
             if not terminal:
                 raise self.error(f"found {self.shown(i)}", i, ("+", "-", "end of input"))
-        return WittElement(algebra.m, {exponent: CartanElement(coeffs)
-                                       for exponent, coeffs in support.items()}, self.field.arity)
+        return _trusted(algebra.m, {exponent: CartanElement(coeffs)
+                                    for exponent, coeffs in support.items()}, self.field.arity,
+                        prune=True)
 
 
 def parse_element(text: str, algebra: WittAlgebra) -> WittElement:

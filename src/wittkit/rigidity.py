@@ -555,36 +555,6 @@ def verify_lemma_3_2(x: WittElement, box: int = 2) -> VerificationReport:
         "3.2", {"n": n, "x": algebra.format(x), "box": box}, passed, data)
 
 
-class ObstructionData(NamedTuple):
-    """Bracket [c*(t_1+...+t_n)d_mu, (t_1^k+...+t_n^k)d_mu] with symbolic c.
-
-    probe_coefficient is read off the single product
-    [c t_1 d_mu, t_1^k d_mu] and equals c(k-1)mu_1 for every k; the full
-    bracket's coefficient at (k+1)e_1 agrees except at k = -1, where the
-    diagonal products of every direction collide at exponent zero.
-    """
-
-    algebra: WittAlgebra
-    k: int
-    exponent: Exponent
-    image: WittElement
-    probe_coefficient: Scalar
-    coefficient: Scalar
-
-
-def lemma_3_3_obstruction(n: int, k: int) -> ObstructionData:
-    if k == 0:
-        raise BadK("k must be nonzero")
-    algebra = WittAlgebra(AlgebraVariant.wn(n))
-    image = bracket(algebra.power_sum_dmu(1), algebra.power_sum_dmu(k))
-    gamma, probe, full, _ = _power_obstruction(algebra, (0,) * n, k, image)
-    ext = algebra.field.extend("c")
-    c = ext.var("c")
-    return ObstructionData(WittAlgebra(AlgebraVariant.wn(n), ext), k, gamma,
-                           image.lift(ext.arity).scale(c), ext.lift(probe) * c,
-                           ext.lift(full) * c)
-
-
 def _shift_forcing(algebra: WittAlgebra, k: int, box: int) -> Tuple[
         bool, Dict[str, object], List[Tuple[Exponent, Scalar, Scalar, bool]]]:
     """Lemma 4.3 at rank m >= n: (pass, report data, `_power_obstruction` of each shift)."""

@@ -311,6 +311,15 @@ def poly_gcd(a: MuPolynomial, b: MuPolynomial) -> MuPolynomial:
     if len(a.terms) == 1 or len(b.terms) == 1:
         # a monomial's divisors are monomials: the least power of each mu in a and b
         return MuPolynomial(a.arity, {tuple(map(min, zip(*a.terms, *b.terms))): 1})
+    for lin, other in ((a, b), (b, a)):
+        if max(map(sum, lin.terms)) == 1:
+            # a linear form's primitive part is irreducible: one trial division decides
+            lin = lin.primitive()
+            try:
+                other.exact_div(lin)
+            except ExactDivisionError:
+                return MuPolynomial.one(a.arity)
+            return lin
     var = max(a.max_variable(), b.max_variable())
     if a.degree_in(var) == 0 or b.degree_in(var) == 0:
         # One side does not involve the top variable: the gcd cannot either,
@@ -403,11 +412,14 @@ class Scalar:
         neg = tuple([-e if e < 0 else 0 for e in exponents])
         return _make(MuPolynomial(arity, {pos: num // g}), MuPolynomial(arity, {neg: den // g}))
 
+    # one shared 0 and 1 per arity, as `_one_poly` is: Scalars are immutable
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def zero(cls, arity: int) -> "Scalar":
         return _make(MuPolynomial.zero(arity), _one_poly(arity))
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def one(cls, arity: int) -> "Scalar":
         return _make(_one_poly(arity), _one_poly(arity))
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ArityMismatch, BadArity, BadK, ExactDivisionError, LengthMismatch
+from .errors import ArityMismatch, BadArity, BadK, LengthMismatch
 from .scalars import MuPolynomial, Scalar, ScalarField, _make, _one_poly, format_scalar, poly_gcd
 
 Exponent = Tuple[int, ...]
@@ -190,27 +190,33 @@ class CartanElement:
 
 
 class WittElement:
-    """Sparse element: exponent alpha -> Cartan coefficient, zero terms pruned."""
+    """Sparse element: exponent alpha -> Cartan coefficient, zero terms pruned.
+
+    The constructor checks every exponent's length; operations whose parts
+    are already of length m build their results through `_trusted`.
+    """
 
     __slots__ = ("m", "support", "_hash", "_arity", "_terms")
 
     def __init__(self, m: int, support: Dict[Exponent, CartanElement], arity: int = 0):
-        self.m = m
-        pruned = {}
-        for alpha, cartan in support.items():
+        for alpha in support:
             if len(alpha) != m:
                 raise LengthMismatch(f"exponent length {len(alpha)} != {m}")
-            if not cartan.is_zero:
-                pruned[alpha] = cartan
-        self.support = pruned
+        self._set(m, support, arity, True)
+
+    def _set(self, m: int, support: Dict[Exponent, CartanElement], arity: int,
+             prune: bool) -> "WittElement":
+        self.m = m
+        self.support = {a: c for a, c in support.items() if not c.is_zero} if prune else support
         self._hash: Optional[int] = None
         self._terms: Optional[Tuple[int, List]] = None  # `_cleared`'s, on first use
         # the scalar arity: the given coefficients', else `arity`; a zero element keeps it
         self._arity = next(iter(support.values())).coeffs[0].arity if support else arity
+        return self
 
     @classmethod
     def zero(cls, m: int, arity: int = 0) -> "WittElement":
-        return cls(m, {}, arity)
+        return _trusted(m, {}, arity)
 
     @property
     def is_zero(self) -> bool:
@@ -225,7 +231,7 @@ class WittElement:
         support = dict(self.support)
         for alpha, cartan in other.support.items():
             support[alpha] = support[alpha] + cartan if alpha in support else cartan
-        return WittElement(self.m, support, max(self._arity, other._arity))
+        return _trusted(self.m, support, max(self._arity, other._arity), prune=True)
 
     def __sub__(self, other: "WittElement") -> "WittElement":
         # self + -other's support order: row order picks `_inconsistent`'s certificate
@@ -233,14 +239,14 @@ class WittElement:
         support = dict(self.support)
         for alpha, cartan in other.support.items():
             support[alpha] = support[alpha] - cartan if alpha in support else -cartan
-        return WittElement(self.m, support, max(self._arity, other._arity))
+        return _trusted(self.m, support, max(self._arity, other._arity), prune=True)
 
     def __neg__(self) -> "WittElement":
-        return WittElement(self.m, {a: -c for a, c in self.support.items()}, self._arity)
+        return _trusted(self.m, {a: -c for a, c in self.support.items()}, self._arity)
 
     def scale(self, scalar: Scalar) -> "WittElement":
         support = {} if scalar.is_zero else {a: c.scale(scalar) for a, c in self.support.items()}
-        return WittElement(self.m, support, self._arity)
+        return _trusted(self.m, support, self._arity)
 
     def translate(self, gamma: Exponent) -> "WittElement":
         """Multiply by the monomial t^gamma."""
@@ -248,7 +254,7 @@ class WittElement:
             raise LengthMismatch(f"exponent length {len(gamma)} != {self.m}")
         support = {tuple(a + g for a, g in zip(alpha, gamma)): c
                    for alpha, c in self.support.items()}
-        return WittElement(self.m, support, self._arity)
+        return _trusted(self.m, support, self._arity)
 
     def lift(self, arity: int) -> "WittElement":
         return WittElement(self.m, {a: c.lift(arity) for a, c in self.support.items()}, arity)
@@ -277,6 +283,13 @@ class WittElement:
         return f"WittElement({self.m}, {self.support!r})"
 
 
+def _trusted(m: int, support: Dict[Exponent, CartanElement], arity: int = 0,
+             prune: bool = False) -> WittElement:
+    """The element of parts of length m, taken as they are: pruned of zero
+    Cartan parts already, or here with `prune`.  The dict is taken over."""
+    return object.__new__(WittElement)._set(m, support, arity, prune)
+
+
 def _cleared(x: WittElement) -> Tuple[int, List]:
     """(L, terms): x's nonzero coefficients as integer term lists over L * P.
 
@@ -303,15 +316,7 @@ def _cleared(x: WittElement) -> Tuple[int, List]:
 
 def _cancel_factor(num: MuPolynomial, p: MuPolynomial,
                    part: MuPolynomial) -> Tuple[MuPolynomial, MuPolynomial]:
-    """(num / g, p / g) for g = gcd(num, p) = gcd(part, p), p primitive.
-
-    A linear p is prime, so one trial division decides.
-    """
-    if len(part.terms) > 1 and max(map(sum, p.terms)) == 1:
-        try:
-            return num.exact_div(p), _one_poly(p.arity)
-        except ExactDivisionError:
-            return num, p
+    """(num / g, p / g) for g = gcd(num, p) = gcd(part, p), p primitive."""
     g = poly_gcd(part, p)
     return (num, p) if g.is_constant() else (num.exact_div(g), p.exact_div(g))
 
@@ -332,7 +337,7 @@ def bracket(x: WittElement, y: WittElement) -> WittElement:
     x._check(y)
     arity = max(x._arity, y._arity)
     if not x.support or not y.support:
-        return WittElement(x.m, {}, arity)
+        return _trusted(x.m, {}, arity)
     if x._arity != y._arity:
         raise ArityMismatch(f"scalar arities {x._arity} != {y._arity}")
     lx, xs = _cleared(x)
@@ -389,7 +394,7 @@ def bracket(x: WittElement, y: WittElement) -> WittElement:
             coeffs[j] = value if coeffs[j] is zero else coeffs[j] + value
         if any(c.num.terms for c in coeffs):
             support[gamma] = CartanElement(coeffs)
-    return WittElement(x.m, support, arity)
+    return _trusted(x.m, support, arity)
 
 
 def bracket_monomial_rule(x: WittElement, y: WittElement) -> WittElement:
@@ -418,18 +423,26 @@ def bracket_monomial_rule(x: WittElement, y: WittElement) -> WittElement:
 
 
 def proportional(x: WittElement, y: WittElement) -> Optional[Scalar]:
-    """Scalar lam with x == lam * y, if one exists (zero x gives lam = 0)."""
+    """Scalar lam with x == lam * y, if one exists (zero x gives lam = 0).
+
+    lam is x_p / y_p at y's pivot p, its first term's first nonzero
+    coefficient.  A nonzero x is lam y exactly when both have the same
+    exponents and every minor x_c y_p - x_p y_c vanishes, compared over
+    cleared denominators as in `WittAlgebra.member`; lam is divided out
+    only then.
+    """
     x._check(y)
     if x.is_zero:
         return Scalar.zero(max(y.scalar_arity(), 1))
-    if y.is_zero:
+    if y.is_zero or x.support.keys() != y.support.keys():
         return None
     alpha, cartan = next(iter(y.support.items()))
-    pivot = next(c for c in cartan.coeffs if not c.is_zero)
-    i = cartan.coeffs.index(pivot)
-    lam = x.coefficient(alpha, i) / pivot
-    if x == y.scale(lam):
-        return lam
+    i, yp = next((i, c) for i, c in enumerate(cartan.coeffs) if c.num.terms)
+    xp = x.support[alpha].coeffs[i]
+    left, right = yp.num * xp.den, xp.num * yp.den
+    if all(xc.num * yc.den * left == yc.num * xc.den * right
+           for beta, yb in y.support.items() for xc, yc in zip(x.support[beta].coeffs, yb.coeffs)):
+        return xp / yp
     return None
 
 
@@ -521,7 +534,7 @@ class WittAlgebra:
 
     def dmu(self) -> WittElement:
         """d_mu = mu_1 d_1 + ... + mu_n d_n."""
-        return WittElement(self.m, {(0,) * self.m: self.dmu_cartan()})
+        return _trusted(self.m, {(0,) * self.m: self.dmu_cartan()})
 
     def power_sum_dmu(self, k: int) -> WittElement:
         """(t_1^k + ... + t_n^k) d_mu."""
@@ -532,7 +545,7 @@ class WittAlgebra:
         for i in range(self.n):
             alpha = tuple(k if j == i else 0 for j in range(self.m))
             support[alpha] = cartan
-        return WittElement(self.m, support)
+        return _trusted(self.m, support)
 
     def pair_element(self, alpha: Exponent, direction: int) -> WittElement:
         if direction == MU_DIRECTION:

@@ -10,7 +10,9 @@ the variant's exponent rule, written out here, and divides each wnmu
 Cartan part by mu_1, as `member` did before it decided by the variant's
 rule alone.  The box element of a vector scales a unit Cartan element
 (d_mu in wnmu) per coordinate and adds them up, as `element_from_vector`
-did before it put each coefficient into its slot.  The ad-matrix, the
+did before it put each coefficient into its slot.  The ratio of two
+elements divides x by y at y's pivot and scales y back, as `proportional`
+did before it compared minors over cleared denominators.  The ad-matrix, the
 anchor system and the certificate property are rebuilt from `bracket`
 over every column of the degree box, independently of the
 structure-constant builder behind `ad_matrix` and of how `solve_inner`
@@ -100,6 +102,19 @@ def scanning_member(algebra, x):
             if any(c != lam * mu for c, mu in zip(cartan.coeffs, dmu)):
                 return False
     return True
+
+
+def scaling_proportional(x, y):
+    """lam = x_p / y_p at y's pivot p, its first term's first nonzero
+    coefficient, when x == lam * y; lam = 0 for a zero x, else None."""
+    if x.is_zero:
+        return Scalar.zero(max(y.scalar_arity(), 1))
+    if y.is_zero:
+        return None
+    alpha, cartan = next(iter(y.support.items()))
+    i = next(i for i, c in enumerate(cartan.coeffs) if not c.is_zero)
+    lam = x.coefficient(alpha, i) / cartan.coeffs[i]
+    return lam if x == y.scale(lam) else None
 
 
 def unit_scaled_element(space, vector):
@@ -407,3 +422,8 @@ def member_oracle():
 @pytest.fixture
 def element_oracle():
     return unit_scaled_element
+
+
+@pytest.fixture
+def proportional_oracle():
+    return scaling_proportional

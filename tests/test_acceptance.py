@@ -21,7 +21,6 @@ from wittkit import (
     check_bilinearity,
     check_closure,
     check_jacobi,
-    lemma_3_3_obstruction,
     parse_element,
     proportional,
     rigidity_pipeline,
@@ -32,6 +31,7 @@ from wittkit import (
     verify_lemma_4_1,
     verify_lemma_4_4,
 )
+from wittkit.rigidity import _power_obstruction
 
 
 def conclude(num: int, label: str, problems, started: float, budget=None):
@@ -105,19 +105,23 @@ def test_criterion_03_anchored_bracket_identity():
 def test_criterion_04_lemma_3_3_obstruction():
     started = time.time()
     problems = []
-    ext = ScalarField(2, ("c",))
+    algebra = WittAlgebra(AlgebraVariant.wn(2))
+    ext = algebra.field.extend("c")
     c, mu1 = ext.var("c"), ext.mu(1)
-    for k in (-1, 2, 3):
-        report = verify_lemma_3_3(2, k)
-        data = lemma_3_3_obstruction(2, k)
-        expected = c * (k - 1) * mu1
-        if not report.passed:
-            problems.append((k, report.data))
-        if data.probe_coefficient != expected or data.probe_coefficient.is_zero:
+    for k in (-1, 1, 2, 3):
+        # the probe [c t1 dmu, t1^k dmu] of the shift c (t1 + t2) dmu against power k
+        image = bracket(algebra.power_sum_dmu(1), algebra.power_sum_dmu(k))
+        _, probe, _, ok = _power_obstruction(algebra, (0, 0), k, image)
+        coefficient = ext.lift(probe) * c
+        if not ok or coefficient != c * (k - 1) * mu1:
             problems.append((k, "coefficient mismatch"))
-    # the coefficient c(k-1)mu1 vanishes exactly at k = 1
-    if not lemma_3_3_obstruction(2, 1).probe_coefficient.is_zero:
-        problems.append((1, "expected zero coefficient"))
+        # the coefficient c(k-1)mu1 vanishes exactly at k = 1
+        if coefficient.is_zero != (k == 1):
+            problems.append((k, "coefficient zero" if k != 1 else "expected zero coefficient"))
+        if k != 1:
+            report = verify_lemma_3_3(2, k)
+            if not report.passed or report.data["coefficient"] != ext.format(coefficient):
+                problems.append((k, report.data))
     conclude(4, "lemma 3.3 coefficient c(k-1)mu1, zero exactly at k=1",
              problems, started)
 

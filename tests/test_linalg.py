@@ -255,8 +255,9 @@ def test_scalar_mod_p_matches_exact_value(arity):
 
 
 def test_scalar_mod_p_at_the_integer_points_matches_the_fraction_reference():
-    # the points are ints equal to Fraction(M**i); at each, a random scalar's
-    # residue is that of its value at the Fraction point, and the errors match
+    # the points are ints equal to Fraction(M**i); at each, at its Fraction
+    # form (as perfbench/checks.py passes to modular_rank) and at (M/3, M^2/9),
+    # a random scalar's residue is that of its value there, and the errors match
     rng = random.Random(25)
     mu1, mu2 = F2.mu(1), F2.mu(2)
     for bound in range(1, 7):
@@ -265,22 +266,30 @@ def test_scalar_mod_p_at_the_integer_points_matches_the_fraction_reference():
             base = 2 * bound + 2 + t
             assert all(type(v) is int for v in point)
             assert point == (Fraction(base), Fraction(base ** 2))
-            for _ in range(8):
-                value = random_scalar(rng, 2)
-                try:
-                    exact = value.evaluate(tuple(map(Fraction, point)))
-                except DenominatorVanishes:
-                    expected = DenominatorVanishes
-                else:
-                    den = exact.denominator % MODULUS
-                    expected = (exact.numerator * pow(den, -1, MODULUS) % MODULUS if den
-                                else ValueError)
-                assert _residue_or_error(value, point, MODULUS) == expected
-            assert _residue_or_error(1 / (mu1 - base), point, MODULUS) is DenominatorVanishes
-            assert _residue_or_error(1 / (mu1 + MODULUS - base), point, MODULUS) is ValueError
+            for at in (point, tuple(map(Fraction, point)),
+                       (Fraction(base, 3), Fraction(base ** 2, 9))):
+                for _ in range(8):
+                    value = random_scalar(rng, 2)
+                    try:
+                        exact = value.evaluate(tuple(map(Fraction, at)))
+                    except DenominatorVanishes:
+                        expected = DenominatorVanishes
+                    else:
+                        den = exact.denominator % MODULUS
+                        expected = (exact.numerator * pow(den, -1, MODULUS) % MODULUS if den
+                                    else ValueError)
+                    assert _residue_or_error(value, at, MODULUS) == expected
+                assert _residue_or_error(1 / (mu1 - at[0]), at, MODULUS) is DenominatorVanishes
+                assert _residue_or_error(1 / (mu1 + MODULUS - at[0]), at, MODULUS) is ValueError
             # p divides the numerator and the denominator there, yet the value is 1/2
             half = (mu1 + MODULUS - base) / (mu2 + 2 * MODULUS - base ** 2)
             assert scalar_mod_p(half, point, MODULUS) == pow(2, -1, MODULUS)
+    # at (5/3, 7/9) num and den are 5p/3 and 7p/9: N = 45p and D = 21p reduce to 15/7
+    at = (Fraction(5, 3), Fraction(7, 9))
+    value = (mu1 + 5 * (MODULUS - 1) // 3) / (mu2 + 7 * (MODULUS - 1) // 9)
+    assert scalar_mod_p(value, at, MODULUS) == 15 * pow(7, -1, MODULUS) % MODULUS
+    # a point whose own denominator is p
+    assert _residue_or_error(mu1, (Fraction(1, MODULUS), Fraction(2)), MODULUS) is ValueError
 
 
 def test_scalar_mod_p_rejects_a_point_of_the_wrong_length():

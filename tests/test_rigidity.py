@@ -17,7 +17,6 @@ from wittkit import (
     WittAlgebra,
     WittkitError,
     bracket,
-    lemma_3_3_obstruction,
     lemma_4_1_families,
     parse_element,
     realize_in_span,
@@ -263,11 +262,14 @@ def test_verify_lemma_3_3_coefficients():
         assert report.data["coefficient"] == expected
         assert report.data["forced_zero"] == ["c"]
     # k = -1 collides at exponent zero: the full coefficient picks up mu2
-    data = lemma_3_3_obstruction(2, -1)
-    ext = data.algebra.field
+    image = bracket(W2.power_sum_dmu(1), W2.power_sum_dmu(-1))
+    gamma, probe, full, ok = rigidity._power_obstruction(W2, (0, 0), -1, image)
+    ext = W2.field.extend("c")
     c = ext.var("c")
-    assert data.probe_coefficient == c * (-2) * ext.mu(1)
-    assert data.coefficient == c * (-2) * (ext.mu(1) + ext.mu(2))
+    assert ok and gamma == (0, 0)
+    assert ext.lift(probe) * c == c * (-2) * ext.mu(1)
+    assert ext.lift(full) * c == c * (-2) * (ext.mu(1) + ext.mu(2))
+    assert verify_lemma_3_3(2, -1).data["full_coefficient"] == ext.format(ext.lift(full) * c)
 
 
 W3_2 = WittAlgebra(AlgebraVariant.winf(2, 3))

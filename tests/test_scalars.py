@@ -7,9 +7,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import is_rational, random_scalar
+from conftest import is_rational, q_gcd, random_scalar
 
 from wittkit import (
     AlgebraVariant,
@@ -185,6 +185,32 @@ def test_monomial_gcd_and_quotient_match_the_general_path(p, exponents, coeff):
     if any(exponents) or abs(coeff) > 1:
         with pytest.raises(ExactDivisionError):
             (p * m + MuPolynomial.one(2)).exact_div(m)
+
+
+@st.composite
+def linear_forms(draw):
+    """c1 mu1 + c2 mu2 + c0 with two or more terms, times a content up to 3."""
+    coeffs = draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(
+        lambda c: sum(map(bool, c)) > 1 and any(c[:2])))
+    content = draw(st.integers(1, 3))
+    monos = [(1, 0), (0, 1), (0, 0)]
+    return MuPolynomial(2, {mono: content * c for mono, c in zip(monos, coeffs)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_forms(), st.one_of(small_polys(), linear_forms()), st.booleans())
+@example(MuPolynomial(2, {(1, 0): 2, (0, 1): 2}), MuPolynomial(2, {(1, 0): 1, (0, 0): 1}), True)
+@example(MuPolynomial(2, {(1, 0): 1, (0, 0): 1}), MuPolynomial(2, {(2, 0): 3, (0, 1): 1}), True)
+@example(MuPolynomial(2, {(1, 0): -1, (0, 0): 1}), MuPolynomial(2, {(0, 1): 1, (0, 0): 5}), False)
+def test_linear_gcd_matches_the_q_oracle(lin, other, multiple):
+    # a linear form's primitive part is irreducible: one trial division
+    # decides, in either argument order, against linear forms too
+    if multiple:
+        other = other * lin
+    g = q_gcd(lin, other)
+    assert poly_gcd(lin, other) == g == poly_gcd(other, lin)
+    if multiple:
+        assert g == lin.primitive()
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,6 +16,7 @@ from wittkit import (
     CartanElement,
     LengthMismatch,
     ScalarField,
+    TruncatedSpace,
     WittAlgebra,
     WittElement,
     bracket,
@@ -27,7 +28,7 @@ from wittkit import (
     parse_element,
     proportional,
 )
-from wittkit import witt
+from wittkit import centralizer, parsing, witt
 from wittkit.witt import VariantKind, iter_basis_pairs
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
@@ -390,6 +391,73 @@ def test_proportional():
     assert proportional(x, W2.monomial((1, 2), 2)) is None
     zero_ratio = proportional(W2.zero(), x)
     assert zero_ratio is not None and zero_ratio.is_zero
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.kind.value)
+def test_proportional_matches_the_scaling_oracle(variant, proportional_oracle):
+    # equal elements, rational-function multiples, zero x and zero y, other
+    # supports, and x zero at y's pivot with the rest of y's support kept
+    algebra = WittAlgebra(variant)
+    field, rng = algebra.field, random.Random(27)
+    mu1, mu2 = field.mu(1), field.mu(2)
+    scalars = [field.from_fraction(Fraction(-3, 7)), mu1 / (mu2 + 1),
+               (mu1 - mu2) / (mu1 * mu2 + 2), mu2 * mu2]
+    seen = set()
+    for _ in range(10):
+        x, y = (algebra.random_element(rng, box=2) for _ in range(2))
+        s = rng.choice(scalars)
+        alpha, cartan = next(iter(y.support.items()))
+        i = next(i for i, c in enumerate(cartan.coeffs) if not c.is_zero)
+        off_pivot = y.scale(s) - algebra.monomial(alpha, i + 1, cartan.coeffs[i] * s)
+        cases = [(y, y), (y.scale(s), y), (y, y.scale(s)), (algebra.zero(), y),
+                 (y, algebra.zero()), (algebra.zero(), algebra.zero()), (x, y),
+                 (y.scale(s) + x, y), (y.scale(s).translate((1,) * algebra.m), y),
+                 (off_pivot, y)]
+        for a, b in cases:
+            expected = proportional_oracle(a, b)
+            assert proportional(a, b) == expected, (a, b)
+            seen.add(expected is None)
+        assert proportional(y, y).is_one() and proportional(y.scale(s), y) == s
+    assert seen == {True, False}
+
+
+def test_trusted_constructor_matches_the_public_one(monkeypatch):
+    # every element built without the public checks equals, field by field and
+    # in support order, what WittElement builds from the same parts
+    built = {}
+    trusted = witt._trusted
+
+    def checked(m, support, arity=0, prune=False):
+        public = WittElement(m, dict(support), arity)
+        element = trusted(m, support, arity, prune)
+        assert (element.m, list(element.support.items()), element._arity) == (
+            public.m, list(public.support.items()), public._arity)
+        built[id(element)] = element
+        return element
+
+    for module in (witt, centralizer, parsing):
+        monkeypatch.setattr(module, "_trusted", checked)
+    rng = random.Random(27)
+    for variant in VARIANTS:
+        algebra = WittAlgebra(variant)
+        field, m = algebra.field, algebra.m
+        space = TruncatedSpace(algebra, 1)
+        scalars = [field.zero(), field.from_int(-2), field.mu(1) / (field.mu(2) + 1)]
+        results = [algebra.zero(), algebra.dmu(), algebra.power_sum_dmu(2),
+                   algebra.power_sum_dmu(-1),
+                   parse_element("t1*d1 - t1*d1 + t2*d2", algebra),
+                   parse_element("t1*d1 - t1*d1", algebra),
+                   parse_element("t2*dmu + dmu - t2*dmu", algebra)]
+        for _ in range(6):
+            x, y = (algebra.random_element(rng, box=2) for _ in range(2))
+            s = rng.choice(scalars[1:])
+            gamma = tuple(rng.randrange(-2, 3) for _ in range(m))
+            vector = {i: rng.choice(scalars) for i in rng.sample(range(len(space)), 4)}
+            results += [bracket(x, y), bracket(x, algebra.zero()), x + y, x - y, x + -x,
+                        x - x, -x, x.scale(s), x.scale(field.zero()), x.translate(gamma),
+                        space.element_from_vector(vector),
+                        parse_element(algebra.format(x), algebra)]
+        assert all(id(r) in built for r in results)
 
 
 def test_power_sum_dmu():
