@@ -33,6 +33,7 @@ rather than rerun it.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from itertools import product, repeat
 from operator import add, mul
@@ -82,7 +83,11 @@ class TruncatedSpace:
         self.algebra = algebra
         self.box = box
         self.basis: List[Tuple[Exponent, int]] = algebra._basis_pair_list(box)
-        self.index = {pair: i for i, pair in enumerate(self.basis)}
+
+    @functools.cached_property
+    def index(self) -> Dict[Tuple[Exponent, int], int]:
+        """Position of each basis pair, built on first read: the certified lemma path reads none."""
+        return {pair: i for i, pair in enumerate(self.basis)}
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -273,9 +278,9 @@ def _specialized_ranks(z: WittElement, space: TruncatedSpace
 def centralizer_basis(algebra: WittAlgebra, z: WittElement, box: int) -> CentralizerResult:
     """Canonical kernel basis of ad(z) on the box, certified over F_p where a point allows.
 
-    The members, each checked exactly: z, when it fits the box and
-    [z, z] = 0, and the unit vector of every column with no nonzero
-    residue whose image is exactly zero.  A zero image has no nonzero
+    The members: z, when it fits the box, as [z, z] = 0, and the unit
+    vector of every column with no nonzero residue whose image is
+    checked to be exactly zero.  A zero image has no nonzero
     residue at any point, so the first point finds them all; a column
     whose residues vanish only at the point is no member.  `kernel`'s
     vector for free column f is 1 at f, 0 at the other free columns and
@@ -290,7 +295,7 @@ def centralizer_basis(algebra: WittAlgebra, z: WittElement, box: int) -> Central
         z_coords = space.coordinates_of(z)
     except (PairOutsideBox, ArityMismatch):
         z_coords = {}
-    z_member = bool(z_coords) and bracket(z, z).is_zero
+    z_member = bool(z_coords)
     members = [z_coords] if z_member else []
     rref = None
     for r0, rows in _specialized_ranks(z, space):

@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .centralizer import centralizer_basis, verify_lemma_2_2, verify_lemma_4_1
 from .errors import ParseError, WittkitError
@@ -289,9 +289,14 @@ def cmd_fuzz(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0 if not failures else 1
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every `main` call."""
+    return _parsers()[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="wittkit",
         description="Exact Witt-algebra computations: brackets, centralizers, "
@@ -342,12 +347,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--count", type=_positive_int, default=100)
     p_fuzz.set_defaults(handler=cmd_fuzz)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line.  An argv that starts with a subcommand's name goes
+    straight to its parser: the top-level parser would scan it all only to hand
+    that parser the rest.  Leftovers are refused with `parse_args`'s own text."""
+    parser, subparsers = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = subparsers.get(argv[0]) if argv else None
+    if subparser is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = subparser.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.handler(args, parser)
     except ParseError as exc:

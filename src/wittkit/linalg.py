@@ -128,19 +128,21 @@ def _echelon(rows: Sequence[Dict[int, object]], inverse: Callable,
     rows drop its entries in the copy instead of in one step each.  The
     rows are not modified.  The pivot columns do not depend on the
     order; taking the rows by last column, shorter rows first among
-    equals, keeps the fill-in small.  Taken so, a row of one entry
-    settles its column without a copy: a pivot row at that column with
-    a tail holds a later column, and so comes from a later row.
+    equals, keeps the fill-in small.  Rows of one entry settle their
+    columns first, before the other rows are sorted, each with its own
+    empty tail, as `_canonical_rref` edits tails in place.
     """
     tails: Dict[int, Dict[int, object]] = {}
-    settled = set()
-    # two stable sorts on built-in keys take less time than one tuple key
-    for row in sorted(sorted(filter(None, rows), key=len), key=max):
+    longer = []
+    for row in rows:
         if len(row) == 1:
             lead, = row
-            settled.add(lead)
             tails[lead] = {}
-            continue
+        elif row:
+            longer.append(row)
+    settled = set(tails)
+    # two stable sorts on built-in keys take less time than one tuple key
+    for row in sorted(sorted(longer, key=len), key=max):
         row = {c: v for c, v in row.items() if c not in settled}
         while row:
             lead = min(row)

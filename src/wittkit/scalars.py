@@ -137,7 +137,7 @@ class MuPolynomial:
         return self._combine(other, operator.sub)
 
     def __neg__(self) -> "MuPolynomial":
-        return MuPolynomial(self.arity, {m: -c for m, c in self.terms.items()})
+        return _poly(self.arity, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "MuPolynomial") -> "MuPolynomial":
         self._check(other)
@@ -161,11 +161,12 @@ class MuPolynomial:
     def scale(self, value) -> "MuPolynomial":
         if value == 1:
             return self
-        return MuPolynomial(self.arity, {m: c * value for m, c in self.terms.items()})
+        terms = {m: c * value for m, c in self.terms.items()}
+        return _poly(self.arity, terms) if value else MuPolynomial(self.arity, terms)
 
     def shift(self, mono: Monomial) -> "MuPolynomial":
         """Multiply by the monomial `mono`."""
-        return MuPolynomial(
+        return _poly(
             self.arity,
             {tuple(a + b for a, b in zip(m, mono)): c for m, c in self.terms.items()},
         )
@@ -176,7 +177,7 @@ class MuPolynomial:
         """Quotient by an integer that divides every coefficient."""
         if d == 1:
             return self
-        return MuPolynomial(self.arity, {m: c // d for m, c in self.terms.items()})
+        return _poly(self.arity, {m: c // d for m, c in self.terms.items()})
 
     def primitive(self) -> "MuPolynomial":
         """Divide out the integer content and force a positive leading coefficient."""
@@ -250,7 +251,7 @@ class MuPolynomial:
         if arity == self.arity:
             return self
         pad = (0,) * (arity - self.arity)
-        return MuPolynomial(arity, {m + pad: c for m, c in self.terms.items()})
+        return _poly(arity, {m + pad: c for m, c in self.terms.items()})
 
     # -- object protocol ----------------------------------------------
 
@@ -407,10 +408,10 @@ class Scalar:
             return cls.zero(arity)
         g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
         if den == g and min(exponents, default=0) >= 0:
-            return _make(MuPolynomial(arity, {tuple(exponents): num // g}), _one_poly(arity))
+            return _make(_poly(arity, {tuple(exponents): num // g}), _one_poly(arity))
         pos = tuple([e if e > 0 else 0 for e in exponents])
         neg = tuple([-e if e < 0 else 0 for e in exponents])
-        return _make(MuPolynomial(arity, {pos: num // g}), MuPolynomial(arity, {neg: den // g}))
+        return _make(_poly(arity, {pos: num // g}), _poly(arity, {neg: den // g}))
 
     # one shared 0 and 1 per arity, as `_one_poly` is: Scalars are immutable
     @classmethod
@@ -549,11 +550,24 @@ class Scalar:
         return f"Scalar({self.num!r}, {self.den!r})"
 
 
+def _poly(arity: int, terms: Dict[Monomial, int]) -> MuPolynomial:
+    """The polynomial of terms whose coefficients are all nonzero, taken over as they are."""
+    poly = object.__new__(MuPolynomial)
+    poly.arity, poly.terms, poly._hash = arity, terms, None
+    return poly
+
+
 def _make(num: MuPolynomial, den: MuPolynomial) -> Scalar:
     """The Scalar num/den, which must already be in canonical form."""
     scalar = object.__new__(Scalar)
     scalar.num, scalar.den, scalar._hash = num, den, None
     return scalar
+
+
+@functools.lru_cache(maxsize=None)
+def _generator(arity: int, index: int) -> Scalar:
+    """The variable at 0-based `index`, one shared Scalar per arity, as `Scalar.one` is."""
+    return Scalar.monomial(1, 1, [int(i == index) for i in range(arity)])
 
 
 def format_polynomial(poly: MuPolynomial, names: Sequence[str]) -> str:
@@ -637,14 +651,14 @@ class ScalarField:
         """The generator mu_i, 1-based."""
         if not 1 <= i <= self.n_mu:
             raise ArityMismatch(f"mu index {i} outside 1..{self.n_mu}")
-        return self.var(self.names[i - 1])
+        return _generator(self.arity, i - 1)
 
     def var(self, name: str) -> Scalar:
         try:
             index = self.names.index(name)
         except ValueError:
             raise ArityMismatch(f"unknown variable {name!r}") from None
-        return Scalar.monomial(1, 1, [int(i == index) for i in range(self.arity)])
+        return _generator(self.arity, index)
 
     def lift(self, scalar: Scalar) -> Scalar:
         return scalar.lift(self.arity)

@@ -249,9 +249,11 @@ class WittElement:
         return _trusted(self.m, support, self._arity)
 
     def translate(self, gamma: Exponent) -> "WittElement":
-        """Multiply by the monomial t^gamma."""
+        """Multiply by the monomial t^gamma; t^0 gives the element itself."""
         if len(gamma) != self.m:
             raise LengthMismatch(f"exponent length {len(gamma)} != {self.m}")
+        if not any(gamma):
+            return self
         support = {tuple(a + g for a, g in zip(alpha, gamma)): c
                    for alpha, c in self.support.items()}
         return _trusted(self.m, support, self._arity)
@@ -331,12 +333,12 @@ def bracket(x: WittElement, y: WittElement) -> WittElement:
     P and P' and the integer L L', and groups add as Scalars.  A group
     holding the one product n n' cancels across, as a Scalar product
     does.  A gamma comes in at the first pair of terms that reaches it,
-    as in the Cartan product rule.  A zero operand gives the zero of the
-    larger arity at once; nonzero operands must share an arity.
+    as in the Cartan product rule.  A zero operand, or y = x ([x, x] = 0),
+    gives the zero of the larger arity at once; others must share an arity.
     """
     x._check(y)
     arity = max(x._arity, y._arity)
-    if not x.support or not y.support:
+    if x is y or not x.support or not y.support:
         return _trusted(x.m, {}, arity)
     if x._arity != y._arity:
         raise ArityMismatch(f"scalar arities {x._arity} != {y._arity}")
@@ -507,6 +509,7 @@ class WittAlgebra:
             )
         self._dmu = CartanElement([self.field.mu(i + 1) if i < self.n else self.field.zero()
                                    for i in range(self.m)])
+        self._power_sums: Dict[int, WittElement] = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -537,15 +540,13 @@ class WittAlgebra:
         return _trusted(self.m, {(0,) * self.m: self.dmu_cartan()})
 
     def power_sum_dmu(self, k: int) -> WittElement:
-        """(t_1^k + ... + t_n^k) d_mu."""
-        if k == 0:
-            raise BadK("power sum needs k != 0")
-        cartan = self.dmu_cartan()
-        support = {}
-        for i in range(self.n):
-            alpha = tuple(k if j == i else 0 for j in range(self.m))
-            support[alpha] = cartan
-        return _trusted(self.m, support)
+        """(t_1^k + ... + t_n^k) d_mu: one element per algebra and k, cleared once."""
+        if k not in self._power_sums:
+            if k == 0:
+                raise BadK("power sum needs k != 0")
+            axes = [tuple(k if j == i else 0 for j in range(self.m)) for i in range(self.n)]
+            self._power_sums[k] = _trusted(self.m, dict.fromkeys(axes, self._dmu))
+        return self._power_sums[k]
 
     def pair_element(self, alpha: Exponent, direction: int) -> WittElement:
         if direction == MU_DIRECTION:

@@ -1,7 +1,8 @@
 """Shared oracles: the Cartan-valued bracket, variant membership, the
 box element of a coordinate vector, the ad-matrix, the stacked anchor
-system, the certificate property, the forcing rank and the Q-coefficient
-scalar normal form; matrix-vector products; and small random scalars.
+system, the certificate property, the forcing rank, the Q-coefficient
+scalar normal form and the CLI's argv parsing; matrix-vector products;
+and small random scalars.
 
 The Cartan-valued bracket is the one `bracket` computed with Scalar
 arithmetic, one pairing per pair of stored terms, before it moved to
@@ -21,13 +22,17 @@ forcing rank is rebuilt by adjoining one unknown per family member to the
 scalar field, independently of the bilinear split the verifiers use.  The
 scalar normal form is the one `Scalar` kept before its coefficients
 became integers: Fraction coefficients, a gcd over Q[mu] with its own
-Q-exact division, and a primitive denominator.
+Q-exact division, and a primitive denominator.  The reference `main`
+parses the whole argv with the top-level parser's `parse_args`, as
+`cli.main` did before it handed an argv that starts with a subcommand's
+name straight to that subcommand's parser.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -46,7 +51,26 @@ from wittkit import (
     format_polynomial,
     rank,
 )
+from wittkit.cli import build_parser
+from wittkit.errors import ParseError, WittkitError
 from wittkit.witt import VariantKind
+
+
+def parse_args_main(argv):
+    """`cli.main` parsing with `build_parser().parse_args`: its handlers and exit codes."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.handler(args, parser)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except WittkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def _pairing(cartan, beta):
@@ -427,3 +451,8 @@ def element_oracle():
 @pytest.fixture
 def proportional_oracle():
     return scaling_proportional
+
+
+@pytest.fixture
+def reference_main():
+    return parse_args_main

@@ -49,6 +49,16 @@ VARIANTS = [AlgebraVariant.wn(2), AlgebraVariant.winf(1, 2), AlgebraVariant.wnpl
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.kind.value)
+def test_space_index_is_built_on_first_read(variant):
+    # the certified lemma path reads no pair index; the first read builds it once
+    space = TruncatedSpace(WittAlgebra(variant), box=2)
+    assert "index" not in vars(space)
+    index = space.index
+    assert index == {pair: i for i, pair in enumerate(space.basis)}
+    assert space.index is index
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.kind.value)
 def test_element_from_vector_matches_scaled_units(variant, element_oracle):
     # unit vectors, and random vectors with zero, rational and rational-function
     # coordinates, several directions of one exponent among them: values, the order

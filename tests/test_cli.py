@@ -97,6 +97,89 @@ def test_verify_element_flag_and_positional(capsys):
     assert first == second
 
 
+def test_element_after_a_later_option_is_refused(capsys):
+    # argparse binds the optional element when it meets the lemma name, so an
+    # element placed after a later option is left over: it goes right after the
+    # lemma name, or behind --x
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--arity", "2", "lemma3.2", "--box", "2", "t1*d1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: t1*d1" in captured.err
+    assert "Traceback" not in captured.err
+    for argv in (["verify", "--arity", "2", "lemma3.2", "t1*d1", "--box", "2"],
+                 ["verify", "--arity", "2", "lemma3.2", "--box", "2", "--x", "t1*d1"]):
+        assert run_cli(capsys, argv)[0] == 0
+
+
+# argv that reach each subcommand's parser directly, and argv that the top-level
+# parser still takes: an empty one, an option first, an unknown name
+ARGV_TABLE = [
+    [],
+    ["-h"],
+    ["--help", "parse"],
+    ["--arity", "1", "parse", "d1"],
+    ["--", "parse", "--arity", "1", "d1"],
+    ["frobnicate", "--arity", "1"],
+    ["Parse", "--arity", "1", "d1"],
+    ["par", "--arity", "1", "d1"],
+    ["parse", "--arity", "2", "2*t1*d1 + d2 - t1*d1"],
+    ["parse", "--arity", "2", "t9*d1"],
+    ["parse", "--arity", "1", "--", "d1"],
+    ["parse", "--", "--arity", "1", "d1"],
+    ["parse", "--arity", "1", "d1", "--"],
+    ["parse", "--arity", "1", "--arity", "2", "t2*d1"],
+    ["parse", "--arity", "1", "--bogus", "d1"],
+    ["parse", "--arity", "1", "d1", "d1"],
+    ["parse", "--arity", "1", "d1", "--bogus=3", "extra"],
+    ["parse", "--arity", "x", "d1"],
+    ["parse", "--arity", "1", "--format", "xml", "d1"],
+    ["parse", "--arity", "1", "--format=json", "d1"],
+    ["parse", "--help"],
+    ["parse", "--arity", "1", "--he"],
+    ["parse"],
+    ["bracket", "--arity", "1", "t1^-1*d1", "t1*d1"],
+    ["bracket", "--arity", "1", "t1*d1"],
+    ["bracket", "--arity", "1", "--x", "d1", "d1", "d1"],
+    ["centralize", "--arity", "1", "--box", "1", "t1*d1"],
+    ["centralize", "--arity", "1", "--variant", "wnplusplus", "t1^-1*d1"],
+    ["verify", "-h"],
+    ["verify"],
+    ["verify", "--arity", "2", "lemma2.2", "--k", "1", "--box", "1"],
+    ["verify", "--ari", "2", "lemma2.2", "--k=-1", "--box", "2", "--format", "json"],
+    ["verify", "--arity", "2", "lemma2.2", "--k", "-1"],
+    ["verify", "--arity", "2", "lemma2.2"],
+    ["verify", "--arity", "2", "lemma9.9"],
+    ["verify", "--arity", "2", "lemma3.2", "t1*d1", "--box", "2"],
+    ["verify", "--arity", "2", "lemma3.2", "--box", "2", "t1*d1"],
+    ["verify", "--arity", "2", "--x", "t1*d1", "lemma3.2"],
+    ["verify", "--arity", "2", "lemma3.3", "--k", "3", "--k", "2"],
+    ["verify", "--arity", "1", "lemma2.2", "--k", "1", "--zzz"],
+    ["verify", "--arity", "3", "--prefix", "2", "--k", "1", "--box", "1", "lemma4.1"],
+    ["rigidity", "--arity", "1", "--probes", "no-such-probes.json"],
+    ["rigidity", "--arity", "1"],
+    ["fuzz", "--arity", "1", "--count", "3", "antisymmetry"],
+    ["fuzz", "--arity", "1", "--count", "0", "jacobi"],
+    ["fuzz", "--arity", "1", "--cou", "2", "--seed", "4", "closure", "extra"],
+    ["fuzz", "--help", "--arity", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_TABLE, ids=" ".join)
+def test_one_parse_pass_matches_parse_args(capsys, reference_main, argv):
+    # exit code, stdout and stderr as when the top-level parser parsed every argv
+    def outcome(run):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert outcome(main) == outcome(reference_main)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--arity", "1", "lemma2.2", "--k", "1", "--x", "0"],
     ["verify", "--arity", "2", "--box", "-1", "lemma3.3", "--k", "3"],

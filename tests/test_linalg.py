@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import apply, left_apply, random_scalar
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wittkit import (
     DenominatorVanishes,
@@ -21,6 +23,7 @@ from wittkit import (
 )
 from wittkit import AlgebraVariant, TruncatedSpace, WittAlgebra, centralizer
 from wittkit.errors import ArityMismatch
+from wittkit import linalg
 from wittkit.linalg import MODULUS, _canonical_rref, rank_mod_p, scalar_mod_p
 from wittkit.scalars import MuPolynomial
 
@@ -427,6 +430,94 @@ def test_rank_mod_p_matches_dense_elimination(prime):
         before = [dict(row) for row in rows]
         assert rank_mod_p(rows, prime) == _dense_rank_mod_p(rows, ncols, prime)
         assert rows == before
+
+
+def _sorted_echelon(rows, inverse, subtract):
+    """`_echelon` as it took every nonempty row in order of last column, shorter
+    first among equals, a row of one entry settling its column where it came."""
+    tails = {}
+    settled = set()
+    for row in sorted(sorted(filter(None, rows), key=len), key=max):
+        if len(row) == 1:
+            lead, = row
+            settled.add(lead)
+            tails[lead] = {}
+            continue
+        row = {c: v for c, v in row.items() if c not in settled}
+        while row:
+            lead = min(row)
+            factor = row.pop(lead)
+            tail = tails.get(lead)
+            if tail is None:
+                if row:
+                    inv = inverse(factor)
+                    row = {c: inv * v for c, v in row.items()}
+                else:
+                    settled.add(lead)
+                tails[lead] = row
+                break
+            subtract(row, factor, tail)
+    return tails
+
+
+def _sorted_rref(rows):
+    """`_canonical_rref` on the sorted-order echelon: back substitution from the right."""
+    tails = _sorted_echelon(rows, Scalar.inverse, linalg._subtract)
+    for pc in sorted(tails, reverse=True):
+        tail = tails[pc]
+        for c in [c for c in tail if c in tails]:
+            linalg._subtract(tail, tail.pop(c), tails[c])
+    return [(pc, {pc: Scalar.one(0), **tails[pc]}) for pc in sorted(tails)]
+
+
+def _subtract_mod_7(row, factor, tail):
+    for c, v in tail.items():
+        acc = (row.get(c, 0) - factor * v) % 7
+        if acc:
+            row[c] = acc
+        elif c in row:
+            del row[c]
+
+
+@st.composite
+def rows_with_singletons(draw):
+    """Rows of residues mod 7 on eight columns, one-entry and empty rows among them, shuffled."""
+    entry = st.integers(1, 6)
+    longer = draw(st.lists(st.dictionaries(st.integers(0, 7), entry, min_size=2, max_size=4),
+                           max_size=8))
+    singles = draw(st.lists(st.builds(lambda c, v: {c: v}, st.integers(0, 7), entry), max_size=5))
+    return draw(st.permutations(longer + singles + [{}] * draw(st.integers(0, 2))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_with_singletons())
+# the singleton's column leads a longer row whose last column is smaller than
+# that of the row before it, and the singleton comes last
+@example([{0: 2, 7: 1}, {3: 1, 4: 2}, {3: 5}])
+# the singleton's column in the middle, and at the end, of longer rows
+@example([{1: 1, 3: 2, 6: 4}, {2: 3, 3: 1}, {3: 4}, {3: 6}])
+def test_singleton_rows_first_match_the_sorted_order(rows):
+    # rank and RREF do not depend on the row order: settling one-entry rows before
+    # the sort gives what the order by last column gave
+    before = [dict(row) for row in rows]
+    expected = len(_sorted_echelon(rows, lambda f: pow(f, -1, 7), _subtract_mod_7))
+    assert rank_mod_p(rows, 7) == expected
+    over_q = [{c: Scalar.from_fraction(0, v - 3) for c, v in row.items() if v != 3}
+              for row in rows]
+    assert _canonical_rref(over_q) == _sorted_rref(over_q)
+    assert rows == before
+
+
+def test_settled_columns_keep_their_own_empty_tails():
+    # `_canonical_rref` edits tails in place: no two settled columns share one
+    rows = [{0: 1}, {2: 3}, {4: 1, 5: 2}, {5: 6}, {1: 2, 2: 5}, {0: 4}]
+    tails = linalg._echelon(rows, lambda f: pow(f, -1, 7), _subtract_mod_7)
+    settled = [c for c, tail in tails.items() if not tail]
+    assert sorted(settled) == [0, 1, 2, 4, 5]
+    for c in settled:
+        tails[c][9] = 1
+        assert not any(tails[other] for other in settled if other != c)
+        del tails[c][9]
 
 
 def test_rank_mod_p_of_lemma_2_2_residues():

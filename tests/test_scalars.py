@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from wittkit import (
     parse_scalar,
     poly_gcd,
 )
+from wittkit import scalars
 from wittkit.scalars import format_scalar
 
 F2 = ScalarField(2)
@@ -35,6 +37,19 @@ def test_fraction_addition():
     half = F2.from_fraction(Fraction(1, 2))
     assert half + half == F2.one()
     assert (half + half).is_one()
+
+
+def test_field_generators_are_shared_per_arity():
+    # mu_i, and each named unknown, is the monomial at its unit exponent: one
+    # Scalar per arity and index, whichever field asks for it
+    for field in (ScalarField(1), F2, ScalarField(3), ScalarField(2, ("c", "e"))):
+        again = ScalarField(field.n_mu, field.extra_names)
+        for index, name in enumerate(field.names):
+            unit = [int(i == index) for i in range(field.arity)]
+            assert field.var(name) == Scalar.monomial(1, 1, unit)
+            assert field.var(name) is again.var(name)
+            if index < field.n_mu:
+                assert field.mu(index + 1) is field.var(name)
 
 
 def test_variable_product():
@@ -195,6 +210,39 @@ def linear_forms(draw):
     content = draw(st.integers(1, 3))
     monos = [(1, 0), (0, 1), (0, 0)]
     return MuPolynomial(2, {mono: content * c for mono, c in zip(monos, coeffs)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(), st.integers(-3, 3), st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       st.integers(-6, 6), st.integers(-4, 4).filter(bool),
+       st.lists(st.integers(-2, 2), min_size=0, max_size=3))
+@example(MuPolynomial(2, {(1, 0): 4, (0, 1): -6}), 0, (0, 0), 0, 1, [])
+def test_private_polynomial_constructor_matches_the_public_one(poly, value, mono, num, den,
+                                                                exponents):
+    # every polynomial built from terms taken as they are equals, term by term and
+    # in order, what the pruning constructor builds from the same terms
+    built = []
+    private = scalars._poly
+
+    def checked(arity, terms):
+        public = MuPolynomial(arity, dict(terms))
+        made = private(arity, terms)
+        assert (made.arity, list(made.terms.items())) == (public.arity, list(public.terms.items()))
+        built.append(made)
+        return made
+
+    with mock.patch.object(scalars, "_poly", checked):
+        neg, shifted, lifted = -poly, poly.shift(mono), poly.lift(3)
+        poly.scale(value)
+        poly.primitive()
+        Scalar.monomial(num, den, exponents)
+        laurent = Scalar.monomial(num or 1, -abs(den), [e - 1 for e in exponents])
+        if poly.terms:
+            Scalar(poly.scale(2), poly.scale(-6))
+    made = {id(p) for p in built}
+    assert id(laurent.num) in made
+    if poly.terms:
+        assert {id(neg), id(shifted), id(lifted)} <= made
 
 
 @settings(max_examples=80, deadline=None)

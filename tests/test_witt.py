@@ -13,6 +13,7 @@ from wittkit import (
     AlgebraVariant,
     ArityMismatch,
     BadArity,
+    BadK,
     CartanElement,
     LengthMismatch,
     ScalarField,
@@ -227,6 +228,28 @@ def test_bracket_with_a_zero_operand_is_the_zero_of_the_larger_arity(bracket_ora
                 assert bracket(x, y) == bracket_oracle(x, y)
         with pytest.raises(LengthMismatch):
             bracket(x, W1.zero())
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.kind.value)
+def test_bracket_of_an_element_with_itself_is_zero_at_once(variant, monkeypatch):
+    # [x, x] = 0 by antisymmetry: the zero of x's arity, equal to the monomial
+    # rule's term-by-term value, and neither operand is cleared to get it
+    algebra = WittAlgebra(variant)
+    pool = [e for pair in _operand_pairs(algebra, random.Random(repr(variant))) for e in pair]
+    pool += [algebra.zero(), WittElement.zero(algebra.m), algebra.power_sum_dmu(2),
+             WittAlgebra(variant, ScalarField(2, ("c",))).d(1)]
+    expected = [bracket_monomial_rule(x, x) for x in pool]
+
+    def clear(x):
+        raise AssertionError("an operand of [x, x] was cleared")
+
+    monkeypatch.setattr(witt, "_cleared", clear)
+    for x, other in zip(pool, expected):
+        out = bracket(x, x)
+        assert out.is_zero and out == other
+        assert out.scalar_arity() == x.scalar_arity()
+    with pytest.raises(LengthMismatch):
+        bracket(W1.zero(), W2.zero())
 
 
 def test_cartan_arithmetic_checks_arity_on_zero_coefficients():
@@ -471,6 +494,24 @@ def test_power_sum_dmu():
     mu1 = wmu.field.mu(1)
     ti = WittElement(2, {(3, 0): wmu.dmu_cartan()})
     assert bracket(wmu.dmu(), ti) == ti.scale(mu1 * 3)
+
+
+def test_power_sum_dmu_is_built_once_per_algebra():
+    # one shared element per algebra and k, equal across algebras; t^0 leaves
+    # an element as it is
+    for variant in (AlgebraVariant.wn(3), AlgebraVariant.winf(2, 3), AlgebraVariant.wnmu(2)):
+        first, second = WittAlgebra(variant), WittAlgebra(variant)
+        for k in (-2, 1, 3):
+            z = first.power_sum_dmu(k)
+            assert first.power_sum_dmu(k) is z
+            assert second.power_sum_dmu(k) == z and second.power_sum_dmu(k) is not z
+            assert z.translate((0,) * z.m) is z
+            assert z.translate((1,) + (0,) * (z.m - 1)) != z
+        for _ in range(2):
+            with pytest.raises(BadK):
+                first.power_sum_dmu(0)
+    with pytest.raises(LengthMismatch):
+        W2.power_sum_dmu(1).translate((0,))
 
 
 def test_cartan_element_pairing():
