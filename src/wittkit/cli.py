@@ -15,7 +15,6 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .centralizer import centralizer_basis, verify_lemma_2_2, verify_lemma_4_1
@@ -250,14 +249,12 @@ def cmd_rigidity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def cmd_fuzz(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     algebra = _algebra_from(args, parser)
     rng = random.Random(args.seed)
-    field = algebra.field
 
     def sample():
         return algebra.random_element(rng, args.box)
 
     def random_scalar():
-        return field.from_fraction(
-            Fraction(rng.choice([s for s in range(-9, 10) if s]), rng.randint(1, 4)))
+        return algebra._random_coefficient(rng)
 
     checks: Dict[str, Callable[[], Optional[str]]] = {
         "antisymmetry": lambda: check_antisymmetry(sample(), sample()),
@@ -326,7 +323,8 @@ def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentPars
     _add_box_flag(p_verify, default=None)
     p_verify.add_argument("lemma", choices=tuple(_LEMMA_FLAGS))
     p_verify.add_argument("element", nargs="?", default=None,
-                          help="element argument for lemma3.2 / lemma3.4 / lemma4.4")
+                          help="element argument for lemma3.2 / lemma3.4 / lemma4.4, "
+                               "right after the lemma name")
     p_verify.add_argument("--x", dest="x_option", default=None, metavar="ELEMENT",
                           help="element argument as a flag, usable anywhere on the line")
     p_verify.add_argument("--k", type=int, default=None)

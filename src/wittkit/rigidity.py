@@ -49,7 +49,7 @@ from .errors import (
     SelfCheckFailed,
     WittkitError,
 )
-from .linalg import rank as matrix_rank, solve as matrix_solve
+from .linalg import solve as matrix_solve
 from .scalars import Scalar, ScalarField
 from .witt import (
     MU_DIRECTION,
@@ -91,19 +91,11 @@ class PointwiseMap:
         return iter(self.pairs)
 
 
-def _entry(w: WittElement, gamma: Exponent, j: int) -> Optional[Scalar]:
-    """Coefficient of t^gamma d_j in w, or None when it is zero."""
-    cartan = w.support.get(gamma)
-    if cartan is None or cartan.coeffs[j].is_zero:
-        return None
-    return cartan.coeffs[j]
-
-
 def _weighted_sum(terms) -> Optional[Scalar]:
-    """Sum of u * v over the (u, v) pairs with v not None; None when it is zero."""
+    """Sum of u * v over the (u, v) pairs with v nonzero; None when it is zero."""
     total = None
     for u, v in terms:
-        if v is not None:
+        if not v.is_zero:
             total = u * v if total is None else total + u * v
     return None if total is None or total.is_zero else total
 
@@ -126,7 +118,7 @@ def _left_product(space: TruncatedSpace, constraints: Sequence[Tuple[WittElement
     for c in sorted(columns):
         images = {q: bracket(space.element(c), constraints[q][0])
                   for q in {key[0] for key in weights}}
-        total = _weighted_sum((u, _entry(images[q], gamma, j))
+        total = _weighted_sum((u, images[q].coefficient(gamma, j))
                               for (q, gamma, j), u in weights.items())
         if total is not None:
             out[c] = total
@@ -142,7 +134,7 @@ def _certificate_problem(space: TruncatedSpace,
         return "certificate is empty or repeats a row"
     if _left_product(space, constraints, weights):
         return "certificate does not annihilate every column"
-    if _weighted_sum((u, _entry(constraints[q][1], gamma, j))
+    if _weighted_sum((u, constraints[q][1].coefficient(gamma, j))
                      for (q, gamma, j), u in weights.items()) is None:
         return "certificate does not separate the right-hand side"
     return None
@@ -275,35 +267,34 @@ def solve_inner(algebra: WittAlgebra, constraints: Sequence[Tuple[WittElement, W
         for code, row in rows.items():
             for c, entry in row.items():
                 columns[position[c]][(q, *key(code))] = entry
-    nonzero = len(space) - len(zero_cols)
     try:
         coords = space.coordinates_of(constraints[0][1])
     except PairOutsideBox:
         coords = None
-    if coords is None or not set(coords).isdisjoint(zero_cols):
-        matrix, _, _ = _keyed_system(arity, columns, {})
-        certificate = _anchor_certificate(space, constraints[0][1])
-        result = InnerSolveResult(space, None, [], certificate, nonzero + matrix_rank(matrix))
-    else:
+    anchored = coords is not None and set(coords).isdisjoint(zero_cols)
+    rhs: Dict[ConstraintRow, Scalar] = {}
+    if anchored:
         dmu = algebra.dmu_cartan().coeffs
         vector = {c: value / -_dot(dmu, space.basis[c][0]) for c, value in coords.items()}
         fixed = space.element_from_vector(vector)
-        rhs: Dict[ConstraintRow, Scalar] = {}
         for q, (x, y) in enumerate(constraints[1:], 1):
             rhs.update(_keyed_rows(y - bracket(fixed, x), q))
-        matrix, rhs_rows, keys = _keyed_system(arity, columns, rhs)
-        outcome = matrix_solve(matrix, rhs_rows)
-        rank = nonzero + outcome.rank
-        if outcome.consistent:
-            vector.update((zero_cols[k], value) for k, value in outcome.solution.items())
-            homogeneous = [space.element_from_vector({zero_cols[k]: s for k, s in v.items()})
-                           for v in outcome.homogeneous]
-            result = InnerSolveResult(space, space.element_from_vector(vector), homogeneous,
-                                      None, rank)
-        else:
-            reduced = {keys[r]: u for r, u in outcome.certificate.items()}
-            certificate = _lift_certificate(space, constraints, reduced)
-            result = InnerSolveResult(space, None, [], certificate, rank)
+    matrix, rhs_rows, keys = _keyed_system(arity, columns, rhs)
+    outcome = matrix_solve(matrix, rhs_rows)
+    rank = len(space) - len(zero_cols) + outcome.rank
+    if not anchored:
+        certificate = _anchor_certificate(space, constraints[0][1])
+        result = InnerSolveResult(space, None, [], certificate, rank)
+    elif outcome.consistent:
+        vector.update((zero_cols[k], value) for k, value in outcome.solution.items())
+        homogeneous = [space.element_from_vector({zero_cols[k]: s for k, s in v.items()})
+                       for v in outcome.homogeneous]
+        result = InnerSolveResult(space, space.element_from_vector(vector), homogeneous,
+                                  None, rank)
+    else:
+        reduced = {keys[r]: u for r, u in outcome.certificate.items()}
+        certificate = _lift_certificate(space, constraints, reduced)
+        result = InnerSolveResult(space, None, [], certificate, rank)
     result.check(constraints)
     return result
 

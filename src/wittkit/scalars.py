@@ -11,11 +11,13 @@ equality is structural:
   * num and den are coprime over Z[mu], integer factors included,
   * den has positive leading coefficient in graded lexicographic order.
 
-A rational a/b is thus the two ints a and b.  Fractions appear only at
-the boundary: `Scalar(num, den)` clears coefficient denominators,
-`from_fraction`, `as_fraction` and `evaluate` convert, and the text
-prints num over den's integer content, as it did when num had Fraction
-coefficients over a primitive den.
+A rational a/b is thus the two ints a and b, at the boundary too: any
+number with a numerator and a denominator (an int or a Fraction) is
+read off those two ints, by `Scalar(num, den)`, which clears coefficient
+denominators, by `from_fraction` and by the field operations.  Only
+`as_fraction` and `evaluate` return a Fraction, and only they import the
+`fractions` module.  The text prints num over den's integer content, as
+it did when num had Fraction coefficients over a primitive den.
 
 Genericity of mu means mu . alpha != 0 for every nonzero integer vector
 alpha.  Treating the mu_i as independent indeterminates gives exactly
@@ -28,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, DenominatorVanishes, DivisionByZero, ExactDivisionError
@@ -44,11 +45,11 @@ class MuPolynomial:
     """Sparse polynomial in `arity` commuting variables over Z.
 
     Terms map exponent tuples (length == arity, entries >= 0) to nonzero
-    ints.  The ring operations work on any rational coefficients (which
-    `Scalar(num, den)` clears); primitive parts, gcds and exact division
-    need integral ones.  Instances are immutable by convention: the
-    constructor takes `terms` over, dropping zeros, and nothing mutates
-    it after construction.
+    ints.  The ring operations also work on coefficients with a numerator
+    and a denominator (which `Scalar(num, den)` clears); primitive parts,
+    gcds and exact division need integral ones.  Instances are immutable
+    by convention: the constructor takes `terms` over, dropping zeros,
+    and nothing mutates it after construction.
     """
 
     __slots__ = ("arity", "terms", "_hash")
@@ -439,6 +440,7 @@ class Scalar:
         return self.num == self.den
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.num.constant_value(), self.den.constant_value())
 
     # -- field operations ----------------------------------------------
@@ -448,7 +450,7 @@ class Scalar:
             if other.num.arity != self.num.arity:
                 raise ArityMismatch(f"scalar arities {self.arity} != {other.arity}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if hasattr(other, "denominator"):  # an int or a Fraction
             return Scalar.from_fraction(self.arity, other)
         return NotImplemented
 
@@ -519,6 +521,7 @@ class Scalar:
         return _make(self.den, self.num)
 
     def evaluate(self, values: Sequence) -> Fraction:
+        from fractions import Fraction
         den_value = self.den.evaluate(values)
         if not den_value:
             raise DenominatorVanishes("denominator vanishes at the given point")
@@ -532,10 +535,10 @@ class Scalar:
     # -- object protocol ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_fraction(self.arity, other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if not hasattr(other, "denominator"):  # not an int or a Fraction
+                return NotImplemented
+            other = Scalar.from_fraction(self.arity, other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
@@ -576,7 +579,7 @@ def format_polynomial(poly: MuPolynomial, names: Sequence[str]) -> str:
 
 def _format_over(poly: MuPolynomial, over: int, names: Sequence[str]) -> str:
     """poly / over for an int over > 0, each coefficient "p/q" in lowest terms or "p",
-    read off the ints; at over == 1 any coefficient prints with str(), a Fraction too."""
+    read off the ints; at over == 1 a coefficient prints with str()."""
     if poly.is_zero:
         return "0"
     terms = poly.terms
@@ -645,7 +648,8 @@ class ScalarField:
         return Scalar.from_fraction(self.arity, value)
 
     def from_fraction(self, value) -> Scalar:
-        return Scalar.from_fraction(self.arity, Fraction(value))
+        """The constant value, an int or a Fraction."""
+        return Scalar.from_fraction(self.arity, value)
 
     def mu(self, i: int) -> Scalar:
         """The generator mu_i, 1-based."""

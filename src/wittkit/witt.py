@@ -36,8 +36,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import random
-from fractions import Fraction
 from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -583,16 +581,20 @@ class WittAlgebra:
 
     # -- random sampling ----------------------------------------------
 
-    def random_element(self, rng: random.Random, box: int) -> WittElement:
-        """Sum of one to three random basis pairs of the box with small rational coefficients."""
+    def random_element(self, rng, box: int) -> WittElement:
+        """Sum of one to three random pairs of the box, each times a `_random_coefficient`."""
         pairs = self._basis_pair_list(box)
         count = rng.randint(1, 3)
         chosen = rng.sample(pairs, min(count, len(pairs)))
         total = self.zero()
         for alpha, direction in chosen:
-            coeff = Fraction(rng.choice([s for s in range(-9, 10) if s]), rng.randint(1, 4))
-            total = total + self.pair_element(alpha, direction).scale(self.field.from_fraction(coeff))
+            total = total + self.pair_element(alpha, direction).scale(self._random_coefficient(rng))
         return total
+
+    def _random_coefficient(self, rng) -> Scalar:
+        """p/q for a nonzero p in -9..9 and q in 1..4, drawn in that order."""
+        p = rng.choice([s for s in range(-9, 10) if s])
+        return Scalar.monomial(p, rng.randint(1, 4), (0,) * self.field.arity)
 
     def _basis_pair_list(self, box: int) -> List[Tuple[Exponent, int]]:
         cache = getattr(self, "_pair_cache", None)

@@ -113,6 +113,15 @@ def test_element_after_a_later_option_is_refused(capsys):
         assert run_cli(capsys, argv)[0] == 0
 
 
+def test_verify_help_says_where_an_element_goes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "lemma4.4, right after the lemma name" in text
+    assert "usable anywhere on the line" in text
+
+
 # argv that reach each subcommand's parser directly, and argv that the top-level
 # parser still takes: an empty one, an option first, an unknown name
 ARGV_TABLE = [

@@ -16,6 +16,19 @@ SRC = Path(wittkit.__file__).resolve().parent.parent
 # the rest, and together they cost about as much as argparse, json and
 # fractions combined at every start.
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# Rationals are int pairs everywhere in the package: only `Scalar.evaluate`
+# and `Scalar.as_fraction` import `fractions`, which brings the other two.
+RATIONAL_MODULES = ("fractions", "decimal", "numbers")
+
+
+def _modules_loaded_by(probe: str, names) -> str:
+    """Which of names a fresh interpreter has loaded after running probe."""
+    # A fresh interpreter, since the test process has loaded most of these.
+    code = f"import sys; {probe}; print(sorted(set({tuple(names)!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    return done.stdout.strip()
 
 
 def test_all_lists_exactly_the_imported_names():
@@ -33,10 +46,13 @@ def test_every_public_name_resolves():
 
 
 def test_cli_start_up_loads_no_code_generation_machinery():
-    # A fresh interpreter, since pytest itself imports inspect and ast.
-    probe = ("import sys, wittkit.cli; wittkit.cli.build_parser(); "
-             f"print(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    probe = "import wittkit.cli; wittkit.cli.build_parser()"
+    assert _modules_loaded_by(probe, HEAVY_MODULES) == "[]"
+
+
+def test_start_up_and_every_variant_load_no_fractions():
+    probe = ("import wittkit.cli; from wittkit import AlgebraVariant as V, WittAlgebra; "
+             "wittkit.cli.build_parser(); "
+             "[WittAlgebra(v) for v in (V.wn(2), V.winf(1, 2), V.wnplus(2), V.wnplusplus(2), "
+             "V.wnmu(2))]")
+    assert _modules_loaded_by(probe, RATIONAL_MODULES) == "[]"

@@ -29,6 +29,7 @@ from wittkit import (
     verify_lemma_4_3,
     verify_lemma_4_4,
 )
+from wittkit.cli import main
 
 W2 = WittAlgebra(AlgebraVariant.wn(2))
 
@@ -363,3 +364,99 @@ def test_verify_lemma_4_4_rejects_box_below_k(box):
     x = parse_element("t1*d1 + d2", W3_2)
     with pytest.raises(BadArity, match="power-5 shift family"):
         verify_lemma_4_4(x, 2, 3, box)
+
+
+# Each self-check branch below is reached by a real result with one part
+# corrupted, and raises its own message.
+
+
+def _inconsistent_case():
+    """(honest, perturbed constraints, result): the in-reach table, a lifted certificate."""
+    algebra = WittAlgebra(VARIANTS["wn"])
+    b = algebra.random_element(random.Random("in-reach"), box=2)
+    constraints = anchor_constraints(algebra, b)
+    honest = list(constraints)
+    x, y = constraints[1]
+    constraints[1] = (x, y + parse_element("t1^2*dmu", algebra))
+    return honest, constraints, solve_inner(algebra, constraints, 2)
+
+
+def test_self_check_rejects_empty_or_repeated_certificate_rows():
+    _, constraints, result = _inconsistent_case()
+    for certificate in ([], result.certificate + result.certificate[:1]):
+        with pytest.raises(SelfCheckFailed, match="empty or repeats a row"):
+            result._replace(certificate=certificate).check(constraints)
+
+
+def test_self_check_rejects_certificate_that_does_not_separate():
+    # against the table the perturbation came from, the same rows still
+    # annihilate every column but meet a right-hand side in the image
+    honest, constraints, result = _inconsistent_case()
+    result.check(constraints)
+    with pytest.raises(SelfCheckFailed, match="does not separate the right-hand side"):
+        result.check(honest)
+
+
+def test_self_check_rejects_homogeneous_vector_outside_the_centralizer():
+    constraints = [(W2.dmu(), W2.zero())]
+    result = solve_inner(W2, constraints, box=2)
+    corrupted = result._replace(homogeneous=[W2.d(1), W2.monomial((1, 0), 2)])
+    with pytest.raises(SelfCheckFailed, match="homogeneous vector does not commute"):
+        corrupted.check(constraints)
+
+
+def test_anchor_certificate_refuses_a_value_in_the_image():
+    # [t1 d2, d_mu] = -mu1 t1 d2 has a nonzero eigenvalue: no row certifies it
+    space = TruncatedSpace(W2, 1)
+    value = bracket(W2.monomial((1, 0), 2), W2.dmu())
+    with pytest.raises(SelfCheckFailed, match="lies in the image of ad"):
+        rigidity._anchor_certificate(space, value)
+
+
+def _inner_report():
+    rng = random.Random(15)
+    b = W2.random_element(rng, box=2)
+    delta = PointwiseMap(W2, [(x, bracket(b, x)) for x in standard_probes(W2, rng, count=2)])
+    report = rigidity_pipeline(delta, box=2)
+    assert report.verdict == "inner"
+    return delta, report
+
+
+def test_report_check_rejects_residuals_off_the_table():
+    delta, report = _inner_report()
+    with pytest.raises(SelfCheckFailed, match="do not follow the probe table"):
+        report._replace(residuals=report.residuals[:-1]).check(delta)
+
+
+def test_report_check_rejects_an_anchor_residual():
+    delta, report = _inner_report()
+    first, *rest = report.residuals
+    assert first.probe == W2.dmu()
+    corrupted = [first._replace(residual=W2.d(1)), *rest]
+    with pytest.raises(SelfCheckFailed, match="does not reproduce both anchors"):
+        report._replace(residuals=corrupted).check(delta)
+
+
+def test_report_check_rejects_a_verdict_against_the_residuals():
+    delta, report = _inner_report()
+    with pytest.raises(SelfCheckFailed, match="verdict obstructed disagrees"):
+        report._replace(verdict="obstructed").check(delta)
+
+
+def test_small_exponent_in_the_support_fails_lemma_4_4(monkeypatch, capsys):
+    # n_x = 2 for t1*d1, so an image exponent (0, 0) violates the bound
+    forcing = rigidity._forcing
+
+    def with_small_exponent(family, x):
+        images, support, forcing_rank = forcing(family, x)
+        return images, support | {(0, 0)}, forcing_rank
+
+    monkeypatch.setattr(rigidity, "_forcing", with_small_exponent)
+    report = verify_lemma_4_4(parse_element("t1*d1", W2_1), 1, 2)
+    assert not report.passed
+    assert not report.data["exponent_bound_holds"]
+    assert report.data["violating_exponent"] == [0, 0]
+    assert main(["verify", "--arity", "2", "--prefix", "1", "lemma4.4", "t1*d1"]) == 1
+    out = capsys.readouterr().out
+    assert ": FAIL" in out.splitlines()[0]
+    assert "violating_exponent: [0, 0]" in out
