@@ -351,10 +351,9 @@ def lemma_4_1_families(algebra: WittAlgebra, k: int, box: int) -> Tuple[
     first-n slots, kept when the shifted support fits the box.  h' family:
     (beta, j, t^beta d_j) for j > n (1-based).  With m == n both K_n and
     h'_n collapse and only the power-sum line remains.  Above MAX_COLUMNS
-    elements, counted before any is listed, raises BadArity.
+    elements, counted before any is listed, raises BadArity; k = 0 raises
+    BadK from `power_sum_dmu`.
     """
-    if k == 0:
-        raise BadK("k must be nonzero")
     n, m = algebra.n, algebra.m
     size = (2 * box + 1) ** (m - n) * (1 + m - n)
     if size > MAX_COLUMNS:
@@ -452,11 +451,10 @@ def verify_lemma_4_1(n: int, m: int, k: int, box: Optional[int] = None) -> Verif
     combination of them, since distinct beta give disjoint supports; the
     box part of the centralizer is then exactly the h' family, and the
     check is still a real comparison with the kernel of ad(z) on the box.
+    `AlgebraVariant.winf` raises BadArity unless n < m.
     """
     if k == 0:
         raise BadK("k must be nonzero")
-    if not n < m:
-        raise BadArity(f"need n < m, got n={n}, m={m}")
     if box is None:
         box = abs(k) + 2
     passed, data, _ = _lemma_4_1(WittAlgebra(AlgebraVariant.winf(n, m)), k, box)

@@ -42,22 +42,25 @@ from .witt import (
     check_monomial_rule_agreement,
 )
 
-# The flags each lemma's verifier reads.  An element (positional or --x)
-# and --k are required where listed, --box has a default; a flag a lemma
-# does not read is a usage error rather than silently ignored.
-_LEMMA_FLAGS = {
-    "lemma2.2": ("--k", "--box"),
-    "lemma3.2": ("an element", "--box"),
-    "lemma3.3": ("--k",),
-    "lemma3.4": ("an element",),
-    "lemma4.1": ("--k", "--box"),
-    "lemma4.3": ("--k", "--box"),
-    "lemma4.4": ("an element", "--box"),
+# Each lemma's verifier and its arguments in call order: x the element
+# (positional or --x), n and m the algebra's ranks, prefix the --prefix
+# that a winf lemma requires, k and box the flags.  x and k are required
+# where listed; box, when not given, is left to the verifier's default.
+# A flag a lemma does not take is a usage error rather than silently
+# ignored.  A lemma that takes prefix builds winf(n, m), the others W_n;
+# --variant may name only the algebra a verifier builds.  The verifier is
+# named, and looked up in this module when called, so that a wrapper bound
+# over that name (the layer trace in perfbench/trace_layers.py) sees the call.
+_LEMMAS = {
+    "lemma2.2": ("verify_lemma_2_2", ("n", "k", "box")),
+    "lemma3.2": ("verify_lemma_3_2", ("x", "box")),
+    "lemma3.3": ("verify_lemma_3_3", ("n", "k")),
+    "lemma3.4": ("verify_lemma_3_4", ("x",)),
+    "lemma4.1": ("verify_lemma_4_1", ("prefix", "m", "k", "box")),
+    "lemma4.3": ("verify_lemma_4_3", ("prefix", "m", "k", "box")),
+    "lemma4.4": ("verify_lemma_4_4", ("x", "prefix", "box")),
 }
 _LAWS = ("antisymmetry", "bilinearity", "jacobi", "closure", "monomial")
-# Lemmas whose verifiers build winf(n, m), which --prefix implies; the
-# others build W_n.  --variant may name only the algebra a verifier builds.
-_WINF_LEMMAS = ("lemma4.1", "lemma4.3", "lemma4.4")
 
 
 def _positive_int(text: str) -> int:
@@ -156,44 +159,31 @@ def cmd_centralize(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 def _verify_report(args: argparse.Namespace, parser: argparse.ArgumentParser):
     algebra = _algebra_from(args, parser)
-    n = algebra.n
-    m = algebra.m
     lemma = args.lemma
+    verifier, takes = _LEMMAS[lemma]
     text = args.element if args.element is not None else args.x_option
-    takes = _LEMMA_FLAGS[lemma]
-    given = {"an element": text is not None, "--k": args.k is not None,
-             "--box": args.box is not None}
-    for flag, present in given.items():
-        if present and flag not in takes:
+    values = {"x": text, "k": args.k, "box": args.box}
+    for name, flag in (("x", "an element"), ("k", "--k"), ("box", "--box")):
+        if values[name] is not None and name not in takes:
             parser.error(f"{lemma} does not take {flag}")
-        if not present and flag in takes and flag != "--box":
+        if values[name] is None and name in takes and name != "box":
             parser.error(f"{lemma} needs {flag}")
-    x = None if text is None else _element(text, algebra, parser)
-
-    if lemma == "lemma2.2":
-        return verify_lemma_2_2(n, args.k, args.box)
-    if lemma == "lemma3.2":
-        return verify_lemma_3_2(x, args.box if args.box is not None else 2)
-    if lemma == "lemma3.3":
-        return verify_lemma_3_3(n, args.k)
-    if lemma == "lemma3.4":
-        return verify_lemma_3_4(x, n)
-    if args.prefix is None:
+    if text is not None:
+        values["x"] = _element(text, algebra, parser)
+    if "prefix" in takes and args.prefix is None:
         parser.error(f"{lemma} needs --prefix")
-    if lemma == "lemma4.1":
-        return verify_lemma_4_1(args.prefix, m, args.k, args.box)
-    if lemma == "lemma4.3":
-        return verify_lemma_4_3(args.prefix, m, args.k, args.box if args.box is not None else 2)
-    return verify_lemma_4_4(x, args.prefix, m, args.box)
+    values.update(n=algebra.n, prefix=args.prefix, m=algebra.m)
+    # Every value but an absent box is set by now, and box is always last.
+    return globals()[verifier](*(values[name] for name in takes if values[name] is not None))
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    built = ((VariantKind.WN, VariantKind.W_INF_TRUNC) if args.lemma in _WINF_LEMMAS
-             else (VariantKind.WN,))
+    winf = "prefix" in _LEMMAS[args.lemma][1]
+    built = (VariantKind.WN, VariantKind.W_INF_TRUNC) if winf else (VariantKind.WN,)
     if _VARIANT_KINDS.get(_variant_kind(args.variant)) not in built:
         parser.error(f"{args.lemma} is verified in {' or '.join(k.value for k in built)} only; "
                      f"--variant {args.variant} is not supported")
-    if args.lemma in _WINF_LEMMAS and args.prefix is not None:
+    if winf and args.prefix is not None:
         args.variant = "winf"
     report = _verify_report(args, parser)
     payload = report.to_dict()
@@ -321,7 +311,7 @@ def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentPars
     p_verify = sub.add_parser("verify", help="run a lemma verifier")
     _add_common_flags(p_verify)
     _add_box_flag(p_verify, default=None)
-    p_verify.add_argument("lemma", choices=tuple(_LEMMA_FLAGS))
+    p_verify.add_argument("lemma", choices=tuple(_LEMMAS))
     p_verify.add_argument("element", nargs="?", default=None,
                           help="element argument for lemma3.2 / lemma3.4 / lemma4.4, "
                                "right after the lemma name")

@@ -501,6 +501,16 @@ def _power_obstruction(algebra: WittAlgebra, beta: Exponent, k: int,
 # Lemma verifiers.
 
 
+def _algebra_for(x: WittElement, variant: AlgebraVariant) -> WittAlgebra:
+    """The algebra of the variant, for a nonzero x written over its plain mu field."""
+    if x.is_zero:
+        raise WittkitError("x must be nonzero")
+    algebra = WittAlgebra(variant)
+    if x.scalar_arity() != algebra.field.arity:
+        raise ArityMismatch("x must be written over the plain mu field")
+    return algebra
+
+
 def verify_lemma_3_2(x: WittElement, box: int = 2) -> VerificationReport:
     """Cartan ambiguity maps x into its own support span.
 
@@ -512,13 +522,9 @@ def verify_lemma_3_2(x: WittElement, box: int = 2) -> VerificationReport:
     [d_i, x] = sum alpha_i t^alpha x_alpha for each i; the unknowns h_i
     only print the eigenvalues.
     """
-    if x.is_zero:
-        raise WittkitError("x must be nonzero")
     n = x.m
-    algebra = WittAlgebra(AlgebraVariant.wn(n))
+    algebra = _algebra_for(x, AlgebraVariant.wn(n))
     field = algebra.field
-    if x.scalar_arity() != field.arity:
-        raise ArityMismatch("x must be written over the plain mu field")
     inner = solve_inner(algebra, [(algebra.dmu(), algebra.zero())], box)
     cartan_basis = [algebra.d(i) for i in range(1, n + 1)]
     solution_is_cartan = (
@@ -526,7 +532,7 @@ def verify_lemma_3_2(x: WittElement, box: int = 2) -> VerificationReport:
         and inner.solution.is_zero
         and inner.homogeneous == cartan_basis
     )
-    inside = all(bracket(d, x) == WittElement(n, {alpha: cartan.scale(field.from_int(alpha[i]))
+    inside = all(bracket(d, x) == WittElement(n, {alpha: cartan.scale(field.from_fraction(alpha[i]))
                                                   for alpha, cartan in x.support.items()})
                  for i, d in enumerate(cartan_basis))
     ext = field.extend(*[f"h{i}" for i in range(1, n + 1)])
@@ -628,15 +634,13 @@ def verify_lemma_3_3(n: int, k: int) -> VerificationReport:
     return VerificationReport("3.3", {"n": n, "k": k}, passed, data)
 
 
-def verify_lemma_3_4(x: WittElement, n: int) -> VerificationReport:
-    """High power-sum probes push x's image out of every bounded box (4.4 at m = n)."""
-    if x.is_zero:
-        raise WittkitError("x must be nonzero")
-    if x.m != n:
-        raise ArityMismatch(f"element rank {x.m} != n = {n}")
-    algebra = WittAlgebra(AlgebraVariant.wn(n))
-    if x.scalar_arity() != algebra.field.arity:
-        raise ArityMismatch("x must be written over the plain mu field")
+def verify_lemma_3_4(x: WittElement) -> VerificationReport:
+    """High power-sum probes push x's image out of every bounded box (4.4 at m = n).
+
+    The rank n is x's own, x.m, and x must be nonzero.
+    """
+    n = x.m
+    algebra = _algebra_for(x, AlgebraVariant.wn(n))
     passed, data, support = _bounded_shift_forcing(algebra, x, None)
     del data["shifts"], data["h_part_zero"]
     data["forced_zero"] = ["c"] if data["forced_zero"] else []
@@ -659,43 +663,35 @@ def verify_lemma_4_3(n: int, m: int, k: int, box: int = 2) -> VerificationReport
     t^{k e_i + beta} d_mu, so every c_beta is forced to zero.  At k = -1
     the full bracket collects the collided value c_beta(k-1)(mu_1+...+mu_n)
     while the defining product still shows c_beta(k-1)mu_1.
+    `AlgebraVariant.winf` raises BadArity unless n < m.
     """
     if k in (0, 1):
         raise BadK("k must avoid 0 and 1")
-    if not n < m:
-        raise BadArity(f"need n < m, got n={n}, m={m}")
+    algebra = WittAlgebra(AlgebraVariant.winf(n, m))
     if box < 1:
         raise BadArity("box must cover the degree-one shift family")
-    passed, data, _ = _shift_forcing(WittAlgebra(AlgebraVariant.winf(n, m)), k, box)
+    passed, data, _ = _shift_forcing(algebra, k, box)
     return VerificationReport("4.3", {"n": n, "m": m, "k": k, "box": box}, passed, data)
 
 
-def verify_lemma_4_4(x: WittElement, n: int, m: int,
-                     box: Optional[int] = None) -> VerificationReport:
+def verify_lemma_4_4(x: WittElement, n: int, box: Optional[int] = None) -> VerificationReport:
     """The power-2n_x+1 centralizer maps the first-n slice out of bounds.
 
-    x must live in the first-n slice of the rank-m algebra, and n_x is 1
-    plus its largest first-n exponent magnitude.  a ranges over shifts
-    c_beta t^beta (t_1^k+...+t_n^k)d_mu with k = 2n_x + 1 plus the
-    t^beta h' family; the h' family kills x outright, and every
-    shift term lands at a first-n exponent entry of magnitude above n_x,
-    so the allowed span over t^{alpha+beta} d_alpha forces all c_beta to
-    zero.  Shift tails beta default to the cube of radius k; a box below
-    k holds no shift at all, so it would pass vacuously and is rejected.
+    The rank m is x's own, x.m, and n < m.  x must be nonzero and live in
+    the first-n slice, and n_x is 1 plus its largest first-n exponent
+    magnitude.  a ranges over shifts c_beta t^beta (t_1^k+...+t_n^k)d_mu
+    with k = 2n_x + 1 plus the t^beta h' family; the h' family kills x
+    outright, and every shift term lands at a first-n exponent entry of
+    magnitude above n_x, so the allowed span over t^{alpha+beta} d_alpha
+    forces all c_beta to zero.  Shift tails beta default to the cube of
+    radius k; a box below k holds no shift at all, so it would pass
+    vacuously and is rejected.
     """
-    if x.is_zero:
-        raise WittkitError("x must be nonzero")
-    if not n < m:
-        raise BadArity(f"need n < m, got n={n}, m={m}")
-    if x.m != m:
-        raise ArityMismatch(f"element rank {x.m} != ambient {m}")
+    base = _algebra_for(x, AlgebraVariant.winf(n, x.m))
     for alpha, cartan in x.support.items():
         if any(alpha[n:]) or any(not c.is_zero for c in cartan.coeffs[n:]):
             raise BadArity("x must lie in the first-n slice")
-    base = WittAlgebra(AlgebraVariant.winf(n, m))
-    if x.scalar_arity() != base.field.arity:
-        raise ArityMismatch("x must be written over the plain mu field")
     passed, data, _ = _bounded_shift_forcing(base, x, box)
-    parameters = {"n": n, "m": m, "x": base.format(x), "n_x": data["n_x"], "k": data["k"],
+    parameters = {"n": n, "m": x.m, "x": base.format(x), "n_x": data["n_x"], "k": data["k"],
                   "box": data["k"] if box is None else box}
     return VerificationReport("4.4", parameters, passed, data)

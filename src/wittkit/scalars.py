@@ -644,9 +644,6 @@ class ScalarField:
     def one(self) -> Scalar:
         return Scalar.one(self.arity)
 
-    def from_int(self, value: int) -> Scalar:
-        return Scalar.from_fraction(self.arity, value)
-
     def from_fraction(self, value) -> Scalar:
         """The constant value, an int or a Fraction."""
         return Scalar.from_fraction(self.arity, value)

@@ -508,6 +508,7 @@ class WittAlgebra:
         self._dmu = CartanElement([self.field.mu(i + 1) if i < self.n else self.field.zero()
                                    for i in range(self.m)])
         self._power_sums: Dict[int, WittElement] = {}
+        self._pair_cache: Dict[int, List[Tuple[Exponent, int]]] = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -597,18 +598,14 @@ class WittAlgebra:
         return Scalar.monomial(p, rng.randint(1, 4), (0,) * self.field.arity)
 
     def _basis_pair_list(self, box: int) -> List[Tuple[Exponent, int]]:
-        cache = getattr(self, "_pair_cache", None)
-        if cache is None:
-            cache = {}
-            self._pair_cache = cache
-        pairs = cache.get(box)
+        pairs = self._pair_cache.get(box)
         if pairs is None:
             size = _window_size(self.variant, box)
             if size > MAX_COLUMNS:
                 raise BadArity(f"the box {box} window has {size} columns, "
                                f"more than the {MAX_COLUMNS} allowed")
             pairs = list(iter_basis_pairs(self.variant, box))
-            cache[box] = pairs
+            self._pair_cache[box] = pairs
         return pairs
 
     # -- formatting -----------------------------------------------------

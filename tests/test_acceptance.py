@@ -211,7 +211,7 @@ def test_criterion_08_variant_closure():
                 problems.append((name, trial, message))
     plus = WittAlgebra(AlgebraVariant.wnplus(2))
     corner = bracket(plus.monomial((-1, 0), 1), plus.monomial((1, 0), 1))
-    if corner != plus.d(1).scale(plus.field.from_int(2)):
+    if corner != plus.d(1).scale(plus.field.from_fraction(2)):
         problems.append("corner identity failed")
     conclude(8, "bracket closure, 200 pairs each in W2+ and W2++",
              problems, started)
@@ -253,13 +253,13 @@ def test_criterion_10_support_forcing():
         while x.is_zero:
             x = algebra.random_element(rng, box=2)
         n_x = 1 + max(abs(e) for alpha in x.support for e in alpha)
-        report = verify_lemma_3_4(x, 2)
+        report = verify_lemma_3_4(x)
         if not report.passed or report.parameters["k"] != 2 * n_x + 1:
             problems.append((trial, "3.4", report.data))
         if report.data["forcing_rank"] != 1:
             problems.append((trial, "3.4 rank"))
         wide = parse_element(algebra.format(x), wide_algebra)
-        report4 = verify_lemma_4_4(wide, 2, 3)
+        report4 = verify_lemma_4_4(wide, 2)
         if not report4.passed or report4.parameters["k"] != 2 * n_x + 1:
             problems.append((trial, "4.4", report4.data))
         if report4.data["forcing_rank"] != report4.data["shifts"]:

@@ -192,7 +192,7 @@ def test_span_rank_counts_independent_elements():
     a = W2.monomial((1, 0), 1)
     b = W2.monomial((0, 1), 2)
     assert span_rank([a, b]) == 2
-    assert span_rank([a, a.scale(W2.field.from_int(5))]) == 1
+    assert span_rank([a, a.scale(W2.field.from_fraction(5))]) == 1
     assert span_rank([a, b, a + b]) == 2
     assert span_rank([]) == 0
 
@@ -208,10 +208,10 @@ def _rational_coefficient(rng: random.Random, field):
     """A random element of Q(mu) with a denominator positive at every geometric point."""
     mu = [field.mu(i + 1) for i in range(field.n_mu)]
     num = (field.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-           + mu[rng.randrange(len(mu))] * field.from_int(rng.randint(-3, 3)))
+           + mu[rng.randrange(len(mu))] * field.from_fraction(rng.randint(-3, 3)))
     if num.is_zero:
         num = field.one()
-    return num / (mu[rng.randrange(len(mu))] + field.from_int(rng.randint(1, 4)))
+    return num / (mu[rng.randrange(len(mu))] + field.from_fraction(rng.randint(1, 4)))
 
 
 def _residue(value: Fraction) -> int:

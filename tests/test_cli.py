@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import wittkit
+from wittkit import cli
 from wittkit.cli import _LAWS, build_parser, main
 
 
@@ -340,6 +342,31 @@ def test_verify_accepts_winftrunc_as_winf(capsys):
             main(["verify", "--arity", "2", "--variant", variant, "lemma2.2", "--k", "1"])
         assert exc.value.code == 2
         assert f"--variant {variant} is not supported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lemma", sorted(cli._LEMMAS))
+def test_lemma_table_names_each_verifier_and_its_parameters(lemma):
+    # prefix is the verifier's n; x, k and box are named as the verifier names them
+    verifier, takes = cli._LEMMAS[lemma]
+    assert verifier == "verify_lemma_" + lemma[len("lemma"):].replace(".", "_")
+    parameters = list(inspect.signature(getattr(cli, verifier)).parameters)
+    assert ["n" if name == "prefix" else name for name in takes] == parameters
+
+
+def test_verify_calls_the_verifier_bound_to_its_name(capsys, monkeypatch):
+    # perfbench's layer trace wraps a verifier by rebinding its name in this module
+    calls = []
+    verifier = cli.verify_lemma_2_2
+    monkeypatch.setattr(cli, "verify_lemma_2_2",
+                        lambda *args: calls.append(args) or verifier(*args))
+    assert main(["verify", "--arity", "1", "--k", "1", "lemma2.2"]) == 0
+    assert calls == [(1, 1)]
+
+
+def test_lemma_table_keys_are_the_verify_choices():
+    verify = cli._parsers()[1]["verify"]
+    lemma = next(action for action in verify._actions if action.dest == "lemma")
+    assert list(lemma.choices) == list(cli._LEMMAS)
 
 
 @pytest.mark.parametrize("count", ["-5", "0"])

@@ -125,7 +125,7 @@ def test_solve_inconsistent_certificate():
     # rows: x0 = 1, x0 = 2; u = (1, -1) refutes
     one = F2.one()
     matrix = build([(0, 0, one), (1, 0, one)], 2, 1)
-    rhs = {0: one, 1: F2.from_int(2)}
+    rhs = {0: one, 1: F2.from_fraction(2)}
     result = solve(matrix, rhs)
     assert not result.consistent
     cert = result.certificate
@@ -208,7 +208,7 @@ def test_specialized_rank_bounds_symbolic_rank():
         for r in range(4):
             for c in range(5):
                 if rng.random() < 0.5:
-                    coeff = f1.from_int(rng.randrange(-3, 4))
+                    coeff = f1.from_fraction(rng.randrange(-3, 4))
                     matrix.add(r, c, coeff * (f1.mu(1) if rng.random() < 0.5 else f1.one()))
         symbolic = rank(matrix)
         for point in specialization_points(1, bound=6):
@@ -722,7 +722,7 @@ def test_solve_one_inconsistent_component_among_several():
     one = F2.one()
     # x0 + x1 = 1 | x2 = 1, x2 = 2 | mu1 x3 = mu2
     matrix = build([(0, 0, one), (0, 1, one), (1, 2, one), (2, 2, one), (3, 3, mu1)], 4, 4)
-    rhs = {0: one, 1: one, 2: F2.from_int(2), 3: mu2}
+    rhs = {0: one, 1: one, 2: F2.from_fraction(2), 3: mu2}
     result = solve(matrix, rhs)
     assert not result.consistent
     assert result.certificate == {1: -one, 2: one}
@@ -766,14 +766,14 @@ def test_solve_zero_row_with_nonzero_rhs():
     mu1 = F2.mu(1)
     one = F2.one()
     matrix = build([(0, 0, one), (2, 1, one)], 3, 2)
-    result = solve(matrix, {0: one, 1: mu1, 2: F2.from_int(2)})
+    result = solve(matrix, {0: one, 1: mu1, 2: F2.from_fraction(2)})
     assert not result.consistent
     assert result.certificate == {1: one}
     assert result.rank == 2
-    assert_certificate(matrix, {0: one, 1: mu1, 2: F2.from_int(2)}, result)
+    assert_certificate(matrix, {0: one, 1: mu1, 2: F2.from_fraction(2)}, result)
     # a zero row with a zero right-hand side constrains nothing
-    result = solve(matrix, {0: one, 1: F2.zero(), 2: F2.from_int(2)})
-    assert result.solution == {0: one, 1: F2.from_int(2)} and result.homogeneous == []
+    result = solve(matrix, {0: one, 1: F2.zero(), 2: F2.from_fraction(2)})
+    assert result.solution == {0: one, 1: F2.from_fraction(2)} and result.homogeneous == []
 
 
 def test_solve_arity_zero():

@@ -32,13 +32,13 @@ def test_basic_monomials():
     assert parse_element("t1*d1", W2) == W2.monomial((1, 0), 1)
     assert parse_element("t1^-1*d1", W2) == W2.monomial((-1, 0), 1)
     assert parse_element("3*t1^2*t2*d2", W2) == W2.monomial(
-        (2, 1), 2, W2.field.from_int(3))
+        (2, 1), 2, W2.field.from_fraction(3))
     assert parse_element("0", W2) == W2.zero()
 
 
 def test_signs_and_sums():
     x = parse_element("-d1 + 2*d2 - t1*d1", W2)
-    assert x == -W2.d(1) + W2.d(2).scale(W2.field.from_int(2)) - W2.monomial((1, 0), 1)
+    assert x == -W2.d(1) + W2.d(2).scale(W2.field.from_fraction(2)) - W2.monomial((1, 0), 1)
     assert parse_element("d1 - d1", W2) == W2.zero()
 
 
@@ -65,7 +65,7 @@ def test_parenthesized_sums_distribute():
     assert x == expect
     # scalar groups mix with t factors inside one term
     y = parse_element("(2 + mu1)*t2*d1", W2)
-    assert y == W2.monomial((0, 1), 1, W2.field.from_int(2) + W2.field.mu(1))
+    assert y == W2.monomial((0, 1), 1, W2.field.from_fraction(2) + W2.field.mu(1))
 
 
 def test_division_must_be_scalar():
@@ -98,7 +98,7 @@ def test_non_decimal_digits_are_parse_errors(text):
 
 def test_decimal_digits_of_any_script_parse():
     # Arabic-Indic three and one are decimal digits, read by int()
-    assert parse_element("\u0663*d1", W2) == W2.d(1).scale(W2.field.from_int(3))
+    assert parse_element("\u0663*d1", W2) == W2.d(1).scale(W2.field.from_fraction(3))
     assert parse_element("t\u0661*d1", W2) == W2.monomial((1, 0), 1)
 
 
@@ -288,7 +288,7 @@ def test_products_of_sums_collect_like_terms(monkeypatch):
     assert len(products) <= 2 * sum(range(1, 13))
     expected = W2.zero()
     for k in range(41):
-        expected = expected + W2.monomial((k, 0), 1, W2.field.from_int(comb(40, k)))
+        expected = expected + W2.monomial((k, 0), 1, W2.field.from_fraction(comb(40, k)))
     assert parse_element("(t1 + 1)*" * 40 + "d1", W2) == expected
 
 
@@ -306,7 +306,7 @@ spaces = st.sampled_from(["", "", " "])
 
 def _divisors(field):
     mu1, mu2 = field.mu(1), field.mu(2)
-    return {"2": field.from_int(2), "3": field.from_int(3), "6": field.from_int(6),
+    return {"2": field.from_fraction(2), "3": field.from_fraction(3), "6": field.from_fraction(6),
             "mu1": mu1, "mu2": mu2, "(mu1 + mu2)": mu1 + mu2}
 
 
@@ -343,7 +343,7 @@ def factors(draw, algebra, depth, with_t):
     kind = draw(st.sampled_from(["int", "mu"] + ["t"] * with_t + ["group"] * (depth > 0)))
     if kind == "int":
         k = draw(st.integers(0, 5))
-        return str(k), algebra.d(1).scale(field.from_int(k))
+        return str(k), algebra.d(1).scale(field.from_fraction(k))
     if kind == "group":
         text, value = draw(expressions(algebra, depth - 1, with_t))
         return f"({text})", value

@@ -26,6 +26,7 @@ from wittkit import (
     verify_lemma_3_2,
     verify_lemma_3_3,
     verify_lemma_3_4,
+    verify_lemma_4_1,
     verify_lemma_4_3,
     verify_lemma_4_4,
 )
@@ -291,7 +292,7 @@ def _forcing_case(name):
         return W2_1, [s for _, s in shifts], parse_element("t1*d1", W2_1)
     if name == "wn-deficient":
         s = W2.power_sum_dmu(1)
-        return W2, [s, s.scale(W2.field.from_int(2)), W2.d(1)], W2.power_sum_dmu(3)
+        return W2, [s, s.scale(W2.field.from_fraction(2)), W2.d(1)], W2.power_sum_dmu(3)
     # the h' family kills x, and two shifts repeat
     shifts, h_family = lemma_4_1_families(W3_2, 1, 1)
     family = [s for _, s in shifts[:3] + shifts[:2]] + [e for _, _, e in h_family[:2]]
@@ -310,8 +311,8 @@ def test_forcing_matches_adjoined_unknowns(forcing_oracle, name):
 @pytest.mark.parametrize("verify", [
     lambda: verify_lemma_3_3(2, 3),
     lambda: verify_lemma_4_3(2, 3, 3, box=1),
-    lambda: verify_lemma_3_4(parse_element("t1*d2 + d1", W2), 2),
-    lambda: verify_lemma_4_4(parse_element("t1*d1", W2_1), 1, 2),
+    lambda: verify_lemma_3_4(parse_element("t1*d2 + d1", W2)),
+    lambda: verify_lemma_4_4(parse_element("t1*d1", W2_1), 1),
 ], ids=["3.3", "4.3", "3.4", "4.4"])
 def test_forcing_one_rank_short_fails(monkeypatch, verify):
     # the failing branch of each forcing core, through the W_n and the W_inf entry point
@@ -332,7 +333,7 @@ def test_verify_lemma_3_3_rejects_degenerate_k():
 
 def test_verify_lemma_3_4():
     x = W2.monomial((2, -1), 1) + W2.monomial((0, 1), 2)
-    report = verify_lemma_3_4(x, 2)
+    report = verify_lemma_3_4(x)
     assert report.passed
     assert report.parameters["n_x"] == 3
     assert report.parameters["k"] == 7
@@ -350,12 +351,39 @@ def test_verify_lemma_4_3():
 def test_verify_lemma_4_4():
     x2 = W2.monomial((1, 0), 1) + W2.d(2)
     x = parse_element("t1*d1 + d2", W3_2)
-    report = verify_lemma_4_4(x, 2, 3)
+    report = verify_lemma_4_4(x, 2)
     assert report.passed
     assert report.data["h_part_zero"]
     assert report.data["forcing_rank"] == report.data["shifts"]
     with pytest.raises(Exception):
-        verify_lemma_4_4(x2, 2, 3)
+        verify_lemma_4_4(x2, 2)
+
+
+@pytest.mark.parametrize("x, algebra", [("t1*d2 + d1", W2),
+                                        ("d1", WittAlgebra(AlgebraVariant.wn(3)))])
+def test_verify_lemma_3_4_takes_its_rank_from_x(x, algebra):
+    report = verify_lemma_3_4(parse_element(x, algebra))
+    assert report.parameters["n"] == algebra.m
+
+
+@pytest.mark.parametrize("n, algebra", [(1, W2_1), (2, W3_2),
+                                        (1, WittAlgebra(AlgebraVariant.winf(1, 3)))])
+def test_verify_lemma_4_4_takes_its_ambient_rank_from_x(n, algebra):
+    report = verify_lemma_4_4(parse_element("t1*d1", algebra), n)
+    assert (report.parameters["n"], report.parameters["m"]) == (n, algebra.m)
+
+
+@pytest.mark.parametrize("verify", [
+    lambda: verify_lemma_4_1(2, 2, 1, 1),
+    lambda: verify_lemma_4_1(3, 2, 1),
+    lambda: verify_lemma_4_3(2, 2, 2),
+    lambda: verify_lemma_4_3(3, 2, 2, 1),
+    lambda: verify_lemma_4_4(parse_element("t1*d1", W2), 2),
+    lambda: verify_lemma_4_4(parse_element("t1*d1", W2_1), 2),
+], ids=["4.1", "4.1-wider", "4.3", "4.3-wider", "4.4", "4.4-wider"])
+def test_winf_verifiers_refuse_n_at_least_m(verify):
+    with pytest.raises(BadArity, match="winf needs n < m"):
+        verify()
 
 
 @pytest.mark.parametrize("box", [-1, 0, 4])
@@ -363,7 +391,7 @@ def test_verify_lemma_4_4_rejects_box_below_k(box):
     # n_x = 2, so k = 5: a box below 5 holds no shift, so the check would be vacuous
     x = parse_element("t1*d1 + d2", W3_2)
     with pytest.raises(BadArity, match="power-5 shift family"):
-        verify_lemma_4_4(x, 2, 3, box)
+        verify_lemma_4_4(x, 2, box)
 
 
 # Each self-check branch below is reached by a real result with one part
@@ -452,7 +480,7 @@ def test_small_exponent_in_the_support_fails_lemma_4_4(monkeypatch, capsys):
         return images, support | {(0, 0)}, forcing_rank
 
     monkeypatch.setattr(rigidity, "_forcing", with_small_exponent)
-    report = verify_lemma_4_4(parse_element("t1*d1", W2_1), 1, 2)
+    report = verify_lemma_4_4(parse_element("t1*d1", W2_1), 1)
     assert not report.passed
     assert not report.data["exponent_bound_holds"]
     assert report.data["violating_exponent"] == [0, 0]

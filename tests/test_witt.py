@@ -46,7 +46,7 @@ def test_opposite_weight_bracket():
     # [t1^-1 d1, t1 d1] = (1 - (-1)) t1^0 d1 = 2 d1
     x = W1.monomial((-1,), 1)
     y = W1.monomial((1,), 1)
-    two_d1 = W1.d(1).scale(W1.field.from_int(2))
+    two_d1 = W1.d(1).scale(W1.field.from_fraction(2))
     assert bracket(x, y) == two_d1
 
 
@@ -54,9 +54,9 @@ def test_euler_element_eigenvalues():
     # d_i = t_i (d/dt_i), so ad(d_1 + d_2) scales t^alpha d_j by |alpha|
     euler = W2.d(1) + W2.d(2)
     x = W2.monomial((2, -3), 1)
-    assert bracket(euler, x) == x.scale(W2.field.from_int(-1))
+    assert bracket(euler, x) == x.scale(W2.field.from_fraction(-1))
     y = W2.monomial((1, 1), 2)
-    assert bracket(euler, y) == y.scale(W2.field.from_int(2))
+    assert bracket(euler, y) == y.scale(W2.field.from_fraction(2))
 
 
 def test_dmu_cartan_eigenvalue():
@@ -327,8 +327,8 @@ def test_wnmu_membership_agrees_with_proportional():
     for n in (1, 2, 3):
         algebra = WittAlgebra(AlgebraVariant.wnmu(n))
         field, dmu = algebra.field, algebra.dmu_cartan()
-        scalars = [field.from_int(2), field.from_fraction(Fraction(-3, 5)), field.mu(1),
-                   field.mu(n) + field.from_int(1), field.from_int(1) / (field.mu(1) + 2)]
+        scalars = [field.from_fraction(2), field.from_fraction(Fraction(-3, 5)), field.mu(1),
+                   field.mu(n) + field.from_fraction(1), field.from_fraction(1) / (field.mu(1) + 2)]
         for _ in range(40):
             alpha = tuple(rng.randrange(-2, 3) for _ in range(n))
             cartan = dmu.scale(rng.choice(scalars))
@@ -465,7 +465,7 @@ def test_trusted_constructor_matches_the_public_one(monkeypatch):
         algebra = WittAlgebra(variant)
         field, m = algebra.field, algebra.m
         space = TruncatedSpace(algebra, 1)
-        scalars = [field.zero(), field.from_int(-2), field.mu(1) / (field.mu(2) + 1)]
+        scalars = [field.zero(), field.from_fraction(-2), field.mu(1) / (field.mu(2) + 1)]
         results = [algebra.zero(), algebra.dmu(), algebra.power_sum_dmu(2),
                    algebra.power_sum_dmu(-1),
                    parse_element("t1*d1 - t1*d1 + t2*d2", algebra),
@@ -517,9 +517,9 @@ def test_power_sum_dmu_is_built_once_per_algebra():
 def test_cartan_element_pairing():
     # (d_a, beta) read off [d_a, t^beta d_b] = (d_a, beta) t^beta d_b - (d_b, 0) d_a
     field = W2.field
-    c = CartanElement.unit(2, 0, field.arity).scale(field.from_int(3))
+    c = CartanElement.unit(2, 0, field.arity).scale(field.from_fraction(3))
     y = W2.monomial((5, 7), 2)
-    assert bracket(WittElement(2, {(0, 0): c}), y) == y.scale(field.from_int(15))
+    assert bracket(WittElement(2, {(0, 0): c}), y) == y.scale(field.from_fraction(15))
     assert CartanElement.zero(2, field.arity).is_zero
 
 
